@@ -56,7 +56,9 @@ from .sobolev import (
     collision_function,
     divergence_probe,
     hs_distance,
+    hs_distances,
     hs_norm,
+    pair_integral,
 )
 
 __version__ = "0.1.0"
@@ -97,12 +99,14 @@ __all__ = [
     "full_rhs",
     "h_sq",
     "hs_distance",
+    "hs_distances",
     "hs_norm",
     "integrate",
     "integrate_reversed",
     "l_a",
     "locate_collision",
     "make_initial_profile",
+    "pair_integral",
     "pde_residual",
     "reduced_rhs",
     "residual_report",

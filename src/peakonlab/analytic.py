@@ -55,12 +55,25 @@ class InvariantContext:
         return cls(params=params, mu=red.q, z0=red.z, h0=red.h, w0=red.w)
 
 
+def _scalar_pow(base, exponent: float):
+    """base ** exponent, evaluated with the scalar pow for every element.
+
+    numpy's ``**`` on arrays uses a vectorised pow that can round the last
+    bit differently; going through math.pow elementwise keeps
+    z_closed_form(ctx, q)[i] identical to z_closed_form(ctx, q[i]).
+    """
+    if np.ndim(base) == 0:
+        return base**exponent
+    return np.frompyfunc(math.pow, 2, 1)(base, exponent).astype(float)
+
+
 def z_closed_form(ctx: InvariantContext, q):
     """Momentum product as an explicit function of the separation.
 
     Equals z0 at q = mu and is constant when b = 2.  Accepts scalars or
     arrays.  Raises ValueError outside the range where L_a(q)/L_a(mu)
     stays positive, since the derivation integrates d(ln|z|) there.
+    Array and scalar calls agree bit for bit.
     """
     a, b = ctx.params.a, ctx.params.b
     if a == 0:
@@ -77,7 +90,7 @@ def z_closed_form(ctx: InvariantContext, q):
         ratio = l_a(a, q) / l_a(a, ctx.mu)
         if np.any(ratio <= 0):
             raise ValueError("separation left the sign-definite range of L_a")
-        val = ctx.z0 * ratio ** ((2.0 - b) / (2.0 * (1.0 - 3.0 * a)))
+        val = ctx.z0 * _scalar_pow(ratio, (2.0 - b) / (2.0 * (1.0 - 3.0 * a)))
     return float(val) if val.ndim == 0 else val
 
 

@@ -51,7 +51,7 @@ from .params import (
     collision_time_bound,
     make_initial_profile,
 )
-from .sobolev import H_S_LIMIT, collision_function, hs_distance
+from .sobolev import H_S_LIMIT, collision_function, hs_distances
 
 #: (a, b) supplied by each named preset
 PRESET_AB = {
@@ -277,6 +277,23 @@ def _resolved_extra(run: ResolvedRun) -> dict:
     return extra
 
 
+def _z_column(ctx: Optional[InvariantContext], q: np.ndarray) -> np.ndarray:
+    """Closed-form momentum product per row; nan where it is not defined."""
+    if ctx is None:
+        return np.full_like(q, math.nan)
+    try:
+        return z_closed_form(ctx, q)
+    except ValueError:  # an exploratory run left the sign-definite range somewhere
+        return np.array([_z_or_nan(ctx, v) for v in q])
+
+
+def _z_or_nan(ctx: InvariantContext, q: float) -> float:
+    try:
+        return z_closed_form(ctx, q)
+    except ValueError:
+        return math.nan
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -290,11 +307,7 @@ def run_case(cfg: ExperimentConfig) -> int:
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    try:
-        traj = integrate(run.initial, run.params, run.integration)
-    except IntegrationError as exc:
-        print(f"error: integration failed: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    traj = integrate(run.initial, run.params, run.integration)
 
     collision = None
     if traj.terminal_event.kind is not EventKind.HORIZON and cfg.s_values:
@@ -305,21 +318,17 @@ def run_case(cfg: ExperimentConfig) -> int:
 
     columns = ["t", "q1", "q2", "p1", "p2", "q", "h", "w", "z", "z_closed_form"]
     columns += [f"dist_s{s:g}" for s in cfg.s_values]
-    rows = []
-    for t in _sample_times(traj.t_end, cfg.sample_count):
-        st = traj.sample(t)
-        q = st.q2 - st.q1
-        h, w, z = st.p2 - st.p1, st.p1 + st.p2, st.p1 * st.p2
-        zc = math.nan
-        if ctx is not None and q >= 0:
-            try:
-                zc = z_closed_form(ctx, q)
-            except ValueError:
-                pass  # exploratory run left the sign-definite range
-        row = [t, st.q1, st.q2, st.p1, st.p2, q, h, w, z, zc]
-        for s in cfg.s_values:
-            row.append(hs_distance(st, collision, s) if collision is not None else math.nan)
-        rows.append(row)
+    ts = _sample_times(traj.t_end, cfg.sample_count)
+    states = traj.sample_array(ts)
+    p1, p2, q1, q2 = states.T
+    q = q2 - q1
+    table = [ts, q1, q2, p1, p2, q, p2 - p1, p1 + p2, p1 * p2, _z_column(ctx, q)]
+    for s in cfg.s_values:
+        table.append(
+            hs_distances(states, collision, s) if collision is not None
+            else np.full_like(ts, math.nan)
+        )
+    rows = np.column_stack(table).tolist()
     _write_table(outdir / "trajectory", columns, rows, cfg.format)
 
     ev_rows = [
@@ -376,8 +385,9 @@ def certify_nonuniqueness(cfg: ExperimentConfig) -> int:
     if finite_T:
         collision = collision_function(traj)
         ks = [k for k in APPROACH_EXPONENTS if T - 10.0**-k > 0.0]
+        approach = traj.sample_array([T - 10.0**-k for k in ks])
         for s in s_values:
-            vals = [hs_distance(traj.sample(T - 10.0**-k), collision, s) for k in ks]
+            vals = hs_distances(approach, collision, s).tolist()
             distances[f"{s:g}"] = vals
             monotone[f"{s:g}"] = all(b < a for a, b in zip(vals, vals[1:]))
             below[f"{s:g}"] = bool(vals[-1] <= DISTANCE_THRESHOLD)
@@ -584,6 +594,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except IntegrationError as exc:
+        print(f"error: integration failed: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

@@ -80,22 +80,29 @@ class IntegrationError(RuntimeError):
         self.last_state = last_state
 
 
-def _full_to_state(y) -> PeakonState:
-    return PeakonState(p1=float(y[0]), p2=float(y[1]), q1=float(y[2]), q2=float(y[3]))
+def _full_to_array(y) -> np.ndarray:
+    return y
 
 
-def _reduced_to_state(y) -> PeakonState:
-    q, h, w, z, q1 = (float(v) for v in y)
-    return PeakonState(p1=0.5 * (w - h), p2=0.5 * (h + w), q1=q1, q2=q1 + q)
+def _reduced_to_array(y) -> np.ndarray:
+    """(q, h, w, z, q1) rows, with any trailing shape, to [p1, p2, q1, q2] rows."""
+    q, h, w, _, q1 = y
+    return np.array([0.5 * (w - h), 0.5 * (h + w), q1, q1 + q])
+
+
+def _state(to_array: Callable, y) -> PeakonState:
+    return PeakonState.from_array(to_array(y))
 
 
 class Trajectory:
     """Accepted steps, located events and a dense interpolant.
 
     Immutable once produced.  ``sample`` evaluates the dense output and is
-    valid on [t0, t_end]; ``sample_derivative`` returns the exact field at
-    the sampled state, which for a genuine solution equals the curve's
-    time derivative.
+    valid on [t0, t_end]; ``sample_array`` does the same for a whole time
+    vector in one interpolant call (the interpolant is elementwise in t, so
+    its rows equal ``sample``'s bit for bit); ``sample_derivative`` returns
+    the exact field at the sampled state, which for a genuine solution
+    equals the curve's time derivative.
     """
 
     def __init__(
@@ -106,7 +113,7 @@ class Trajectory:
         raw_states: np.ndarray,
         events: Sequence[EventRecord],
         dense,
-        to_state: Callable,
+        to_array: Callable,
         rhs: Callable,
         time_sign: float = 1.0,
     ):
@@ -116,7 +123,7 @@ class Trajectory:
         self._raw = raw_states
         self.events = tuple(events)
         self._dense = dense
-        self._to_state = to_state
+        self._to_array = to_array  # raw solver states -> [p1, p2, q1, q2]
         self._rhs = rhs
         self._time_sign = time_sign
 
@@ -130,7 +137,7 @@ class Trajectory:
 
     @property
     def states(self) -> tuple:
-        return tuple(self._to_state(col) for col in self._raw.T)
+        return tuple(map(PeakonState.from_array, self._to_array(self._raw).T))
 
     @property
     def terminal_event(self) -> EventRecord:
@@ -139,11 +146,15 @@ class Trajectory:
     def sample(self, t: float) -> PeakonState:
         if not (self.t0 - 1e-12 <= t <= self.t_end + 1e-12):
             raise ValueError(f"t = {t} outside [{self.t0}, {self.t_end}]")
-        return self._to_state(self._dense(t))
+        return _state(self._to_array, self._dense(t))
 
     def sample_array(self, ts) -> np.ndarray:
         """States at the given times as an (n, 4) array [p1, p2, q1, q2]."""
-        return np.array([st.as_array() for st in map(self.sample, np.atleast_1d(ts))])
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        outside = (ts < self.t0 - 1e-12) | (ts > self.t_end + 1e-12)
+        if outside.any():
+            raise ValueError(f"t = {ts[outside][0]} outside [{self.t0}, {self.t_end}]")
+        return self._to_array(self._dense(ts)).T
 
     def sample_derivative(self, t: float) -> np.ndarray:
         """d/dt of [p1, p2, q1, q2] along the trajectory at time t."""
@@ -228,11 +239,11 @@ def integrate(
             )
             return d
 
-        to_state = _reduced_to_state
+        to_array = _reduced_to_array
     else:
         y0 = initial.as_array()
         rhs = lambda t, y: full_rhs_array(y, params.a, params.b)
-        to_state = _full_to_state
+        to_array = _full_to_array
 
     t_max = config.max_time if config.max_time is not None else DEFAULT_HORIZON
     events = _event_functions(rep, y0)
@@ -247,7 +258,7 @@ def integrate(
         events=[g for _, g in events],
     )
     if sol.status == -1:
-        raise IntegrationError(sol.message, float(sol.t[-1]), to_state(sol.y[:, -1]))
+        raise IntegrationError(sol.message, float(sol.t[-1]), _state(to_array, sol.y[:, -1]))
 
     records = []
     for (kind, g), t_ev in zip(events, sol.t_events):
@@ -257,12 +268,12 @@ def integrate(
                 lo = max(0.0, t - 10 * config.rel_tol * max(1.0, abs(t)) - 1e-13)
                 hi = min(t_max, t + 10 * config.rel_tol * max(1.0, abs(t)) + 1e-13)
                 t = _refine_event(sol.sol, g, lo, hi, config.event_tol)
-            records.append(EventRecord(kind=kind, time=t, state=to_state(sol.sol(t))))
+            state = _state(to_array, sol.sol(t))
+            records.append(EventRecord(kind=kind, time=t, state=state))
     records.sort(key=lambda r: r.time)
     if sol.status == 0:
-        records.append(
-            EventRecord(kind=EventKind.HORIZON, time=t_max, state=to_state(sol.sol(t_max)))
-        )
+        state = _state(to_array, sol.sol(t_max))
+        records.append(EventRecord(kind=EventKind.HORIZON, time=t_max, state=state))
 
     return Trajectory(
         params=params,
@@ -271,7 +282,7 @@ def integrate(
         raw_states=sol.y,
         events=records,
         dense=sol.sol,
-        to_state=to_state,
+        to_array=to_array,
         rhs=rhs,
     )
 
@@ -296,12 +307,12 @@ def integrate_reversed(
         raise ValueError("reduced representation requires q2 > q1")
     y0 = from_state.as_array()
     rhs = lambda t, y: -full_rhs_array(y, params.a, params.b)
-    to_state = _full_to_state
+    to_array = _full_to_array
     if duration == 0.0:
         times = np.array([0.0])
-        dense = lambda t: y0
+        dense = lambda t: np.multiply.outer(y0, np.ones(np.shape(t)))
         rec = EventRecord(EventKind.HORIZON, 0.0, from_state)
-        return Trajectory(params, config, times, y0[:, None], [rec], dense, to_state, rhs,
+        return Trajectory(params, config, times, y0[:, None], [rec], dense, to_array, rhs,
                           time_sign=-1.0)
 
     sol = solve_ivp(
@@ -314,9 +325,9 @@ def integrate_reversed(
         dense_output=True,
     )
     if sol.status == -1:
-        raise IntegrationError(sol.message, float(sol.t[-1]), to_state(sol.y[:, -1]))
-    rec = EventRecord(EventKind.HORIZON, duration, to_state(sol.sol(duration)))
-    return Trajectory(params, config, sol.t, sol.y, [rec], sol.sol, to_state, rhs,
+        raise IntegrationError(sol.message, float(sol.t[-1]), _state(to_array, sol.y[:, -1]))
+    rec = EventRecord(EventKind.HORIZON, duration, _state(to_array, sol.sol(duration)))
+    return Trajectory(params, config, sol.t, sol.y, [rec], sol.sol, to_array, rhs,
                       time_sign=-1.0)
 
 

@@ -13,34 +13,58 @@ The integrand is expanded into cosine pairs,
 
     |sum a_j E_j|^2 = (sum a_j)^2 - 2 sum_{j<k} a_j a_k (1 - cos(xi (x_j - x_k))),
 
-which keeps every quadrature nonnegative-in-spirit: the pair integrals
-G(omega) of (1 - cos) vanish with omega, so distances that are genuinely
-small are computed as small quantities rather than as cancellations of
-order-one integrals.  The weight has algebraic decay 2(s-2) < -1 exactly
-when s < 3/2, which is the integrability threshold certified separately
-by the divergence probe.
+so that, with nu = 3/2 - s,
+
+    ||v||^2 = (4/pi) [(sum a_j)^2 I0 - sum_{j<k} a_j a_k G(|x_j - x_k|)],
+    I0       = int_0^inf (1 + xi^2)^{s-2} dxi = sqrt(pi) Gamma(nu) / (2 Gamma(nu + 1/2)),
+    G(omega) = int_0^inf (1 + xi^2)^{s-2} 2 (1 - cos(omega xi)) dxi
+             = (2 sqrt(pi) / Gamma(nu + 1/2)) [Gamma(nu)/2 - (omega/2)^nu K_nu(omega)],
+
+the last by Basset's integral (DLMF 10.32.11).  The weight has algebraic
+decay 2(s-2) < -1 exactly when s < 3/2 (nu > 0), which is the
+integrability threshold certified separately by the divergence probe.
+
+Near a collision the two profiles almost coincide: sum a_j and every
+separation are small, and the distance is what is left of order-one
+terms.  G must therefore be computed as a small quantity.  Subtracting
+(omega/2)^nu K_nu(omega) from Gamma(nu)/2 would cancel about
+2 min(nu, 1) |log10 omega| digits, so below omega = 1 G is summed from
+the ascending series of K_nu (DLMF 10.27.4 with 10.25.2), whose constant
+term is exactly Gamma(nu)/2 and is dropped analytically.  When nu is
+close to an integer n the two halves of that series each grow like
+1/sin(pi nu) and cancel; there each term y^{n+m} of one half is combined
+with its partner from the other half through exp/expm1 of a log-gamma
+slope, which is finite and accurate through nu = n, where it reduces to
+the logarithmic series of DLMF 10.31.1.  At omega >= 1 scipy's kv is
+used; there the two terms differ by at least about 1/(4 nu) of their
+size, so nothing cancels for s > 0, and an index far below 0 (nu up to
+100) gives up a few digits.  Everything is array-valued, so a whole
+column of states costs a few numpy calls.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import exprel, gamma, gammaln, kv, psi, rgamma, zeta
 
 from .dynamics import PeakonState
 from .integrator import EventKind, Trajectory
 
 H_S_LIMIT = 1.5  # peakon profiles lie in H^s exactly for s below this
 
-#: below this frequency the Fourier weight and the oscillation live on
-#: different scales and the integral is split at xi = 1/omega
-_OMEGA_SPLIT = 1e-2
-_OMEGA_FLOOR = 1e-13
-_QUAD_LIMIT = 300
+#: nu = 3/2 - s above this overflows Gamma(nu) K_nu(1)
+_NU_MAX = 100.0
+#: the ascending series is used below this separation, K_nu at and above it
+_SERIES_OMEGA = 1.0
+#: paired series terms kept; at omega < 1 term m is below 4^-m / (m!)^2
+_SERIES_TERMS = 12
+#: Taylor terms of the log-gamma slope, used for |t| below _SLOPE_TAYLOR
+_SLOPE_TERMS = 16
+_SLOPE_TAYLOR = 0.1
 
 
 @dataclass(frozen=True)
@@ -86,101 +110,115 @@ def _quad_checked(f, a, b, **kw):
     return out[0], out[1]
 
 
-@lru_cache(maxsize=64)
-def _weight_integral(s: float) -> tuple:
-    """int_0^inf (1 + xi^2)^{s-2} dxi (finite for s < 3/2)."""
-    val, err = _quad_checked(
-        lambda xi: (1.0 + xi * xi) ** (s - 2.0),
-        0.0,
-        np.inf,
-        epsabs=1e-13,
-        epsrel=1e-13,
-        limit=_QUAD_LIMIT,
-    )
-    return val, err
-
-
-def _pair_integral(omega: float, s: float) -> tuple:
-    """G(omega) = int_0^inf (1 + xi^2)^{s-2} * 2 (1 - cos(omega xi)) dxi.
-
-    For omega above _OMEGA_SPLIT a Fourier-weighted rule on the whole
-    half-line is accurate.  Below it the (1 - cos) factor turns on only
-    near xi ~ 1/omega, far outside the weight's unit scale, so the
-    integral is split there: a plain adaptive rule on the core and, in
-    the scaled variable u = omega xi, weighted rules on the tail.
-    """
-    omega = abs(omega)
-    if omega < _OMEGA_FLOOR:
-        return 0.0, 0.0
-    wt = lambda xi: (1.0 + xi * xi) ** (s - 2.0)
-    if omega >= _OMEGA_SPLIT:
-        i0, e0 = _weight_integral(s)
-        ic, ec = _quad_checked(
-            wt, 0.0, np.inf, weight="cos", wvar=omega, epsabs=1e-13, limit=_QUAD_LIMIT
-        )
-        return 2.0 * (i0 - ic), 2.0 * (e0 + ec)
-    cut = 1.0 / omega
-    core, e_core = _quad_checked(
-        lambda xi: wt(xi) * 2.0 * (1.0 - math.cos(omega * xi)),
-        0.0,
-        cut,
-        epsabs=1e-14,
-        epsrel=1e-12,
-        limit=500,
-    )
-    # tail in u = omega xi, from u = 1: d xi = du / omega
-    wtu = lambda u: (1.0 + (u / omega) ** 2) ** (s - 2.0)
-    t_dc, e_dc = _quad_checked(wtu, 1.0, np.inf, epsabs=1e-15, epsrel=1e-12, limit=_QUAD_LIMIT)
-    t_cos, e_cos = _quad_checked(
-        wtu, 1.0, np.inf, weight="cos", wvar=1.0, epsabs=1e-16, limit=_QUAD_LIMIT
-    )
-    val = core + 2.0 * (t_dc - t_cos) / omega
-    return val, e_core + 2.0 * (e_dc + e_cos) / omega
-
-
-def _components(state: PeakonState, collision: CollisionFunction):
-    amps = (state.p1, state.p2, -collision.p_star)
-    pos = (state.q1, state.q2, collision.q_star)
-    return amps, pos
-
-
-def _distance_sq(state: PeakonState, collision: CollisionFunction, s: float) -> tuple:
-    """Squared H^s distance between the two-peakon profile and C."""
-    amps, pos = _components(state, collision)
-    total_amp = sum(amps)
-    i0, err = _weight_integral(s)
-    total = total_amp * total_amp * i0
-    for j in range(3):
-        for k in range(j + 1, 3):
-            if amps[j] == 0.0 or amps[k] == 0.0:
-                continue
-            g, ge = _pair_integral(pos[j] - pos[k], s)
-            total -= amps[j] * amps[k] * g
-            err += abs(amps[j] * amps[k]) * ge
-    scale = 4.0 / math.pi
-    return scale * total, scale * err
-
-
-def _require_subcritical(s: float) -> None:
+def _check_index(s: float) -> None:
     if s >= H_S_LIMIT:
         raise ValueError(
             f"s = {s} >= 3/2: the norm integral diverges; use divergence_probe"
         )
+    if H_S_LIMIT - s > _NU_MAX:
+        raise ValueError(f"s = {s} < {H_S_LIMIT - _NU_MAX:g}: Gamma(3/2 - s) overflows")
+
+
+def _lgamma_slope(a: np.ndarray, t: float) -> np.ndarray:
+    """(ln Gamma(a + t) - ln Gamma(a)) / t for a >= 1, |t| <= 1/2; psi(a) at t = 0.
+
+    Small |t| uses the Taylor series psi(a) - sum_{j>=2} zeta(j, a) (-t)^{j-1} / j,
+    where the difference quotient would lose digits.
+    """
+    if abs(t) >= _SLOPE_TAYLOR:
+        return (gammaln(a + t) - gammaln(a)) / t
+    j = np.arange(2, _SLOPE_TERMS + 2, dtype=float)[:, None]
+    return psi(a) - np.sum(zeta(j, a) * (-t) ** (j - 1) / j, axis=0)
+
+
+def _pair_series(omega: np.ndarray, nu: float) -> np.ndarray:
+    """Gamma(nu)/2 - (omega/2)^nu K_nu(omega) for 0 < omega < 1, as a small quantity.
+
+    With x = omega/2, y = x^2 and n the integer nearest nu (eps = nu - n),
+    the ascending series (DLMF 10.27.4, 10.25.2) less its constant term is
+
+        -1/2 sum_{k>=1} (-1)^k Gamma(nu - k) y^k / k!
+        + pi / (2 sin(pi nu)) y^nu sum_{m>=0} y^m / (m! Gamma(m + nu + 1)).
+
+    Terms k < n are summed as they stand (and m = 0 when n = 0).  Term
+    k = n + m pairs with term m into
+
+        (-1)^n y^{n+m} / (2 sinc(eps) m! (n+m)!) e^{L} expm1(eps l) / eps,
+        l = ln y - S(n+m+1, eps) - S(m+1, -eps),   L = eps S(m+1, -eps),
+
+    with S the log-gamma slope; at eps = 0 this is DLMF 10.31.1.
+    """
+    n = int(round(nu))
+    eps = nu - n
+    x = 0.5 * omega
+    y = x * x
+    log_y = 2.0 * np.log(x)
+    total = np.zeros_like(omega)
+    m = np.arange(1 if n == 0 else 0, _SERIES_TERMS, dtype=float)
+    s_up = _lgamma_slope(n + m + 1.0, eps)
+    s_down = _lgamma_slope(m + 1.0, -eps)
+    weight = (-1) ** n * np.exp(eps * s_down - gammaln(m + 1.0) - gammaln(n + m + 1.0)) / (
+        2.0 * np.sinc(eps)
+    )
+    for mi, w, c in reversed(list(zip(m, weight, s_up + s_down))):
+        l = log_y - c
+        total += w * y ** (n + mi) * l * exprel(eps * l)
+    if n == 0:
+        total += math.pi / (2.0 * math.sin(math.pi * nu)) * rgamma(nu + 1.0) * y**nu
+    k = np.arange(1, n, dtype=float)
+    coeffs = -0.5 * (-1.0) ** k * gamma(nu - k) * rgamma(k + 1.0)
+    return total + np.polynomial.polynomial.polyval(y, np.concatenate(([0.0], coeffs)))
+
+
+def pair_integral(omega, s: float):
+    """G(omega) = int_0^inf (1 + xi^2)^{s-2} 2 (1 - cos(omega xi)) dxi, s < 3/2.
+
+    Closed form (2 sqrt(pi) / Gamma(nu + 1/2)) [Gamma(nu)/2 - (omega/2)^nu
+    K_nu(omega)], nu = 3/2 - s, evaluated elementwise: from the ascending
+    series below omega = 1, so that G keeps full relative accuracy as
+    omega -> 0, and from K_nu above.  Even in omega; G(0) = 0.
+    """
+    _check_index(s)
+    nu = H_S_LIMIT - s
+    omega = np.abs(np.asarray(omega, dtype=float))
+    g = np.zeros_like(omega)
+    small = (omega > 0.0) & (omega < _SERIES_OMEGA)
+    if small.any():
+        g[small] = _pair_series(omega[small], nu)
+    large = omega >= _SERIES_OMEGA
+    if large.any():
+        w = omega[large]
+        g[large] = 0.5 * gamma(nu) - (0.5 * w) ** nu * kv(nu, w)
+    g *= 2.0 * math.sqrt(math.pi) / math.gamma(nu + 0.5)
+    return float(g) if g.ndim == 0 else g
+
+
+def hs_distances(states, collision: CollisionFunction, s: float) -> np.ndarray:
+    """H^s distances between two-peakon profiles and the collision profile.
+
+    ``states`` is an (n, 4) array of [p1, p2, q1, q2] rows (or one such
+    row); returns the n distances.  Each is zero exactly when the profiles
+    coincide as distributions, and carries the accuracy of the closed form
+    (about 1e-15 relative in the squared distance's terms).  Requires
+    s < 3/2.
+    """
+    _check_index(s)
+    nu = H_S_LIMIT - s
+    p1, p2, q1, q2 = np.asarray(states, dtype=float).reshape(-1, 4).T
+    pc, qc = -collision.p_star, collision.q_star
+    g12, g1c, g2c = pair_integral(np.stack([q2 - q1, qc - q1, qc - q2]), s)
+    i0 = 0.5 * math.sqrt(math.pi) * math.gamma(nu) / math.gamma(nu + 0.5)
+    total = p1 + p2 + pc
+    sq = total * total * i0 - p1 * p2 * g12 - p1 * pc * g1c - p2 * pc * g2c
+    return np.sqrt(np.maximum(4.0 / math.pi * sq, 0.0))
 
 
 def hs_distance(state: PeakonState, collision: CollisionFunction, s: float) -> float:
     """H^s distance between the two-peakon profile and the collision profile.
 
-    Zero exactly when the profiles coincide as distributions.  Requires
-    s < 3/2; the quadrature carries absolute accuracy well below 1e-10.
+    The one-state case of ``hs_distances``, bit for bit.  Requires s < 3/2.
     """
-    _require_subcritical(s)
-    val, err = _distance_sq(state, collision, s)
-    # estimator floor is amplified 1/omega by the tail rescaling; below
-    # this threshold it carries no signal
-    if err > max(1e-6, 1e-4 * abs(val)):
-        warnings.warn(f"distance quadrature error estimate {err:.3e}", stacklevel=2)
-    return math.sqrt(max(val, 0.0))
+    return float(hs_distances(state.as_array(), collision, s)[0])
 
 
 def hs_norm(state: PeakonState, s: float) -> float:
@@ -202,7 +240,8 @@ def divergence_probe(
         raise ValueError(f"s = {s} < 3/2: the full integral converges; use hs_distance")
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
-    amps, pos = _components(state, collision)
+    amps = (state.p1, state.p2, -collision.p_star)
+    pos = (state.q1, state.q2, collision.q_star)
     wt = lambda xi: (1.0 + xi * xi) ** (s - 2.0)
     i0, _ = _quad_checked(wt, 0.0, cutoff, epsabs=1e-12, epsrel=1e-12, limit=500)
     total_amp = sum(amps)
@@ -212,7 +251,7 @@ def divergence_probe(
             if amps[j] == 0.0 or amps[k] == 0.0:
                 continue
             omega = abs(pos[j] - pos[k])
-            if omega < _OMEGA_FLOOR:
+            if omega == 0.0:
                 continue
             ic, _ = _quad_checked(
                 wt, 0.0, cutoff, weight="cos", wvar=omega, epsabs=1e-12, limit=500

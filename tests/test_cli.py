@@ -3,9 +3,19 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hs_oracle import bessel_distance, hs_distance_mp
 
-from peakonlab.cli import main
+from peakonlab import (
+    ABParams,
+    CollisionFunction,
+    InvariantContext,
+    PeakonState,
+    hs_distance,
+    z_closed_form,
+)
+from peakonlab.cli import _z_column, main
 
 
 def _run(*argv):
@@ -85,6 +95,65 @@ class TestRunCase:
         assert manifest["resolved_representation"] == "reduced"
         assert manifest["resolved_a"] == 0.0
 
+    def test_case4_terminal_row(self, tmp_path):
+        """case4's located collision is written with q = q2 - q1 = -5.55e-17.
+        Its closed-form z is finite there and equals the value at q = 0, and
+        its distances are the exact ones of the written state: 0.138 at
+        s = 1.4 (not 0), pinned against the mpmath oracle and, at s = 1.4
+        where the value is not small, the direct Bessel assembly."""
+        out = tmp_path / "c4"
+        assert _run("run-case", "--case", "case4", "--s", "0.5", "--s", "1.0", "--s", "1.4",
+                    "--sample-count", "40", "--out", str(out)) == 0
+        header, rows = _read_csv(out / "trajectory.csv")
+        col = {name: i for i, name in enumerate(header)}
+        last = [float(v) for v in rows[-1]]
+        assert -1e-15 < last[col["q"]] < 0.0  # the collision as located
+        manifest = json.loads((out / "manifest.json").read_text())
+        ctx = InvariantContext.from_initial(
+            ABParams(manifest["resolved_a"], manifest["resolved_b"]),
+            PeakonState(*manifest["initial_state"]),
+        )
+        zc = last[col["z_closed_form"]]
+        assert math.isfinite(zc)
+        assert abs(zc - z_closed_form(ctx, 0.0)) <= 1e-12
+
+        _, events = _read_csv(out / "events.csv")
+        p1, p2, q1, q2 = (float(v) for v in events[-1][2:])
+        coll = CollisionFunction(p_star=p1 + p2, q_star=q1)
+        state = PeakonState(*(last[col[k]] for k in ("p1", "p2", "q1", "q2")))
+        for s in (0.5, 1.0, 1.4):
+            written = last[col[f"dist_s{s:g}"]]
+            assert written == pytest.approx(hs_distance_mp(state, coll, s), rel=1e-12, abs=0)
+        assert last[col["dist_s1.4"]] == pytest.approx(0.1377, abs=1e-4)
+        assert last[col["dist_s1.4"]] == pytest.approx(
+            bessel_distance(state, coll, 1.4), rel=1e-9)
+
+    def test_distance_columns_equal_scalar_distances(self, tmp_path):
+        """Each batched distance cell is hs_distance of its row's state."""
+        out = tmp_path / "c3"
+        assert _run("run-case", "--case", "case3", "--s", "0.5", "--s", "1.4",
+                    "--sample-count", "30", "--out", str(out)) == 0
+        header, rows = _read_csv(out / "trajectory.csv")
+        col = {name: i for i, name in enumerate(header)}
+        _, events = _read_csv(out / "events.csv")
+        p1, p2, q1, _ = (float(v) for v in events[-1][2:])
+        coll = CollisionFunction(p_star=p1 + p2, q_star=q1)
+        for row in rows:
+            values = [float(v) for v in row]
+            state = PeakonState(*(values[col[k]] for k in ("p1", "p2", "q1", "q2")))
+            for s in (0.5, 1.4):
+                assert values[col[f"dist_s{s:g}"]] == hs_distance(state, coll, s)
+
+    def test_z_column_marks_only_rows_outside_the_sign_definite_range(self):
+        """L_a for a = -1 changes sign at q = ln(2)/2; rows beyond it get nan,
+        the others their scalar closed-form value."""
+        ctx = InvariantContext.from_initial(ABParams(-1.0, 3.0), PeakonState(1.0, 1.5, 0.0, 0.1))
+        q = np.array([0.0, 0.05, 0.1, 0.5])
+        column = _z_column(ctx, q)
+        assert column[:3].tolist() == [z_closed_form(ctx, v) for v in q[:3]]
+        assert math.isnan(column[3])
+        assert np.isnan(_z_column(None, q)).all()
+
     def test_mismatched_case_rejected(self, tmp_path):
         # (a, b) = (1/3, 1) classifies as case2, not case1
         code = _run("run-case", "--case", "case1", "--b", "1.0",
@@ -111,6 +180,18 @@ class TestCertify:
     def test_supercritical_s_rejected(self, tmp_path):
         assert _run("certify", "--case", "case1", "--s", "1.6",
                     "--out", str(tmp_path / "x")) == 2
+
+    # the overflow RuntimeWarnings that precede the error are a separate open item
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_integration_failure_is_a_clean_error(self, tmp_path, capsys):
+        """A solver failure exits 1 with one error line, not a traceback."""
+        code = _run("certify", "--case", "case4", "--alpha", "1e150",
+                    "--out", str(tmp_path / "x"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: integration failed:")
 
     def test_forq_rejected(self, tmp_path):
         assert _run("certify", "--case", "forq", "--out", str(tmp_path / "x")) == 2

@@ -197,6 +197,39 @@ class TestTrajectoryApi:
         with pytest.raises(ValueError):
             traj.sample(traj.t_end + 1.0)
 
+    @pytest.mark.parametrize("rep", [Representation.FULL, Representation.REDUCED])
+    def test_sample_array_equals_stacked_samples(self, rep):
+        """One interpolant call over a time vector (unsorted, with repeats
+        and the step times themselves) reproduces sample() bit for bit."""
+        for name, (a, b) in CASE_PRESETS.items():
+            params = ABParams(a, b)
+            _, _, initial, base = run_point(a, b)
+            traj = integrate(initial, params, IntegrationConfig(
+                max_time=base.config.max_time, representation=rep))
+            ts = np.concatenate([
+                np.linspace(traj.t_end, traj.t0, 57),
+                traj.times,
+                [traj.t_end - 10.0**-k for k in range(2, 7)],
+                [traj.t_end, traj.t0],
+            ])
+            stacked = np.array([traj.sample(t).as_array() for t in ts])
+            batch = traj.sample_array(ts)
+            assert batch.shape == (len(ts), 4)
+            assert np.array_equal(batch, stacked), name
+
+    def test_sample_array_outside_range_rejected(self, case_runs):
+        _, _, _, traj = case_runs["case1"]
+        for bad in ([traj.t0, traj.t_end + 1.0], [traj.t0 - 1.0]):
+            with pytest.raises(ValueError, match="outside"):
+                traj.sample_array(bad)
+
+    def test_sample_array_of_zero_duration_run(self):
+        state = PeakonState(1.5, -1.0, 0.0, 0.1)
+        back = integrate_reversed(state, ABParams(1 / 3, 3.0), IntegrationConfig(), 0.0)
+        rows = back.sample_array([0.0, 0.0])
+        assert np.array_equal(rows, np.array([state.as_array()] * 2))
+        assert back.sample(0.0) == state
+
     def test_dense_output_matches_steps(self, case_runs):
         _, _, _, traj = case_runs["case1"]
         for t, st in zip(traj.times, traj.states):

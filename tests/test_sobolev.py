@@ -1,13 +1,16 @@
 """H^s norms, the collision profile and the divergence probe.
 
-Independent oracle: every pair integral has the closed form
+The package evaluates every pair integral in closed form (Basset's
+integral, DLMF 10.32.11, with the ascending Bessel-K series below
+omega = 1).  The references it is checked against live in ``hs_oracle``:
 
-    int_0^inf (1+xi^2)^{s-2} cos(omega xi) dxi
-        = sqrt(pi)/Gamma(2-s) * (omega/2)^{3/2-s} * K_{3/2-s}(omega),
+* mpmath's besselk at 40 significant digits, for the pair integral G
+  across omega in [1e-15, 40] and for whole distances, including the
+  small-|a| regime where the momenta reach about +-120;
+* the adaptive quadrature of the defining integrals that the package
+  used before, which relies on no Bessel identity at all;
+* the direct scipy Bessel-K assembly, while distances are not small.
 
-so the whole squared distance can be assembled from Bessel functions
-without quadrature.  The quadrature-based implementation is required to
-agree with that assembly to 1e-9 across the regimes it splits over.
 The physical-space anchor ||c e^{-|x|}||_{H^1}^2 = 2 c^2 comes from the
 hand integral of u^2 + u_x^2.
 """
@@ -17,39 +20,35 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.special import gamma, kv
+from hs_oracle import (
+    bessel_distance,
+    hs_distance_mp,
+    pair_integral_mp,
+    pair_integral_quad,
+    weight_integral_quad,
+)
 
 from peakonlab import (
+    ABParams,
     CollisionFunction,
     EventKind,
+    IntegrationConfig,
     PeakonState,
+    case_spec_for,
     collision_function,
+    collision_time_bound,
     divergence_probe,
     hs_distance,
+    hs_distances,
     hs_norm,
+    integrate,
     locate_collision,
+    make_initial_profile,
+    pair_integral,
 )
 from peakonlab.integrator import EventRecord
 
 RNG = np.random.default_rng(42)
-
-
-def bessel_distance(state, coll, s):
-    """Closed-form H^s distance via modified Bessel functions."""
-
-    def weight_cos(omega):
-        p = 2.0 - s
-        if omega == 0.0:
-            return 0.5 * math.sqrt(math.pi) * gamma(p - 0.5) / gamma(p)
-        return math.sqrt(math.pi) / gamma(p) * (omega / 2.0) ** (p - 0.5) * kv(p - 0.5, omega)
-
-    amps = (state.p1, state.p2, -coll.p_star)
-    pos = (state.q1, state.q2, coll.q_star)
-    total = 0.0
-    for j in range(3):
-        for k in range(3):
-            total += amps[j] * amps[k] * weight_cos(abs(pos[j] - pos[k]))
-    return math.sqrt(max(4.0 / math.pi * total, 0.0))
 
 
 def _fake_traj(kind, state):
@@ -160,7 +159,7 @@ class TestDistance:
                 hs_distance(state, ZERO, s)
 
     def test_against_bessel_closed_form(self):
-        """Quadrature path vs the Bessel assembly on random configurations."""
+        """Closed form vs the direct Bessel assembly on random configurations."""
         for _ in range(25):
             p1, p2, pc = RNG.uniform(-2, 2, 3)
             q1 = RNG.uniform(-2, 2)
@@ -177,8 +176,8 @@ class TestDistance:
                 )
 
     def test_near_collision_regime_against_bessel(self):
-        """Tiny separations exercise the split quadrature path; squared
-        values agree to the advertised absolute accuracy."""
+        """Tiny separations exercise the series branch; squared values agree
+        to the direct assembly's absolute accuracy."""
         for d in (1e-7, 1e-6, 1e-4, 1e-3):
             state = PeakonState(1.6, -1.1, 0.0, d)
             coll = CollisionFunction(0.52, -d / 3)
@@ -189,6 +188,118 @@ class TestDistance:
                     rtol=1e-6,
                     atol=5e-10,
                 )
+
+
+#: separations from the near-collision regime to where K_nu is negligible
+OMEGAS = (1e-15, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.9, 0.999999,
+          1.0, 1.000001, 1.5, 2.0, 5.0, 10.0, 20.0, 40.0)
+ORACLE_INDICES = (0.0, 0.5, 0.7, 1.0, 1.2, 1.4, 1.45, 1.49)
+
+
+class TestPairIntegral:
+    @pytest.mark.parametrize("s", ORACLE_INDICES + (0.5 - 1e-6, 0.5 + 1e-6, -0.5, -2.3))
+    def test_against_mpmath(self, s):
+        """G(omega) to 1e-13 relative against besselk at 40 digits, on both
+        sides of the series / K_nu switch at omega = 1."""
+        values = pair_integral(np.array(OMEGAS), s)
+        for omega, value in zip(OMEGAS, values):
+            ref = pair_integral_mp(omega, s)
+            assert abs(value - ref) <= 1e-13 * ref, (omega, value, ref)
+
+    def test_scalar_and_array_agree(self):
+        for s in (0.5, 1.4):
+            values = pair_integral(np.array(OMEGAS), s)
+            assert [pair_integral(w, s) for w in OMEGAS] == values.tolist()
+
+    def test_even_and_zero_at_origin(self):
+        assert pair_integral(0.0, 1.0) == 0.0
+        assert pair_integral(-0.3, 1.2) == pair_integral(0.3, 1.2)
+
+    def test_half_index_elementary_form(self):
+        """s = 1 (nu = 1/2): G = pi (1 - e^{-omega}) exactly."""
+        w = np.array(OMEGAS)
+        np.testing.assert_allclose(pair_integral(w, 1.0), -math.pi * np.expm1(-w),
+                                   rtol=1e-14)
+
+    def test_continuity_through_integer_order(self):
+        """nu = 1 (s = 1/2) takes the logarithmic series of DLMF 10.31.1.
+        Moving s by h = 1e-6 either way changes G at first order in h by
+        up to h |ln omega^2|, so the test compares the midpoint of the two
+        neighbours with the value at s = 1/2: it agrees to 1e-9, as the
+        O(h^2 ln^3 omega) second-order term allows, whereas a branch whose
+        limit were off would show the full jump."""
+        w = np.array(OMEGAS)
+        h = 1e-6
+        mid = 0.5 * (pair_integral(w, 0.5 - h) + pair_integral(w, 0.5 + h))
+        np.testing.assert_allclose(mid, pair_integral(w, 0.5), rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("s", (0.5, 1.0, 1.4, 1.45))
+    def test_against_quadrature_oracle(self, s):
+        """The quadrature of the defining integral, which uses no Bessel
+        identity, agrees within its own accuracy: 1e-9 relative where one
+        weighted rule covers the half-line (omega >= 1e-2); on the split
+        rule below, 1e-5 relative plus 1e-15 absolute (it is 5e-6 off at
+        s = 1, omega = 1e-5, against the exact pi (1 - e^{-omega}))."""
+        for omega in (1e-7, 1e-5, 1e-3, 1e-2, 0.3, 1.0, 3.0, 12.0):
+            ref, _ = pair_integral_quad(omega, s)
+            rtol, atol = (1e-9, 0.0) if omega >= 1e-2 else (1e-5, 1e-15)
+            assert abs(pair_integral(omega, s) - ref) <= rtol * ref + atol, omega
+
+    @pytest.mark.parametrize("s", (-0.5, 0.5, 1.0, 1.4, 1.45))
+    def test_weight_integral_against_quadrature(self, s):
+        """||c e^{-|x|}||^2 = (4/pi) c^2 I0 with I0 the plain weight integral."""
+        i0, _ = weight_integral_quad(s)
+        state = PeakonState(0.8, 0.0, 0.0, 1.0)
+        np.testing.assert_allclose(hs_norm(state, s) ** 2, 4.0 / math.pi * 0.64 * i0,
+                                   rtol=1e-12)
+
+    def test_index_range_rejected(self):
+        for s in (1.5, 2.0):
+            with pytest.raises(ValueError, match="divergence_probe"):
+                pair_integral(0.1, s)
+        with pytest.raises(ValueError, match="overflows"):
+            pair_integral(0.1, -200.0)
+
+
+class TestBatchedDistances:
+    def test_batched_equals_scalar_bit_for_bit(self):
+        """One call over many states gives each state's scalar distance
+        exactly, on both sides of the series switch."""
+        n = 60
+        q1 = RNG.uniform(-1.0, 1.0, n)
+        gaps = 10.0 ** RNG.uniform(-16.0, 0.7, n)
+        states = np.column_stack([RNG.uniform(-3, 3, n), RNG.uniform(-3, 3, n), q1, q1 + gaps])
+        coll = CollisionFunction(0.7, 0.2)
+        for s in (0.5, 1.0, 1.4):
+            batch = hs_distances(states, coll, s)
+            scalar = [hs_distance(PeakonState(*row), coll, s) for row in states]
+            assert batch.tolist() == scalar
+
+    def test_single_row_and_empty_batch(self):
+        state = PeakonState(1.2, -0.3, 0.0, 0.7)
+        coll = CollisionFunction(0.9, 0.1)
+        assert hs_distances(state.as_array(), coll, 1.0).shape == (1,)
+        assert hs_distances(np.empty((0, 4)), coll, 1.0).shape == (0,)
+
+    def test_small_a_large_momenta_against_mpmath(self):
+        """(a, b) = (1e-9, 3): the momenta grow to about +-120 before the
+        collision, so each distance is left over from O(1e4)-sized terms.
+        The closed form keeps 1e-12 relative against mpmath all the way in.
+        The s = 1.4 distances first rise and then fall; the oracle shows
+        that this is the dynamics, not the numerics."""
+        params = ABParams(1e-9, 3.0)
+        spec = case_spec_for(params, 1.0, 0.5)
+        cfg = IntegrationConfig(max_time=10.0 * collision_time_bound(spec, params))
+        traj = integrate(make_initial_profile(spec), params, cfg)
+        coll = collision_function(traj)
+        T = traj.terminal_event.time
+        times = [0.5 * T, 0.99 * T] + [T - 10.0**-k for k in range(2, 7)]
+        states = traj.sample_array(times)
+        assert np.max(np.abs(states[:, :2])) > 100.0
+        for s in (0.5, 1.0, 1.4):
+            for row, value in zip(states, hs_distances(states, coll, s)):
+                ref = hs_distance_mp(PeakonState(*row), coll, s)
+                assert abs(value - ref) <= 1e-12 * ref, (s, row, value, ref)
 
 
 class TestDivergenceProbe:
