@@ -27,9 +27,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .dynamics import PeakonState, to_reduced
-from .params import ABParams, l_a
+from .params import _THIRD_TOL, ABParams, l_a
 
-_THIRD_TOL = 1e-9  # |1 - 3a| below this uses the a = 1/3 limit branch
 _QUAD_ABS_TOL = 1e-12
 _IDENTITY_TOL = 1e-9  # accepted violation of h0^2 + 4 z0 = w0^2
 

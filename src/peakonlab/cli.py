@@ -20,11 +20,12 @@ reproduce the run exactly.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -83,23 +84,22 @@ class ExperimentConfig:
     delta: float = 0.5
     mu: Optional[float] = None
     c: Optional[float] = None
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    event_tol: float = 1e-12
+    rel_tol: float = IntegrationConfig.rel_tol
+    abs_tol: float = IntegrationConfig.abs_tol
+    event_tol: float = IntegrationConfig.event_tol
     max_time: Optional[float] = None
     representation: Optional[str] = None
     s_values: tuple = ()
     sample_count: int = 400
     out: str = "runs"
     format: str = "csv"
-    workers: int = 1
     a_grid: tuple = (1.0 / 3.0, -1.0 / 3.0, 1.0, -1.0)
     b_grid: tuple = (0.0, 1.0, 3.0, 4.0)
 
     _FLOAT_OPT = ("a", "b", "mu", "c", "max_time")
     _FLOAT = ("alpha", "delta", "rel_tol", "abs_tol", "event_tol")
     _TUPLE = ("s_values", "a_grid", "b_grid")
-    _INT = ("sample_count", "workers")
+    _INT = ("sample_count",)
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
@@ -149,7 +149,6 @@ class ExperimentConfig:
             "sample_count": self.sample_count,
             "out": self.out,
             "format": self.format,
-            "workers": self.workers,
             "a_grid": list(self.a_grid),
             "b_grid": list(self.b_grid),
         }
@@ -236,9 +235,11 @@ def _write_table(path: Path, columns: Sequence[str], rows, fmt: str) -> None:
         payload = {"columns": list(columns), "data": [[_fmt(v) for v in row] for row in rows]}
         _write_atomic(path.with_suffix(".json"), json.dumps(payload, indent=1) + "\n")
     else:
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        _write_atomic(path.with_suffix(".csv"), "\n".join(lines) + "\n")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+        _write_atomic(path.with_suffix(".csv"), buf.getvalue())
 
 
 def _write_manifest(outdir: Path, cfg: ExperimentConfig, extra: dict) -> None:
@@ -371,7 +372,7 @@ def certify_nonuniqueness(cfg: ExperimentConfig) -> int:
         failures.append("finite stopping time: run reached the horizon")
     T = term.time
 
-    arr = np.array([st.as_array() for st in traj.states])
+    arr = traj.state_array
     p_max = {"p1": float(np.max(np.abs(arr[:, 0]))), "p2": float(np.max(np.abs(arr[:, 1])))}
     bounded = all(math.isfinite(v) for v in p_max.values()) and bool(
         np.all(np.isfinite(arr))
@@ -481,16 +482,7 @@ def sweep(cfg: ExperimentConfig) -> int:
         return EXIT_CONFIG
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    points = [(a, b) for a in cfg.a_grid for b in cfg.b_grid]
-    workers = max(1, cfg.workers)
-    if points:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(lambda ab: _sweep_point(cfg, *ab), points))
-        else:
-            rows = [_sweep_point(cfg, a, b) for a, b in points]
-    else:
-        rows = []
+    rows = [_sweep_point(cfg, a, b) for a in cfg.a_grid for b in cfg.b_grid]
     columns = ["a", "b", "case", "mu", "epsilon", "T", "T_within_bound", "event", "status"]
     _write_table(outdir / "sweep", columns, rows, cfg.format)
     _write_manifest(outdir, cfg, {"points": len(rows)})
@@ -509,8 +501,10 @@ def _load_config_file(path: str) -> dict:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         data = json.loads(text)
+        # derived values, and "workers" from manifests written when sweep
+        # still had a thread pool
         derived = ("tool", "version", "initial_state", "epsilon",
-                   "collision_time_bound", "points", "notes")
+                   "collision_time_bound", "points", "notes", "workers")
         return {k: v for k, v in data.items()
                 if not k.startswith("resolved_") and k not in derived}
     mapping = {}
@@ -544,7 +538,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sample-count", type=int, dest="sample_count")
     p.add_argument("--out", help="output directory (default runs)")
     p.add_argument("--format", choices=["csv", "json"])
-    p.add_argument("--workers", type=int, help="sweep concurrency cap")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -82,18 +82,34 @@ def aux_diagnostics(state: PeakonState) -> AuxDiagnostics:
     return AuxDiagnostics(p=state.p2**2 - state.p1**2, pprod=state.p1 * state.p2)
 
 
-def full_rhs_array(y: np.ndarray, a: float, b: float) -> np.ndarray:
+def full_rhs_array(
+    y: np.ndarray, a: float, b: float, orientation: Optional[float] = None
+) -> np.ndarray:
     """Time derivative of [p1, p2, q1, q2].
 
-    Uses the convention sgn(0) = 0, which makes the field total at the
-    coincidence point q1 = q2; integrations stop there via event detection
-    before the convention matters.
+    The field contains |q1 - q2| and sgn(q2 - q1).  Without ``orientation``
+    it is the two-sided field, with the convention sgn(0) = 0 that makes it
+    total at the coincidence point q1 = q2; this is the form for evaluating
+    the field at a given state.  With ``orientation`` = sigma (+1 or -1) it
+    is the analytic continuation of the side where sgn(q2 - q1) = sigma:
+    |q1 - q2| becomes sigma (q2 - q1) and sgn(q2 - q1) becomes sigma.  On
+    that side the two forms agree bit for bit; beyond the coincidence point
+    the oriented one stays smooth instead of kinking.  The integrator fixes
+    sigma from the initial state and stops at the collision event, so it
+    integrates the oriented form (see ``integrator``).
     """
-    p1, p2, q1, q2 = y
-    d = abs(q1 - q2)
-    e1 = math.exp(-d)
+    p1, p2, q1, q2 = y.tolist()  # float arithmetic: same values, faster than numpy scalars
+    if orientation is None:
+        d = abs(q1 - q2)
+        s = math.copysign(1.0, q2 - q1) if q2 != q1 else 0.0
+    else:
+        d = orientation * (q2 - q1)
+        s = orientation
+    try:
+        e1 = math.exp(-d)
+    except OverflowError:  # an oriented trial stage far past the collision
+        e1 = math.inf
     e2 = e1 * e1
-    s = math.copysign(1.0, q2 - q1) if q2 != q1 else 0.0
     pp = p1 * p2
     dq1 = (1.0 - a) * p1 * p1 + 2.0 * pp * e1 + (1.0 - 3.0 * a) * p2 * p2 * e2
     dq2 = (1.0 - a) * p2 * p2 + 2.0 * pp * e1 + (1.0 - 3.0 * a) * p1 * p1 * e2
@@ -115,7 +131,7 @@ def reduced_rhs_array(y: np.ndarray, a: float, b: float) -> np.ndarray:
         w' = -(2-b) h z (1 - e^{-q}) e^{-q}
         z' =  (2-b) h w z e^{-2q}
     """
-    q, h, w, z = y
+    q, h, w, z = y.tolist()
     e1 = math.exp(-q)
     e2 = e1 * e1
     dq = h * w * ((1.0 - a) - (1.0 - 3.0 * a) * e2)

@@ -13,6 +13,26 @@ Integration stops at the first event; continuation past it is left to the
 caller, since that is exactly where the solution concept stops being
 unique.  Momentum events are armed only for momenta that start nonzero,
 so degenerate single-peakon runs do not fire them at t = 0.
+
+Which field is integrated.  The full field contains |q1 - q2| and
+sgn(q2 - q1), which have a kink at the collision q1 = q2.  A run never
+crosses that point (the collision event stops it), but the solver's trial
+stages do reach past it, and a kink there makes the step controller reject
+most attempts.  So the full representation integrates the analytic
+continuation of the field on the initial side of the collision: the
+orientation sigma = sgn(q2 - q1) at t = 0 (+1 when the peaks coincide) is
+fixed once, and |q1 - q2| and sgn(q2 - q1) become sigma (q2 - q1) and
+sigma.  Up to the terminal event sigma (q2 - q1) >= 0, so the field agrees
+with the two-sided one there bit for bit and the solution is unchanged;
+only trial stages past the collision see a different field, and a smooth
+one.  The reduced field is smooth through q = 0 already.
+
+Both representations, forward and time-reversed runs, go through one
+solve path, driven by a ``_Field`` record of the initial vector, the
+right-hand side, the map back to [p1, p2, q1, q2] and the event functions.
+Floating-point overflow in trial stages of an overflowing input is left to
+the step controller (the step is rejected, or the solve fails with
+IntegrationError) and is not reported as numpy warnings.
 """
 
 from __future__ import annotations
@@ -49,8 +69,8 @@ class EventKind(Enum):
 class IntegrationConfig:
     """Solver tolerances, horizon and state representation."""
 
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
+    rel_tol: float = 1e-12
+    abs_tol: float = 1e-14
     max_time: Optional[float] = None  # None resolves to DEFAULT_HORIZON
     event_tol: float = 1e-12
     representation: Representation = Representation.FULL
@@ -114,7 +134,6 @@ class Trajectory:
         events: Sequence[EventRecord],
         dense,
         to_array: Callable,
-        rhs: Callable,
         time_sign: float = 1.0,
     ):
         self.params = params
@@ -124,7 +143,6 @@ class Trajectory:
         self.events = tuple(events)
         self._dense = dense
         self._to_array = to_array  # raw solver states -> [p1, p2, q1, q2]
-        self._rhs = rhs
         self._time_sign = time_sign
 
     @property
@@ -136,8 +154,13 @@ class Trajectory:
         return float(self.times[-1])
 
     @property
+    def state_array(self) -> np.ndarray:
+        """States at the accepted step times as an (n, 4) array [p1, p2, q1, q2]."""
+        return self._to_array(self._raw).T.copy()
+
+    @property
     def states(self) -> tuple:
-        return tuple(map(PeakonState.from_array, self._to_array(self._raw).T))
+        return tuple(map(PeakonState.from_array, self.state_array))
 
     @property
     def terminal_event(self) -> EventRecord:
@@ -166,28 +189,74 @@ class Trajectory:
         return st.q2 - st.q1
 
 
-def _event_functions(representation: Representation, y0) -> list:
-    """Terminal event functions; momentum events armed only if p_i(0) != 0."""
-    if representation is Representation.FULL:
-        g_coll = lambda t, y: y[3] - y[2]
-        g_p1 = lambda t, y: y[0]
-        g_p2 = lambda t, y: y[1]
-        p1_0, p2_0 = y0[0], y0[1]
-    else:
-        g_coll = lambda t, y: y[0]
-        g_p1 = lambda t, y: 0.5 * (y[2] - y[1])
-        g_p2 = lambda t, y: 0.5 * (y[1] + y[2])
-        p1_0, p2_0 = 0.5 * (y0[2] - y0[1]), 0.5 * (y0[1] + y0[2])
+@dataclass(frozen=True)
+class _Field:
+    """What the solve path needs of one representation: the initial vector,
+    the right-hand side, the map of raw solver states to [p1, p2, q1, q2]
+    rows, the terminal event functions with their kinds, and the direction
+    of time (-1 for a reversed run)."""
 
+    y0: np.ndarray
+    rhs: Callable
+    to_array: Callable
+    events: tuple = ()
+    time_sign: float = 1.0
+
+
+def _armed(g_coll: Callable, g_p1: Callable, g_p2: Callable, y0: np.ndarray) -> tuple:
+    """Terminal event functions; momentum events armed only if p_i(0) != 0."""
     events = [(EventKind.COLLISION, g_coll)]
-    if p1_0 != 0.0:
+    if g_p1(0.0, y0) != 0.0:
         events.append((EventKind.MOMENTUM_ZERO_1, g_p1))
-    if p2_0 != 0.0:
+    if g_p2(0.0, y0) != 0.0:
         events.append((EventKind.MOMENTUM_ZERO_2, g_p2))
     for _, g in events:
         g.terminal = True
         g.direction = 0
-    return events
+    return tuple(events)
+
+
+def _full_field(initial: PeakonState, params: ABParams) -> _Field:
+    """The full field, oriented once by the initial peak order (see the module
+    docstring)."""
+    a, b = params.a, params.b
+    orientation = 1.0 if initial.q2 >= initial.q1 else -1.0
+    rhs = lambda t, y: full_rhs_array(y, a, b, orientation)
+    y0 = initial.as_array()
+    events = _armed(lambda t, y: y[3] - y[2], lambda t, y: y[0], lambda t, y: y[1], y0)
+    return _Field(y0, rhs, _full_to_array, events)
+
+
+def _reduced_field(initial: PeakonState, params: ABParams) -> _Field:
+    """The reduced field on (q, h, w, z), with q1 carried as a fifth component."""
+    if initial.q2 <= initial.q1:
+        raise ValueError("reduced representation requires q2 > q1")
+    a, b = params.a, params.b
+    y0 = np.array(
+        [
+            initial.q2 - initial.q1,
+            initial.p2 - initial.p1,
+            initial.p1 + initial.p2,
+            initial.p1 * initial.p2,
+            initial.q1,
+        ]
+    )
+
+    def rhs(t, y):
+        d = np.empty(5)
+        d[:4] = reduced_rhs_array(y[:4], a, b)
+        p1, p2 = 0.5 * (y[2] - y[1]), 0.5 * (y[1] + y[2])
+        e1 = math.exp(-y[0])
+        d[4] = (1.0 - a) * p1 * p1 + 2.0 * p1 * p2 * e1 + (1.0 - 3.0 * a) * p2 * p2 * e1 * e1
+        return d
+
+    events = _armed(
+        lambda t, y: y[0],
+        lambda t, y: 0.5 * (y[2] - y[1]),
+        lambda t, y: 0.5 * (y[1] + y[2]),
+        y0,
+    )
+    return _Field(y0, rhs, _reduced_to_array, events)
 
 
 def _refine_event(dense, g, t_lo: float, t_hi: float, event_tol: float) -> float:
@@ -202,6 +271,57 @@ def _refine_event(dense, g, t_lo: float, t_hi: float, event_tol: float) -> float
     return float(brentq(lambda t: g(t, dense(t)), t_lo, t_hi, xtol=1e-15, rtol=8.9e-16))
 
 
+def _solve(
+    field: _Field,
+    params: ABParams,
+    config: IntegrationConfig,
+    t_end: float,
+) -> Trajectory:
+    """Integrate ``field`` on [0, t_end] until its first event.
+
+    The trajectory ends exactly at the located event time, or at t_end with
+    a HORIZON record.  Step-size failure raises IntegrationError with the
+    last good state.
+    """
+    to_array, time_sign = field.to_array, field.time_sign
+    if t_end == 0.0:  # nothing to integrate: the constant trajectory
+        y0 = field.y0
+        dense = lambda t: np.multiply.outer(y0, np.ones(np.shape(t)))
+        rec = EventRecord(EventKind.HORIZON, 0.0, _state(to_array, y0))
+        return Trajectory(params, config, np.array([0.0]), y0[:, None], [rec], dense,
+                          to_array, time_sign)
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sol = solve_ivp(
+            field.rhs,
+            (0.0, t_end),
+            field.y0,
+            method=_SOLVER_METHOD,
+            rtol=config.rel_tol,
+            atol=config.abs_tol,
+            dense_output=True,
+            events=[g for _, g in field.events] or None,
+        )
+        if sol.status == -1:
+            raise IntegrationError(sol.message, float(sol.t[-1]), _state(to_array, sol.y[:, -1]))
+
+        records = []
+        for (kind, g), t_ev in zip(field.events, sol.t_events or ()):
+            for t in t_ev:
+                t = float(t)
+                if abs(g(t, sol.sol(t))) > config.event_tol:
+                    slack = 10 * config.rel_tol * max(1.0, abs(t))
+                    lo = max(0.0, t - slack - 1e-13)
+                    hi = min(t_end, t + slack + 1e-13)
+                    t = _refine_event(sol.sol, g, lo, hi, config.event_tol)
+                records.append(EventRecord(kind=kind, time=t, state=_state(to_array, sol.sol(t))))
+    records.sort(key=lambda r: r.time)
+    if sol.status == 0:
+        state = _state(to_array, sol.sol(t_end))
+        records.append(EventRecord(kind=EventKind.HORIZON, time=t_end, state=state))
+    return Trajectory(params, config, sol.t, sol.y, records, sol.sol, to_array, time_sign)
+
+
 def integrate(
     initial: PeakonState,
     params: ABParams,
@@ -213,78 +333,12 @@ def integrate(
     reaches the horizon gets a HORIZON event record rather than an error.
     Step-size failure raises IntegrationError with the last good state.
     """
-    rep = config.representation
-    if rep is Representation.REDUCED:
-        if initial.q2 <= initial.q1:
-            raise ValueError("reduced representation requires q2 > q1")
-        y0 = np.array(
-            [
-                initial.q2 - initial.q1,
-                initial.p2 - initial.p1,
-                initial.p1 + initial.p2,
-                initial.p1 * initial.p2,
-                initial.q1,
-            ]
-        )
-
-        def rhs(t, y):
-            d = np.empty(5)
-            d[:4] = reduced_rhs_array(y[:4], params.a, params.b)
-            p1, p2 = 0.5 * (y[2] - y[1]), 0.5 * (y[1] + y[2])
-            e1 = math.exp(-y[0])
-            d[4] = (
-                (1.0 - params.a) * p1 * p1
-                + 2.0 * p1 * p2 * e1
-                + (1.0 - 3.0 * params.a) * p2 * p2 * e1 * e1
-            )
-            return d
-
-        to_array = _reduced_to_array
+    if config.representation is Representation.REDUCED:
+        field = _reduced_field(initial, params)
     else:
-        y0 = initial.as_array()
-        rhs = lambda t, y: full_rhs_array(y, params.a, params.b)
-        to_array = _full_to_array
-
+        field = _full_field(initial, params)
     t_max = config.max_time if config.max_time is not None else DEFAULT_HORIZON
-    events = _event_functions(rep, y0)
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_max),
-        y0,
-        method=_SOLVER_METHOD,
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
-        dense_output=True,
-        events=[g for _, g in events],
-    )
-    if sol.status == -1:
-        raise IntegrationError(sol.message, float(sol.t[-1]), _state(to_array, sol.y[:, -1]))
-
-    records = []
-    for (kind, g), t_ev in zip(events, sol.t_events):
-        for t in t_ev:
-            t = float(t)
-            if abs(g(t, sol.sol(t))) > config.event_tol:
-                lo = max(0.0, t - 10 * config.rel_tol * max(1.0, abs(t)) - 1e-13)
-                hi = min(t_max, t + 10 * config.rel_tol * max(1.0, abs(t)) + 1e-13)
-                t = _refine_event(sol.sol, g, lo, hi, config.event_tol)
-            state = _state(to_array, sol.sol(t))
-            records.append(EventRecord(kind=kind, time=t, state=state))
-    records.sort(key=lambda r: r.time)
-    if sol.status == 0:
-        state = _state(to_array, sol.sol(t_max))
-        records.append(EventRecord(kind=EventKind.HORIZON, time=t_max, state=state))
-
-    return Trajectory(
-        params=params,
-        config=config,
-        times=sol.t,
-        raw_states=sol.y,
-        events=records,
-        dense=sol.sol,
-        to_array=to_array,
-        rhs=rhs,
-    )
+    return _solve(field, params, config, t_max)
 
 
 def integrate_reversed(
@@ -298,37 +352,13 @@ def integrate_reversed(
     Composing a forward run to time tau with a reversed run of duration
     tau returns the initial state up to accumulated solver error.  The
     returned trajectory uses its own clock on [0, duration] and always
-    integrates the full representation, whatever the forward run used.
+    integrates the full representation, whatever ``config`` names.
     """
     if duration < 0:
         raise ValueError("duration must be nonnegative")
-    rep = config.representation
-    if rep is Representation.REDUCED and from_state.q2 <= from_state.q1:
-        raise ValueError("reduced representation requires q2 > q1")
-    y0 = from_state.as_array()
-    rhs = lambda t, y: -full_rhs_array(y, params.a, params.b)
-    to_array = _full_to_array
-    if duration == 0.0:
-        times = np.array([0.0])
-        dense = lambda t: np.multiply.outer(y0, np.ones(np.shape(t)))
-        rec = EventRecord(EventKind.HORIZON, 0.0, from_state)
-        return Trajectory(params, config, times, y0[:, None], [rec], dense, to_array, rhs,
-                          time_sign=-1.0)
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, duration),
-        y0,
-        method=_SOLVER_METHOD,
-        rtol=config.rel_tol,
-        atol=config.abs_tol,
-        dense_output=True,
-    )
-    if sol.status == -1:
-        raise IntegrationError(sol.message, float(sol.t[-1]), _state(to_array, sol.y[:, -1]))
-    rec = EventRecord(EventKind.HORIZON, duration, _state(to_array, sol.sol(duration)))
-    return Trajectory(params, config, sol.t, sol.y, [rec], sol.sol, to_array, rhs,
-                      time_sign=-1.0)
+    forward = _full_field(from_state, params)
+    field = _Field(forward.y0, lambda t, y: -forward.rhs(t, y), forward.to_array, time_sign=-1.0)
+    return _solve(field, params, config, duration)
 
 
 def locate_collision(traj: Trajectory) -> Optional[EventRecord]:

@@ -100,7 +100,7 @@ def test_criterion_1_z_invariant(grid_runs):
     worst_pt = None
     for (a, b), (params, spec, initial, traj) in grid_runs.items():
         ctx = InvariantContext.from_initial(params, initial)
-        arr = np.array([st.as_array() for st in traj.states])
+        arr = traj.state_array
         z_num = arr[:, 0] * arr[:, 1]
         q_num = arr[:, 3] - arr[:, 2]
         rel = float(np.max(np.abs(z_num - z_closed_form(ctx, q_num)))) / max(
@@ -157,7 +157,7 @@ def test_criterion_4_boundedness(grid_runs):
     ok = True
     worst_q = 0.0
     for (a, b), (params, spec, initial, traj) in grid_runs.items():
-        arr = np.array([st.as_array() for st in traj.states])
+        arr = traj.state_array
         ok = ok and bool(np.all(np.isfinite(arr)))
         rec = traj.terminal_event
         ok = ok and all(map(math.isfinite, rec.state.as_array()))
@@ -307,7 +307,7 @@ def test_criterion_9_degenerate_checks():
         PeakonState(1.5, 1.0, 0.0, 0.1), ABParams(1 / 3, 2.0),
         IntegrationConfig(max_time=5.0),
     )
-    arr = np.array([st.as_array() for st in frozen.states])
+    arr = frozen.state_array
     drift = max(float(np.max(np.abs(arr[:, 0] - 1.5))),
                 float(np.max(np.abs(arr[:, 1] - 1.0))))
 

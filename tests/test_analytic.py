@@ -84,7 +84,7 @@ class TestZClosedForm:
     def test_tracks_integrated_z(self, grid_runs):
         for (a, b), (params, spec, initial, traj) in grid_runs.items():
             ctx = InvariantContext.from_initial(params, initial)
-            arr = np.array([st.as_array() for st in traj.states])
+            arr = traj.state_array
             z_num = arr[:, 0] * arr[:, 1]
             q_num = arr[:, 3] - arr[:, 2]
             z_pred = z_closed_form(ctx, q_num)

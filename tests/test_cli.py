@@ -1,7 +1,9 @@
 """Command-line pipeline: file outputs, manifests, determinism, rejection."""
 
+import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,9 +98,9 @@ class TestRunCase:
         assert manifest["resolved_a"] == 0.0
 
     def test_case4_terminal_row(self, tmp_path):
-        """case4's located collision is written with q = q2 - q1 = -5.55e-17.
+        """case4's located collision is written with q = q2 - q1 = -2.78e-17.
         Its closed-form z is finite there and equals the value at q = 0, and
-        its distances are the exact ones of the written state: 0.138 at
+        its distances are the exact ones of the written state: 0.128 at
         s = 1.4 (not 0), pinned against the mpmath oracle and, at s = 1.4
         where the value is not small, the direct Bessel assembly."""
         out = tmp_path / "c4"
@@ -124,7 +126,7 @@ class TestRunCase:
         for s in (0.5, 1.0, 1.4):
             written = last[col[f"dist_s{s:g}"]]
             assert written == pytest.approx(hs_distance_mp(state, coll, s), rel=1e-12, abs=0)
-        assert last[col["dist_s1.4"]] == pytest.approx(0.1377, abs=1e-4)
+        assert last[col["dist_s1.4"]] == pytest.approx(0.1285, abs=1e-4)
         assert last[col["dist_s1.4"]] == pytest.approx(
             bessel_distance(state, coll, 1.4), rel=1e-9)
 
@@ -181,17 +183,19 @@ class TestCertify:
         assert _run("certify", "--case", "case1", "--s", "1.6",
                     "--out", str(tmp_path / "x")) == 2
 
-    # the overflow RuntimeWarnings that precede the error are a separate open item
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_integration_failure_is_a_clean_error(self, tmp_path, capsys):
-        """A solver failure exits 1 with one error line, not a traceback."""
-        code = _run("certify", "--case", "case4", "--alpha", "1e150",
-                    "--out", str(tmp_path / "x"))
+        """A solver failure exits 1 with one error line: no traceback and no
+        overflow warnings from the trial stages before it."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = _run("certify", "--case", "case4", "--alpha", "1e150",
+                        "--out", str(tmp_path / "x"))
         assert code == 1
+        assert caught == []
         err = capsys.readouterr().err
-        assert "Traceback" not in err
-        lines = err.strip().splitlines()
+        lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: integration failed:")
+        assert err == lines[0] + "\n"
 
     def test_forq_rejected(self, tmp_path):
         assert _run("certify", "--case", "forq", "--out", str(tmp_path / "x")) == 2
@@ -212,7 +216,7 @@ class TestSweep:
     def test_two_point_sweep(self, tmp_path):
         out = tmp_path / "sw"
         assert _run("sweep", "--a-grid", "0.3333333333333333,-1",
-                    "--b-grid", "3", "--workers", "2", "--out", str(out)) == 0
+                    "--b-grid", "3", "--out", str(out)) == 0
         header, rows = _read_csv(out / "sweep.csv")
         assert header[:3] == ["a", "b", "case"]
         assert len(rows) == 2
@@ -226,12 +230,38 @@ class TestSweep:
     def test_default_grid_all_points_collide(self, tmp_path):
         """The canned 4x4 grid: every point stops within its rate bound."""
         out = tmp_path / "full"
-        assert _run("sweep", "--workers", "4", "--out", str(out)) == 0
+        assert _run("sweep", "--out", str(out)) == 0
         _, rows = _read_csv(out / "sweep.csv")
         assert len(rows) == 16
         for row in rows:
             assert row[6] == "yes" and row[8] == "ok"
             assert row[7] in ("collision", "p1-zero", "p2-zero")
+
+    def test_failed_point_status_is_one_csv_field(self, tmp_path):
+        """A failed point's status contains a comma; the CSV quotes it, so
+        every row reads back as 9 fields.  a = 0.395 lies in the band where
+        every design constant gives mu > 1."""
+        out = tmp_path / "band"
+        assert _run("sweep", "--a-grid=0.395,-1", "--b-grid=3", "--out", str(out)) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(header) == 9 and len(rows) == 2
+        assert all(len(row) == 9 for row in rows)
+        assert rows[0][8].startswith("error: mu must lie in (0, 1], got ")
+        assert rows[1][8] == "ok"
+
+    def test_manifest_with_workers_key_still_loads(self, tmp_path):
+        """Manifests written when sweep had a thread pool carry "workers";
+        the key is ignored and the run reproduces."""
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert _run("sweep", "--a-grid", "1", "--b-grid", "3", "--out", str(out1)) == 0
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        manifest["workers"] = 1
+        old = tmp_path / "old-manifest.json"
+        old.write_text(json.dumps(manifest))
+        assert _run("sweep", "--config", str(old), "--out", str(out2)) == 0
+        assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+        assert "workers" not in json.loads((out2 / "manifest.json").read_text())
 
     def test_case2_manifest_notes_leapfrog(self, tmp_path):
         out = tmp_path / "c2"

@@ -66,6 +66,39 @@ class TestFullRhs:
         np.testing.assert_allclose(d1, d0, rtol=1e-9, atol=1e-9)
 
 
+    @given(p1=finite_floats, p2=finite_floats, q1=finite_floats,
+           dq=st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
+           a=finite_floats, b=finite_floats)
+    def test_oriented_field_on_its_side(self, p1, p2, q1, dq, a, b):
+        """On the side sigma (q2 - q1) > 0 the oriented field is the two-sided
+        one bit for bit; at q1 = q2 only the sgn(0) = 0 convention differs."""
+        y = np.array([p1, p2, q1, q1 + dq])
+        two_sided = full_rhs_array(y, a, b)
+        if y[3] == y[2]:
+            oriented = full_rhs_array(y, a, b, 1.0)
+            assert np.array_equal(oriented[2:], two_sided[2:])
+            assert np.array_equal(two_sided[:2], [0.0, 0.0])
+        else:
+            sigma = 1.0 if y[3] > y[2] else -1.0
+            assert np.array_equal(full_rhs_array(y, a, b, sigma), two_sided)
+
+    def test_oriented_field_continues_smoothly_past_coincidence(self):
+        """Just past q1 = q2 the oriented field is the continuation of the
+        near side (within 1e-6 of its limit); the two-sided one jumps."""
+        a, b = 1 / 3, 3.0
+        before = np.array([1.5, -1.0, 0.0, 1e-9])
+        after = np.array([1.5, -1.0, 0.0, -1e-9])
+        oriented = full_rhs_array(after, a, b, 1.0)
+        np.testing.assert_allclose(oriented, full_rhs_array(before, a, b), atol=1e-6)
+        assert np.max(np.abs(full_rhs_array(after, a, b) - oriented)) > 1.0
+
+    def test_oriented_overflow_is_not_an_exception(self):
+        """A trial stage far past the collision overflows e^{-d} to inf; the
+        field reports it as non-finite values for the step controller."""
+        d = full_rhs_array(np.array([1.0, -1.0, 0.0, -800.0]), 1 / 3, 3.0, 1.0)
+        assert not np.all(np.isfinite(d))
+
+
 class TestReducedRhs:
     def test_b2_freezes_h_w_z(self):
         d = reduced_rhs(ReducedState(q=0.1, h=-2.5, w=0.5, z=-1.5), ABParams(1 / 3, 2.0))

@@ -1,9 +1,8 @@
 """Event-detecting integration of the peakon flow.
 
-The case-1 reference stopping time below was produced by the same
-pipeline at rel_tol 1e-13 / abs_tol 1e-15 (self-converged to ~2e-13, see
-the tolerance-convergence test); the default-tolerance run must land on
-it to well under the event bound.
+The case-1 reference stopping time below was produced at rel_tol 1e-13 /
+abs_tol 1e-15 with the two-sided field (self-converged to ~2e-13); the
+default-tolerance run of the oriented field must land on it to 1e-12.
 """
 
 import numpy as np
@@ -22,6 +21,7 @@ from peakonlab import (
     locate_collision,
     to_reduced,
 )
+import peakonlab.integrator as integrator_module
 from peakonlab.dynamics import full_rhs_array
 
 from conftest import CASE_PRESETS, run_point
@@ -67,7 +67,7 @@ class TestCollision:
         rec = locate_collision(traj)
         assert rec is not None
         assert rec.time <= 0.24  # mu / epsilon for the preset
-        assert rec.time == pytest.approx(T_CASE1_REFERENCE, abs=1e-9)
+        assert rec.time == pytest.approx(T_CASE1_REFERENCE, abs=1e-12)
 
     def test_event_separation_is_tiny(self, case_runs):
         for name, (params, spec, initial, traj) in case_runs.items():
@@ -106,15 +106,16 @@ class TestCollision:
         assert traj.separation(2.0) > 8.0
 
     def test_tolerance_convergence(self):
-        """Halving rel_tol moves the stopping time by far less than 100x rel_tol."""
+        """Halving the default rel_tol moves the stopping time by far less
+        than 100x the default."""
+        default = IntegrationConfig().rel_tol
         a, b = CASE_PRESETS["case1"]
-        _, _, _, tA = run_point(a, b)
-        params, spec, initial, _ = run_point(a, b)
+        params, spec, initial, tA = run_point(a, b)
         cfg = IntegrationConfig(
-            rel_tol=5e-11, max_time=10.0 * collision_time_bound(spec, params)
+            rel_tol=0.5 * default, max_time=10.0 * collision_time_bound(spec, params)
         )
         tB = integrate(initial, params, cfg)
-        assert abs(tA.terminal_event.time - tB.terminal_event.time) <= 100 * 1e-10
+        assert abs(tA.terminal_event.time - tB.terminal_event.time) <= 100 * default
 
 
 class TestDegenerate:
@@ -124,9 +125,76 @@ class TestDegenerate:
             ABParams(1 / 3, 2.0),
             IntegrationConfig(max_time=5.0),
         )
-        arr = np.array([st.as_array() for st in traj.states])
+        arr = traj.state_array
         assert np.max(np.abs(arr[:, 0] - 1.5)) <= 1e-12
         assert np.max(np.abs(arr[:, 1] - 1.0)) <= 1e-12
+
+
+def _all_runs(case_runs, grid_runs):
+    return [(name, *run) for name, run in case_runs.items()] + [
+        (ab, *run) for ab, run in grid_runs.items()
+    ]
+
+
+class TestOrientedField:
+    """The full representation integrates the field oriented once at t = 0."""
+
+    def test_equals_two_sided_field_along_accepted_steps(self, case_runs, grid_runs):
+        """Up to the terminal event the oriented field is the two-sided field
+        bit for bit, so orienting it changes no accepted solution."""
+        for name, params, _, initial, traj in _all_runs(case_runs, grid_runs):
+            rhs = integrator_module._full_field(initial, params).rhs
+            for t, y in zip(traj.times[:-1], traj.state_array[:-1]):
+                assert np.array_equal(rhs(t, y), full_rhs_array(y, params.a, params.b)), name
+
+    def test_orientation_from_initial_order(self):
+        """Peaks that start in the other order get sigma = -1: the field is the
+        mirror image, and the collision is found as for the usual order."""
+        params = ABParams(1 / 3, 3.0)
+        cfg = IntegrationConfig(max_time=1.0)
+        usual = integrate(PeakonState(1.5, -1.0, 0.0, 0.1), params, cfg)
+        mirrored = integrate(PeakonState(-1.0, 1.5, 0.1, 0.0), params, cfg)
+        assert usual.terminal_event.kind is EventKind.COLLISION
+        assert mirrored.terminal_event.kind is EventKind.COLLISION
+        assert mirrored.terminal_event.time == pytest.approx(usual.terminal_event.time,
+                                                             abs=1e-14)
+        y = np.array([-1.0, 1.5, 0.1, 0.05])
+        rhs = integrator_module._full_field(PeakonState(*y), params).rhs
+        assert np.array_equal(rhs(0.0, y), full_rhs_array(y, params.a, params.b))
+
+    def test_trial_stage_far_past_the_collision(self):
+        """Peaks 1000 apart with frozen momenta: the field is nearly constant,
+        steps grow, and a trial stage lands about 1250 past the collision,
+        where e^{-sigma (q2 - q1)} overflows.  The step is rejected and the
+        collision found at T = mu / ((1 - a)(p1^2 - p2^2)) = 1200 exactly."""
+        traj = integrate(PeakonState(1.5, 1.0, 0.0, 1000.0), ABParams(1 / 3, 2.0),
+                         IntegrationConfig(max_time=20000.0))
+        assert traj.terminal_event.kind is EventKind.COLLISION
+        assert traj.terminal_event.time == pytest.approx(1200.0, rel=1e-12)
+
+    def test_few_rhs_evaluations(self, case_runs, grid_runs, monkeypatch):
+        """No trial stage sees a kink, so few steps are rejected: at most 150
+        field evaluations per run (the two-sided field needed 425-626)."""
+        calls = []
+
+        def counting(y, a, b, orientation=None):
+            calls.append(1)
+            return full_rhs_array(y, a, b, orientation)
+
+        monkeypatch.setattr(integrator_module, "full_rhs_array", counting)
+        for name, params, _, initial, traj in _all_runs(case_runs, grid_runs):
+            calls.clear()
+            integrate(initial, params, traj.config)
+            assert 0 < len(calls) <= 150, name
+
+    def test_full_and_reduced_terminal_times_agree(self, case_runs):
+        for name, (params, spec, initial, traj_full) in case_runs.items():
+            cfg = IntegrationConfig(
+                representation=Representation.REDUCED, max_time=traj_full.config.max_time
+            )
+            traj_red = integrate(initial, params, cfg)
+            assert traj_red.terminal_event.kind is traj_full.terminal_event.kind, name
+            assert abs(traj_full.t_end - traj_red.t_end) <= 5e-12, name
 
 
 class TestReducedRepresentation:
@@ -229,6 +297,18 @@ class TestTrajectoryApi:
         rows = back.sample_array([0.0, 0.0])
         assert np.array_equal(rows, np.array([state.as_array()] * 2))
         assert back.sample(0.0) == state
+
+    def test_state_array_matches_states(self, case_runs):
+        for rep in Representation:
+            params, _, initial, base = case_runs["case3"]
+            traj = integrate(initial, params, IntegrationConfig(
+                max_time=base.config.max_time, representation=rep))
+            arr = traj.state_array
+            assert arr.shape == (len(traj.times), 4)
+            assert np.array_equal(arr[0], initial.as_array())
+            assert abs(arr[-1, 3] - arr[-1, 2]) <= 1e-10  # ends at the collision
+            arr[:] = 0.0  # a copy: the trajectory is not changed through it
+            assert traj.states[0] == initial
 
     def test_dense_output_matches_steps(self, case_runs):
         _, _, _, traj = case_runs["case1"]
