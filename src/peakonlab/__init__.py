@@ -43,14 +43,7 @@ from .params import (
     l_a,
     make_initial_profile,
 )
-from .residual import (
-    ResidualReport,
-    convolution_grid,
-    d_minus2,
-    d_minus2_dx,
-    pde_residual,
-    residual_report,
-)
+from .residual import ResidualReport, pde_residual, residual_report
 from .sobolev import (
     CollisionFunction,
     collision_function,
@@ -89,9 +82,6 @@ __all__ = [
     "collision_function",
     "collision_time_bound",
     "compute_mu",
-    "convolution_grid",
-    "d_minus2",
-    "d_minus2_dx",
     "divergence_probe",
     "evaluate_u",
     "f_density",

@@ -490,7 +490,7 @@ def sweep(cfg: ExperimentConfig) -> int:
     print(f"sweep: {len(rows)} points, {len(bad)} failures; wrote {outdir}/")
     for row in bad:
         print(f"  (a={row[0]:g}, b={row[1]:g}): {row[-1]}")
-    return EXIT_OK
+    return EXIT_FAILURE if rows and len(bad) == len(rows) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

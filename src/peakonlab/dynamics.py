@@ -132,7 +132,10 @@ def reduced_rhs_array(y: np.ndarray, a: float, b: float) -> np.ndarray:
         z' =  (2-b) h w z e^{-2q}
     """
     q, h, w, z = y.tolist()
-    e1 = math.exp(-q)
+    try:
+        e1 = math.exp(-q)
+    except OverflowError:  # a trial stage far past the collision
+        e1 = math.inf
     e2 = e1 * e1
     dq = h * w * ((1.0 - a) - (1.0 - 3.0 * a) * e2)
     dh = -(2.0 - b) * w * z * (1.0 + e1) * e1

@@ -76,10 +76,12 @@ class IntegrationConfig:
     representation: Representation = Representation.FULL
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0 or self.abs_tol <= 0 or self.event_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_time is not None and self.max_time <= 0:
-            raise ValueError("max_time must be positive")
+        for name in ("rel_tol", "abs_tol", "event_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.max_time is not None and not self.max_time > 0:  # inf is a valid horizon
+            raise ValueError(f"max_time must be positive, got {self.max_time}")
 
 
 @dataclass(frozen=True)
@@ -246,7 +248,10 @@ def _reduced_field(initial: PeakonState, params: ABParams) -> _Field:
         d = np.empty(5)
         d[:4] = reduced_rhs_array(y[:4], a, b)
         p1, p2 = 0.5 * (y[2] - y[1]), 0.5 * (y[1] + y[2])
-        e1 = math.exp(-y[0])
+        try:
+            e1 = math.exp(-y[0])
+        except OverflowError:  # a trial stage far past the collision
+            e1 = math.inf
         d[4] = (1.0 - a) * p1 * p1 + 2.0 * p1 * p2 * e1 + (1.0 - 3.0 * a) * p2 * p2 * e1 * e1
         return d
 
@@ -257,6 +262,21 @@ def _reduced_field(initial: PeakonState, params: ABParams) -> _Field:
         y0,
     )
     return _Field(y0, rhs, _reduced_to_array, events)
+
+
+def _field_may_overflow(initial: PeakonState, params: ABParams) -> bool:
+    """Whether the field can overflow at the initial state.
+
+    Both fields are sums of at most four terms, each a coefficient 1 - a,
+    1 - 3a or 2 - b (or a small integer) times a monomial of degree at most
+    four in the momenta (the reduced z' = (2-b) h w z e^{-2q} is quartic)
+    times exponential factors that are at most 1 at t = 0.  If that bound
+    is finite, so is the field; checking it evaluates no right-hand side.
+    """
+    a, b = params.a, params.b
+    m = max(1.0, abs(initial.p1), abs(initial.p2))
+    c = max(1.0, abs(1.0 - a), abs(1.0 - 3.0 * a), abs(2.0 - b))
+    return not math.isfinite(64.0 * c * m * m * m * m)
 
 
 def _refine_event(dense, g, t_lo: float, t_hi: float, event_tol: float) -> float:
@@ -290,6 +310,9 @@ def _solve(
         rec = EventRecord(EventKind.HORIZON, 0.0, _state(to_array, y0))
         return Trajectory(params, config, np.array([0.0]), y0[:, None], [rec], dense,
                           to_array, time_sign)
+    initial = _state(to_array, field.y0)
+    if _field_may_overflow(initial, params):
+        raise IntegrationError("the field may overflow at the initial state", 0.0, initial)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sol = solve_ivp(

@@ -81,8 +81,8 @@ class CaseSpec:
     def __post_init__(self) -> None:
         if self.case_id is CaseID.B2_DEGENERATE:
             raise ValueError("b = 2 admits no collision construction")
-        if self.alpha <= 0 or self.delta <= 0:
-            raise ValueError("alpha and delta must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.alpha, self.delta)):
+            raise ValueError("alpha and delta must be finite and positive")
         if not 0 < self.mu <= 1:
             raise ValueError(f"mu must lie in (0, 1], got {self.mu}")
         if self.c is not None and not 1 < self.c < 2:
@@ -226,9 +226,12 @@ def case_epsilon(spec: CaseSpec, params: ABParams) -> float:
 
     Cases 1-2 use epsilon = a*(2*alpha*delta + delta^2); Cases 3-4 use
     epsilon = |c*a|*(2*alpha*delta + delta^2) and therefore require the
-    designed separation.
+    designed separation.  Raises ValueError when alpha and delta are so
+    small or so large that 2*alpha*delta + delta^2 under- or overflows.
     """
-    gap = 2.0 * spec.alpha * spec.delta + spec.delta**2
+    gap = 2.0 * spec.alpha * spec.delta + spec.delta * spec.delta
+    if not 0.0 < gap < math.inf:
+        raise ValueError(f"2 alpha delta + delta^2 = {gap} is not a positive finite number")
     if spec.case_id in (CaseID.CASE1, CaseID.CASE2):
         return params.a * gap
     if spec.c is None:

@@ -6,34 +6,33 @@ Away from the peak positions the ansatz is smooth, so every term of
         + D^{-2} d/dx [ (b/3) u^3 + (6-6a-b)/2 u u_x^2 ]
         + D^{-2} [ (2a+b-2)/2 u_x^3 ]
 
-can be evaluated classically; the residual vanishes (to quadrature
-accuracy) exactly when the momenta and positions move along the peakon
-field.  D^{-2} = (1 - d^2/dx^2)^{-1} acts by convolution with the kernel
-e^{-|x-y|}/2, computed here by a composite Simpson rule on a grid whose
-nodes include the kernel kink at y = x and the peak positions, where the
-integrands lose smoothness.  Jumps (the u_x factors jump at the peaks)
-are represented by repeated grid nodes carrying one-sided values, which
-keeps the composite rule at full order.
+can be evaluated classically; the residual vanishes (to roundoff) exactly
+when the momenta and positions move along the peakon field.
+D^{-2} = (1 - d^2/dx^2)^{-1} acts by convolution with the kernel
+e^{-|x-y|}/2, and both nonlocal terms are integrated in closed form.
+
+The peaks cut the line into three pieces [y0, y1].  On each one
+u = A e^{y-ya} + B e^{yb-y} and u_y = A e^{y-ya} - B e^{yb-y}, with the
+anchors ya >= y1 and yb <= y0 at the ends of the piece (the outer pieces
+carry only one of the two exponentials).  So both integrands are sums of
+the four monomials A^j B^(3-j) e^{j(y-ya) + (3-j)(yb-y)}, j = 0..3.  Split
+at y = x, the kernel times a monomial is one exponential with integer
+slope 2j-2 (y < x) or 2j-4 (y > x).  The two zero slopes, the resonant
+pairings, would integrate to lengths of intervals, but their coefficients
+cancel between the two nonlocal terms for every (a, b), so each integral
+is one expm1.  Each exponential is evaluated at the end of its interval
+where it is largest, and that value is at most 1, so nothing overflows
+however far x lies from the peaks.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
-import numpy as np
-from scipy.integrate import simpson
-
-from .dynamics import PeakonState
 from .params import ABParams
 
 DEFAULT_EXCLUSION_RADIUS = 0.1
-DEFAULT_HALF_WIDTH = 30.0  # grid reach beyond the outermost peak
-DEFAULT_SPACING = 1e-3
-_TAIL_FRACTION = 1e-10
-_NODE_SNAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -46,107 +45,56 @@ class ResidualReport:
     exclusion_radius: float
 
 
-def _pieces(xs: np.ndarray):
-    """Split a grid into strictly increasing runs (duplicates mark jumps)."""
-    splits = np.flatnonzero(np.diff(xs) == 0.0)
-    start = 0
-    for idx in splits:
-        yield start, idx + 1
-        start = idx + 1
-    yield start, len(xs)
+def _side_integral(x: float, c0: float, c1: float, slope: int, j: int, ya: float, yb: float) -> float:
+    """int_{c0}^{c1} e^{-|x-y|} e^{j(y-ya) + (3-j)(yb-y)} dy for [c0, c1] on
+    one side of x, where the whole exponent has the nonzero slope ``slope``."""
+    if not c0 < c1:
+        return 0.0
+    c = c1 if slope > 0 else c0  # where the exponent is largest
+    top = -abs(x - c) + j * (c - ya) + (3 - j) * (yb - c)
+    m = abs(slope)
+    return math.exp(top) * -math.expm1(-m * (c1 - c0)) / m
 
 
-def _exp_convolve(xs: np.ndarray, fs: np.ndarray, x: float, signed: bool) -> float:
-    xs = np.asarray(xs, dtype=float)
-    fs = np.asarray(fs, dtype=float)
-    if xs.shape != fs.shape or xs.ndim != 1 or len(xs) < 3:
-        raise ValueError("need matching 1-d sample arrays with at least 3 nodes")
-    total = 0.0
-    for i0, i1 in _pieces(xs):
-        ys = xs[i0:i1]
-        vs = fs[i0:i1]
-        if len(ys) < 2:
-            continue
-        # split the piece at x so the kernel kink sits on a boundary
-        if ys[0] < x < ys[-1]:
-            j = int(np.searchsorted(ys, x))
-            if abs(ys[j - 1] - x) < _NODE_SNAP:
-                j = j - 1
-                sub = [(ys[: j + 1], vs[: j + 1]), (ys[j:], vs[j:])]
-            elif j < len(ys) and abs(ys[j] - x) < _NODE_SNAP:
-                sub = [(ys[: j + 1], vs[: j + 1]), (ys[j:], vs[j:])]
-            else:
-                # x between nodes: insert it with an interpolated value
-                fx = float(np.interp(x, ys, vs))
-                sub = [
-                    (np.append(ys[:j], x), np.append(vs[:j], fx)),
-                    (np.insert(ys[j:], 0, x), np.insert(vs[j:], 0, fx)),
-                ]
-        else:
-            sub = [(ys, vs)]
-        for yy, vv in sub:
-            if len(yy) < 2:
-                continue
-            mid = 0.5 * (yy[0] + yy[-1])
-            kern = 0.5 * np.exp(-np.abs(x - yy))
-            if signed:
-                kern = kern * (-math.copysign(1.0, x - mid))
-            total += simpson(kern * vv, x=yy)
-    tail = 0.5 * (
-        abs(fs[0]) * math.exp(-abs(x - xs[0])) + abs(fs[-1]) * math.exp(-abs(x - xs[-1]))
-    )
-    if tail > _TAIL_FRACTION * max(abs(total), 1e-300):
-        warnings.warn(
-            f"convolution grid may be too narrow: kernel tail mass ~ {tail:.3e}",
-            stacklevel=3,
-        )
-    return total
+def _nonlocal_terms(p1: float, p2: float, q1: float, q2: float, x: float, a: float, b: float) -> float:
+    """d/dx D^{-2}[g1] + D^{-2}[g2] at x, for g1 = (b/3) u^3 + (6-6a-b)/2 u u_x^2
+    and g2 = (2a+b-2)/2 u_x^3.
 
+    The kernels are e^{-|x-y|}/2 and sgn(y-x) e^{-|x-y|}/2, so the integrand
+    is (g2 - g1)/2 left of x and (g2 + g1)/2 right of it.  With u = P + Q
+    and u_y = P - Q,
 
-def d_minus2(xs, fs, x: float) -> float:
-    """(1 - d^2/dx^2)^{-1} f at x: (1/2) int e^{-|x-y|} f(y) dy.
+        g2 - g1 =  k0 P^3 - k1 P^2 Q +  0 P Q^2 + k2 Q^3,
+        g2 + g1 = -k2 P^3 +  0 P^2 Q + k1 P Q^2 - k0 Q^3,
 
-    ``fs`` holds samples of f on the grid ``xs``; a jump in f is
-    represented by repeating the node with its left and right values.
-    Linear in f.
+    k0 = 4a + 2b/3 - 4, k1 = 3(2a + b - 2), k2 = 2a - b/3 - 2.  The two
+    zeros are the resonant pairings, whose integrals would be lengths of
+    intervals: they cancel between the two nonlocal terms for every (a, b).
     """
-    return _exp_convolve(xs, fs, x, signed=False)
-
-
-def d_minus2_dx(xs, fs, x: float) -> float:
-    """d/dx of d_minus2: -(1/2) int sgn(x-y) e^{-|x-y|} f(y) dy."""
-    return _exp_convolve(xs, fs, x, signed=True)
-
-
-def _piecewise_nodes(edges: Sequence[float], spacing: float):
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        n = max(2, int(math.ceil((hi - lo) / spacing)))
-        yield np.linspace(lo, hi, n + 1)
-
-
-def convolution_grid(
-    state: PeakonState,
-    x: float,
-    half_width: float = DEFAULT_HALF_WIDTH,
-    spacing: float = DEFAULT_SPACING,
-) -> np.ndarray:
-    """Grid on [-L, L], L = max(|q1|, |q2|) + half_width, with the peak
-    positions and x as exact (repeated) nodes."""
-    L = max(abs(state.q1), abs(state.q2)) + half_width
-    breaks = sorted({v for v in (state.q1, state.q2, x) if -L < v < L})
-    edges = [-L, *breaks, L]
-    return np.concatenate(list(_piecewise_nodes(edges, spacing)))
-
-
-def _sided_fields(state: PeakonState, ys: np.ndarray, mid: float):
-    """u and u_x on one smooth piece, with peak-side signs fixed by mid."""
-    s1 = math.copysign(1.0, mid - state.q1)
-    s2 = math.copysign(1.0, mid - state.q2)
-    e1 = np.exp(-s1 * (ys - state.q1))
-    e2 = np.exp(-s2 * (ys - state.q2))
-    u = state.p1 * e1 + state.p2 * e2
-    ux = -state.p1 * s1 * e1 - state.p2 * s2 * e2
-    return u, ux
+    (qlo, plo), (qhi, phi) = sorted(((q1, p1), (q2, p2)))
+    tail = math.exp(qlo - qhi)
+    pieces = (  # (y0, y1, A, ya, B, yb)
+        (-math.inf, qlo, plo + phi * tail, qlo, 0.0, qlo),
+        (qlo, qhi, phi, qhi, plo, qlo),
+        (qhi, math.inf, 0.0, qhi, phi + plo * tail, qhi),
+    )
+    k0 = 4.0 * a + 2.0 * b / 3.0 - 4.0
+    k1 = 3.0 * (2.0 * a + b - 2.0)
+    k2 = 2.0 * a - b / 3.0 - 2.0
+    terms = ((3, k0, -k2), (2, -k1, 0.0), (1, 0.0, k1), (0, k2, -k0))  # (j, left, right)
+    total = 0.0
+    for y0, y1, A, ya, B, yb in pieces:
+        weights = (A * A * A, A * A * B, A * B * B, B * B * B)
+        for (j, left, right), weight in zip(terms, weights):
+            if weight == 0.0:  # absent on the outer pieces, where it would not decay
+                continue
+            # the kernel's slope in y is +1 left of x and -1 right of it; the
+            # zero coefficients, at the slope-0 pairings, are skipped
+            if left:
+                total += left * weight * _side_integral(x, y0, min(y1, x), 2 * j - 2, j, ya, yb)
+            if right:
+                total += right * weight * _side_integral(x, max(y0, x), y1, 2 * j - 4, j, ya, yb)
+    return 0.5 * total
 
 
 def pde_residual(
@@ -155,15 +103,13 @@ def pde_residual(
     x: float,
     params: ABParams,
     exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS,
-    half_width: float = DEFAULT_HALF_WIDTH,
-    spacing: float = DEFAULT_SPACING,
 ) -> float:
     """Signed residual of the wave equation at an off-peak point (x, t).
 
     The time derivative comes from the trajectory's motion through the
     chain rule (no finite differencing of dense output); spatial
     derivatives are the exact piecewise exponentials; the two nonlocal
-    terms go through d_minus2 on a kink-aware grid.  ``traj`` needs
+    terms are exact piecewise-exponential integrals.  ``traj`` needs
     ``sample`` and ``sample_derivative``; x must keep the exclusion
     distance from both peaks.
     """
@@ -174,19 +120,7 @@ def pde_residual(
         raise ValueError(
             f"x = {x} within exclusion radius {exclusion_radius} of a peak"
         )
-
-    L = max(abs(state.q1), abs(state.q2)) + half_width
-    breaks = sorted({v for v in (state.q1, state.q2, x) if -L < v < L})
-    edges = [-L, *breaks, L]
-    xs_parts, g1_parts, g2_parts = [], [], []
-    for ys in _piecewise_nodes(edges, spacing):
-        u, ux = _sided_fields(state, ys, 0.5 * (ys[0] + ys[-1]))
-        g1_parts.append((b / 3.0) * u**3 + 0.5 * (6.0 - 6.0 * a - b) * u * ux**2)
-        g2_parts.append(0.5 * (2.0 * a + b - 2.0) * ux**3)
-        xs_parts.append(ys)
-    xs = np.concatenate(xs_parts)
-    nonlocal_flux = d_minus2_dx(xs, np.concatenate(g1_parts), x)
-    nonlocal_cubic = d_minus2(xs, np.concatenate(g2_parts), x)
+    nonlocal_terms = _nonlocal_terms(state.p1, state.p2, state.q1, state.q2, x, a, b)
 
     dp1, dp2, dq1, dq2 = traj.sample_derivative(t)
     e1 = math.exp(-abs(x - state.q1))
@@ -197,7 +131,7 @@ def pde_residual(
     ux = -state.p1 * s1 * e1 - state.p2 * s2 * e2
     ut = dp1 * e1 + state.p1 * s1 * e1 * dq1 + dp2 * e2 + state.p2 * s2 * e2 * dq2
 
-    return ut + u * u * ux - a * ux**3 + nonlocal_flux + nonlocal_cubic
+    return ut + u * u * ux - a * ux**3 + nonlocal_terms
 
 
 def residual_report(
@@ -206,8 +140,6 @@ def residual_report(
     params: ABParams,
     points=None,
     exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS,
-    half_width: float = DEFAULT_HALF_WIDTH,
-    spacing: float = DEFAULT_SPACING,
 ) -> ResidualReport:
     """Residuals at a set of off-peak abscissae (defaults: left of, between
     and right of the peaks).  Points inside the exclusion radius are
@@ -221,10 +153,7 @@ def residual_report(
         for x in points
         if min(abs(x - state.q1), abs(x - state.q2)) >= exclusion_radius
     ]
-    values = [
-        pde_residual(traj, t, x, params, exclusion_radius, half_width, spacing)
-        for x in kept
-    ]
+    values = [pde_residual(traj, t, x, params, exclusion_radius) for x in kept]
     return ResidualReport(
         sample_points=tuple(kept),
         residual_values=tuple(values),

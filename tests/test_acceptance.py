@@ -269,8 +269,8 @@ def test_criterion_7_divergence_probe():
 
 
 def test_criterion_8_pde_residual(case_runs):
-    """Single peakon <= 1e-6 off-peak; case-1 pair <= 1e-5 at T/2 on the
-    [-40, 40] grid; corrupting p1 by 1e-3 inflates the residual >= 10x."""
+    """Single peakon <= 1e-6 off-peak; case-1 pair <= 1e-5 at T/2;
+    corrupting p1 by 1e-3 inflates the residual >= 10x."""
     params = ABParams(1 / 3, 3.0)
     single = integrate(
         PeakonState(1.0, 0.0, 0.0, 25.0), params, IntegrationConfig(max_time=0.5)
@@ -281,7 +281,7 @@ def test_criterion_8_pde_residual(case_runs):
 
     params1, spec1, initial1, traj1 = case_runs["case1"]
     t_half = 0.5 * traj1.terminal_event.time
-    pair = residual_report(traj1, t_half, params1, half_width=40.0)
+    pair = residual_report(traj1, t_half, params1)
 
     class _Shifted:
         def sample(self, t):
@@ -291,7 +291,7 @@ def test_criterion_8_pde_residual(case_runs):
         def sample_derivative(self, t):
             return traj1.sample_derivative(t)
 
-    corrupted = residual_report(_Shifted(), t_half, params1, half_width=40.0)
+    corrupted = residual_report(_Shifted(), t_half, params1)
     teeth = corrupted.max_abs_residual / max(pair.max_abs_residual, 1e-300)
     ok = single_worst <= 1e-6 and pair.max_abs_residual <= 1e-5 and teeth >= 10.0
     _verdict(

@@ -1,12 +1,17 @@
 """Command-line pipeline: file outputs, manifests, determinism, rejection."""
 
+import contextlib
 import csv
+import io
 import json
 import math
+import signal
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from hs_oracle import bessel_distance, hs_distance_mp
 
 from peakonlab import (
@@ -22,6 +27,24 @@ from peakonlab.cli import _z_column, main
 
 def _run(*argv):
     return main(list(argv))
+
+
+def _run_captured(argv, seconds=5.0):
+    """main(argv) with stdout and stderr captured; a run that takes longer
+    than ``seconds`` fails instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{argv} did not return within {seconds} s")
+
+    err = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, err.getvalue()
 
 
 def _read_csv(path):
@@ -212,6 +235,63 @@ class TestCertify:
         assert any("threshold" in f for f in report["failures"])
 
 
+class TestFailurePaths:
+    """Inputs that once hung or ended in a traceback end within 5 s with an
+    exit code and one stderr line."""
+
+    @pytest.mark.parametrize("command", ["run-case", "certify"])
+    @pytest.mark.parametrize("flag", ["--rel-tol=nan", "--rel-tol=inf", "--abs-tol=nan",
+                                      "--max-time=nan", "--event-tol=nan"])
+    def test_non_finite_integration_setting_rejected(self, tmp_path, command, flag):
+        code, err = _run_captured([command, flag, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_infinite_horizon_accepted(self, tmp_path):
+        code, _ = _run_captured(["run-case", "--max-time=inf", "--sample-count", "10",
+                                 "--out", str(tmp_path / "x")])
+        assert code == 0
+
+    @pytest.mark.parametrize("case", ["case1", "case4"])
+    def test_overflowing_initial_field_is_a_clean_error(self, tmp_path, case):
+        """p^2 overflows at t = 0; the run stops before the solver, which
+        would loop on nan step sizes."""
+        code, err = _run_captured(["run-case", "--case", case, "--alpha", "1e155",
+                                   "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: integration failed:")
+
+    @pytest.mark.parametrize("flags", [["--delta=1e155"], ["--alpha=1e-300", "--delta=1e-300"]],
+                             ids=["overflow", "underflow"])
+    def test_rate_bound_out_of_range_is_a_config_error(self, tmp_path, flags):
+        """2 alpha delta + delta^2 overflowed (a traceback) or underflowed to
+        0 (a division by zero) in the collision-time bound."""
+        code, err = _run_captured(["run-case", *flags, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        command=st.sampled_from(["run-case", "certify"]),
+        flags=st.dictionaries(
+            st.sampled_from(["--alpha", "--delta", "--mu", "--c", "--rel-tol",
+                             "--abs-tol", "--event-tol", "--max-time"]),
+            st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-300", "1e155",
+                             "1e308", "0.5", "1.5"]),
+        ),
+    )
+    def test_float_flags_never_crash(self, tmp_path, command, flags):
+        """Any mix of extreme values exits 0, 1 or 2 without a traceback."""
+        argv = [command, *(f"{k}={v}" for k, v in flags.items()),
+                "--sample-count", "20", "--out", str(tmp_path / "fuzz")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy's "rtol too small" note
+            code, err = _run_captured(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+
+
 class TestSweep:
     def test_two_point_sweep(self, tmp_path):
         out = tmp_path / "sw"
@@ -269,6 +349,12 @@ class TestSweep:
                     "--out", str(out)) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert "leapfrog" in manifest["notes"]
+
+    def test_every_point_failed_exits_1(self, tmp_path):
+        out = tmp_path / "nan"
+        assert _run("sweep", "--a-grid=nan", "--b-grid=3", "--out", str(out)) == 1
+        _, rows = _read_csv(out / "sweep.csv")
+        assert len(rows) == 1 and rows[0][8].startswith("error:")
 
     def test_empty_grid(self, tmp_path):
         out = tmp_path / "empty"

@@ -2,28 +2,33 @@
 
 Oracles: (1 - d^2/dx^2) g = e^{-|x|} solves to g = (1+|x|) e^{-|x|} / 2
 by matching the exponential ansatz across the kink, and applying the
-operator to (1 - d^2/dx^2) phi for a Gaussian phi must return phi.  The
-residual itself needs no external reference: a single peakon moving at
-(1-a) p^2 satisfies the equation identically, so everything measured is
-quadrature error.
+operator to (1 - d^2/dx^2) phi for a Gaussian phi must return phi; both
+check the Simpson-grid D^{-2} of ``residual_oracle``.  That grid residual
+is in turn the independent reference for the closed form.  The residual
+itself needs no external reference: a single peakon moving at (1-a) p^2
+satisfies the equation identically, and so does the two-peakon pair
+along its field, so everything measured is roundoff (closed form) or
+quadrature error (grid).
 """
 
 import math
 
 import numpy as np
 import pytest
+from residual_oracle import convolution_grid, d_minus2, d_minus2_dx, pde_residual_grid
 
 from peakonlab import (
     ABParams,
     IntegrationConfig,
     PeakonState,
-    convolution_grid,
-    d_minus2,
-    d_minus2_dx,
+    case_spec_for,
+    collision_time_bound,
     integrate,
+    make_initial_profile,
     pde_residual,
     residual_report,
 )
+from peakonlab.cli import PRESET_AB
 
 
 class _ShiftedTrajectory:
@@ -143,7 +148,7 @@ class TestPdeResidual:
         closer than twice the exclusion radius."""
         params, traj = case1_traj
         t = 0.5 * traj.terminal_event.time
-        report = residual_report(traj, t, params, half_width=40.0)
+        report = residual_report(traj, t, params)
         assert len(report.sample_points) >= 2
         assert report.max_abs_residual <= 1e-5
 
@@ -174,16 +179,21 @@ class TestPdeResidual:
         np.testing.assert_allclose(r1, r0, atol=1e-10)
 
     def test_refinement_scaling(self, case1_traj):
-        """Refining the grid drives the residual to zero at the composite
-        rule's order.  Adjacent halvings wobble (piece node counts are
-        rounded up), so the order shows over a wider ratio: three
-        halvings must beat two halvings' worth of the ideal 16x factor."""
+        """Refining the oracle's grid drives it to the closed form at the
+        composite rule's order.  Adjacent halvings wobble (piece node
+        counts are rounded up), so the order shows over a wider ratio:
+        three halvings must beat two halvings' worth of the ideal 16x
+        factor."""
         params, traj = case1_traj
         t = 0.5 * traj.terminal_event.time
         pts = (-2.0, 1.4, 2.7, 0.9)
+        closed = {x: pde_residual(traj, t, x, params) for x in pts}
 
         def worst(spacing):
-            return max(abs(pde_residual(traj, t, x, params, spacing=spacing)) for x in pts)
+            return max(
+                abs(pde_residual_grid(traj, t, x, params, spacing=spacing) - closed[x])
+                for x in pts
+            )
 
         r8, r2, r1 = worst(8e-2), worst(2e-2), worst(1e-2)
         assert r8 >= r2 >= r1
@@ -204,3 +214,65 @@ class TestPdeResidual:
             traj, t, params, points=[st.q1 + 0.01, st.q2 + 3.0]
         )
         assert report.sample_points == (st.q2 + 3.0,)
+
+
+@pytest.fixture(scope="module")
+def preset_points():
+    """The four case presets at four times, sampled left of the peaks,
+    between them (when they are apart by more than twice the exclusion
+    radius) and twice to the right: 48 points."""
+    out = []
+    for case in ("case1", "case2", "case3", "case4"):
+        params = ABParams(*PRESET_AB[case])
+        spec = case_spec_for(params)
+        traj = integrate(
+            make_initial_profile(spec), params,
+            IntegrationConfig(max_time=10.0 * collision_time_bound(spec, params)),
+        )
+        for fraction in (0.1, 0.35, 0.6, 0.85):
+            t = fraction * traj.t_end
+            st = traj.sample(t)
+            lo, hi = sorted((st.q1, st.q2))
+            for x in (lo - 1.5, 0.5 * (lo + hi), hi + 0.7, hi + 3.0):
+                if min(abs(x - lo), abs(x - hi)) >= 0.1:
+                    out.append((case, params, traj, t, x))
+    return out
+
+
+class TestClosedForm:
+    def test_against_grid_oracle(self, preset_points):
+        """The closed form matches the Simpson-grid residual to the grid's
+        own accuracy (measured 6.3e-11)."""
+        assert len(preset_points) == 48
+        for case, params, traj, t, x in preset_points:
+            grid = pde_residual_grid(traj, t, x, params, half_width=40.0)
+            assert abs(pde_residual(traj, t, x, params) - grid) <= 1e-10, (case, t, x)
+
+    def test_roundoff_on_presets(self, preset_points):
+        """Along the true motion the closed-form residual is roundoff
+        (measured 1.8e-15); the grid's floor was 1e-11."""
+        for case, params, traj, t, x in preset_points:
+            assert abs(pde_residual(traj, t, x, params)) <= 1e-13, (case, t, x)
+
+    @pytest.mark.parametrize("offset", [-400.0, 400.0])
+    def test_far_field_is_finite(self, case1_traj, offset):
+        """Far from the peaks every term is of order e^{-400}; nothing
+        overflows on the way, whichever side x lies."""
+        params, traj = case1_traj
+        t = 0.5 * traj.terminal_event.time
+        st = traj.sample(t)
+        for q in (st.q1, st.q2):
+            r = pde_residual(traj, t, q + offset, params)
+            assert math.isfinite(r) and abs(r) <= 1e-14
+
+    def test_coincident_peaks(self):
+        """At q1 = q2 the middle piece is empty and the pair is the single
+        peakon of momentum p1 + p2 at the same place."""
+        params = ABParams(1 / 3, 3.0)
+        pair = integrate(PeakonState(0.6, 0.4, 0.0, 0.0), params,
+                         IntegrationConfig(max_time=0.5))
+        single = integrate(PeakonState(1.0, 0.0, 0.0, 30.0), params,
+                           IntegrationConfig(max_time=0.5))
+        for x in (-1.0, 0.5, 2.0):
+            assert abs(pde_residual(pair, 0.0, x, params)
+                       - pde_residual(single, 0.0, x, params)) <= 1e-14
