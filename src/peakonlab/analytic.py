@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dynamics import PeakonState, to_reduced
 from .params import _THIRD_TOL, ABParams, l_a
@@ -109,6 +108,8 @@ def f_density(ctx: InvariantContext, q):
 
 
 def _potential(ctx: InvariantContext, q: float, sign: float) -> float:
+    from scipy.integrate import quad  # imported on use, off the import path
+
     if q == ctx.mu:
         return 0.0
     val, err = quad(

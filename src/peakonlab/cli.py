@@ -386,8 +386,11 @@ def certify_nonuniqueness(cfg: ExperimentConfig) -> int:
     if finite_T:
         collision = collision_function(traj)
         ks = [k for k in APPROACH_EXPONENTS if T - 10.0**-k > 0.0]
+        if not ks:
+            failures.append(f"distance sequence: T = {T:.3g} leaves no approach time "
+                            f"T - 10^-k, k = {APPROACH_EXPONENTS[0]}..{APPROACH_EXPONENTS[-1]}")
         approach = traj.sample_array([T - 10.0**-k for k in ks])
-        for s in s_values:
+        for s in s_values if ks else ():
             vals = hs_distances(approach, collision, s).tolist()
             distances[f"{s:g}"] = vals
             monotone[f"{s:g}"] = all(b < a for a, b in zip(vals, vals[1:]))

@@ -6,6 +6,10 @@ coordinates (q, h, w, z) = (q2-q1, p2-p1, p1+p2, p1*p2) close on
 themselves and carry the invariant structure used by the analytic module;
 the two descriptions are related by an invertible change of variables up
 to the overall position q1.
+
+Each field is written once, as a function of plain floats (``_full_rhs``,
+``_reduced_rhs``) that the integrator's stepper calls directly;
+``full_rhs_array`` and ``reduced_rhs_array`` wrap them for numpy vectors.
 """
 
 from __future__ import annotations
@@ -82,23 +86,14 @@ def aux_diagnostics(state: PeakonState) -> AuxDiagnostics:
     return AuxDiagnostics(p=state.p2**2 - state.p1**2, pprod=state.p1 * state.p2)
 
 
-def full_rhs_array(
-    y: np.ndarray, a: float, b: float, orientation: Optional[float] = None
-) -> np.ndarray:
-    """Time derivative of [p1, p2, q1, q2].
+def _full_rhs(a: float, b: float, orientation: Optional[float],
+              p1: float, p2: float, q1: float, q2: float) -> tuple:
+    """Float-level form of ``full_rhs_array``: the time derivative
+    (dp1, dp2, dq1, dq2) at the state (p1, p2, q1, q2).
 
-    The field contains |q1 - q2| and sgn(q2 - q1).  Without ``orientation``
-    it is the two-sided field, with the convention sgn(0) = 0 that makes it
-    total at the coincidence point q1 = q2; this is the form for evaluating
-    the field at a given state.  With ``orientation`` = sigma (+1 or -1) it
-    is the analytic continuation of the side where sgn(q2 - q1) = sigma:
-    |q1 - q2| becomes sigma (q2 - q1) and sgn(q2 - q1) becomes sigma.  On
-    that side the two forms agree bit for bit; beyond the coincidence point
-    the oriented one stays smooth instead of kinking.  The integrator fixes
-    sigma from the initial state and stops at the collision event, so it
-    integrates the oriented form (see ``integrator``).
+    The parameters come first so that the integrator can bind them once
+    with ``functools.partial`` and call the field on the unpacked state.
     """
-    p1, p2, q1, q2 = y.tolist()  # float arithmetic: same values, faster than numpy scalars
     if orientation is None:
         d = abs(q1 - q2)
         s = math.copysign(1.0, q2 - q1) if q2 != q1 else 0.0
@@ -115,12 +110,54 @@ def full_rhs_array(
     dq2 = (1.0 - a) * p2 * p2 + 2.0 * pp * e1 + (1.0 - 3.0 * a) * p1 * p1 * e2
     dp1 = (2.0 - b) * s * pp * e1 * (p1 + p2 * e1)
     dp2 = -(2.0 - b) * s * pp * e1 * (p1 * e1 + p2)
-    return np.array([dp1, dp2, dq1, dq2])
+    return dp1, dp2, dq1, dq2
+
+
+def full_rhs_array(
+    y: np.ndarray, a: float, b: float, orientation: Optional[float] = None
+) -> np.ndarray:
+    """Time derivative of [p1, p2, q1, q2].
+
+    The field contains |q1 - q2| and sgn(q2 - q1).  Without ``orientation``
+    it is the two-sided field, with the convention sgn(0) = 0 that makes it
+    total at the coincidence point q1 = q2; this is the form for evaluating
+    the field at a given state.  With ``orientation`` = sigma (+1 or -1) it
+    is the analytic continuation of the side where sgn(q2 - q1) = sigma:
+    |q1 - q2| becomes sigma (q2 - q1) and sgn(q2 - q1) becomes sigma.  On
+    that side the two forms agree bit for bit; beyond the coincidence point
+    the oriented one stays smooth instead of kinking.  The integrator fixes
+    sigma from the initial state and stops at the collision event, so it
+    integrates the oriented form (see ``integrator``), through ``_full_rhs``.
+    """
+    # float arithmetic: same values, faster than numpy scalars
+    return np.array(_full_rhs(a, b, orientation, *y.tolist()))
 
 
 def full_rhs(state: PeakonState, params: "ABParams") -> PeakonState:
     """Time derivative of the full state, packaged in the same field layout."""
     return PeakonState.from_array(full_rhs_array(state.as_array(), params.a, params.b))
+
+
+def _reduced_rhs(a: float, b: float, q: float, h: float, w: float, z: float,
+                 q1: float = 0.0) -> tuple:
+    """Float-level form of ``reduced_rhs_array`` with the position q1
+    carried along: (dq, dh, dw, dz, dq1) at (q, h, w, z, q1).
+
+    q1' is the full field's dq1 in reduced coordinates, with
+    p1 = (w - h)/2 and p2 = (h + w)/2; no component depends on q1 itself.
+    """
+    try:
+        e1 = math.exp(-q)
+    except OverflowError:  # a trial stage far past the collision
+        e1 = math.inf
+    e2 = e1 * e1
+    dq = h * w * ((1.0 - a) - (1.0 - 3.0 * a) * e2)
+    dh = -(2.0 - b) * w * z * (1.0 + e1) * e1
+    dw = -(2.0 - b) * h * z * (1.0 - e1) * e1
+    dz = (2.0 - b) * h * w * z * e2
+    p1, p2 = 0.5 * (w - h), 0.5 * (h + w)
+    dq1 = (1.0 - a) * p1 * p1 + 2.0 * p1 * p2 * e1 + (1.0 - 3.0 * a) * p2 * p2 * e2
+    return dq, dh, dw, dz, dq1
 
 
 def reduced_rhs_array(y: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -131,17 +168,7 @@ def reduced_rhs_array(y: np.ndarray, a: float, b: float) -> np.ndarray:
         w' = -(2-b) h z (1 - e^{-q}) e^{-q}
         z' =  (2-b) h w z e^{-2q}
     """
-    q, h, w, z = y.tolist()
-    try:
-        e1 = math.exp(-q)
-    except OverflowError:  # a trial stage far past the collision
-        e1 = math.inf
-    e2 = e1 * e1
-    dq = h * w * ((1.0 - a) - (1.0 - 3.0 * a) * e2)
-    dh = -(2.0 - b) * w * z * (1.0 + e1) * e1
-    dw = -(2.0 - b) * h * z * (1.0 - e1) * e1
-    dz = (2.0 - b) * h * w * z * e2
-    return np.array([dq, dh, dw, dz])
+    return np.array(_reduced_rhs(a, b, *y.tolist())[:4])
 
 
 def reduced_rhs(state: ReducedState, params: "ABParams") -> ReducedState:

@@ -48,8 +48,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import exprel, gamma, gammaln, kv, psi, rgamma, zeta
 
 from .dynamics import PeakonState
 from .integrator import EventKind, Trajectory
@@ -106,6 +104,8 @@ def collision_function(traj: Trajectory, zero_tol: float = 1e-12) -> CollisionFu
 
 def _quad_checked(f, a, b, **kw):
     """quad with suppressed chatter; returns (value, error estimate)."""
+    from scipy.integrate import quad  # imported on use: only the probe needs it
+
     out = quad(f, a, b, full_output=1, **kw)
     return out[0], out[1]
 
@@ -125,6 +125,8 @@ def _lgamma_slope(a: np.ndarray, t: float) -> np.ndarray:
     Small |t| uses the Taylor series psi(a) - sum_{j>=2} zeta(j, a) (-t)^{j-1} / j,
     where the difference quotient would lose digits.
     """
+    from scipy.special import gammaln, psi, zeta
+
     if abs(t) >= _SLOPE_TAYLOR:
         return (gammaln(a + t) - gammaln(a)) / t
     j = np.arange(2, _SLOPE_TERMS + 2, dtype=float)[:, None]
@@ -148,6 +150,8 @@ def _pair_series(omega: np.ndarray, nu: float) -> np.ndarray:
 
     with S the log-gamma slope; at eps = 0 this is DLMF 10.31.1.
     """
+    from scipy.special import exprel, gamma, gammaln, rgamma
+
     n = int(round(nu))
     eps = nu - n
     x = 0.5 * omega
@@ -187,6 +191,8 @@ def pair_integral(omega, s: float):
         g[small] = _pair_series(omega[small], nu)
     large = omega >= _SERIES_OMEGA
     if large.any():
+        from scipy.special import gamma, kv
+
         w = omega[large]
         g[large] = 0.5 * gamma(nu) - (0.5 * w) ** nu * kv(nu, w)
     g *= 2.0 * math.sqrt(math.pi) / math.gamma(nu + 0.5)

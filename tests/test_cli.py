@@ -5,8 +5,12 @@ import csv
 import io
 import json
 import math
+import os
 import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,11 @@ from peakonlab import (
     hs_distance,
     z_closed_form,
 )
+import peakonlab.integrator as integrator_module
 from peakonlab.cli import _z_column, main
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _run(*argv):
@@ -270,6 +278,63 @@ class TestFailurePaths:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("error: ")
 
+    def test_collision_before_the_approach_times(self, tmp_path):
+        """mu = 1e-300 collides at T = 2e-300, before T - 10^-k for any k:
+        certify reports that no distance sequence exists (exit 1) instead
+        of indexing an empty one."""
+        out = tmp_path / "x"
+        code, err = _run_captured(["certify", "--alpha", "0.5", "--delta", "0.5",
+                                   "--mu", "1e-300", "--out", str(out)])
+        assert code == 1
+        assert "Traceback" not in err
+        report = json.loads((out / "report.json").read_text())
+        assert report["T"] == pytest.approx(2e-300, rel=1e-12)
+        assert report["distances"] == {}
+        assert any("no approach time" in f for f in report["failures"])
+
+    @pytest.mark.parametrize("flags", [["--delta=1e45"], ["--alpha=0.5", "--delta=-1"]])
+    def test_step_budget_ends_a_creeping_run(self, tmp_path, flags):
+        """novikov-reduced runs whose separation creeps towards 0 without
+        crossing it, with steps shrinking to 1e-12 or 1e-89, used to run
+        without end; the step budget ends them with exit 1."""
+        code, err = _run_captured(["run-case", "--case=novikov-reduced", *flags,
+                                   "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert err.count("\n") == 1 and "more than 10000 steps" in err
+
+    def test_rel_tol_below_the_floor_is_a_config_error(self, tmp_path):
+        """The stepper cannot meet a relative tolerance below 100 machine
+        epsilons; asking for one is rejected instead of silently raised."""
+        code, err = _run_captured(["run-case", "--rel-tol=1e-300", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ") and "2.22e-14" in err
+        assert not (tmp_path / "x" / "manifest.json").exists()
+
+    def test_non_finite_dense_output_is_an_integration_failure(self, tmp_path, monkeypatch):
+        """A NaN on the event bracket ends the run with exit 1, the
+        integration-failure code, and one line."""
+        monkeypatch.setattr(integrator_module, "_interpolate", lambda x, coeffs, y: math.nan)
+        code, err = _run_captured(["run-case", "--case", "case4", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: integration failed:")
+        assert "not finite" in err
+
+    def test_huge_momenta_collide_on_their_own_time_scale(self, tmp_path):
+        """case4 at alpha = 1e45 (momenta near 1e45) once ended with exit 2
+        from a NaN far outside the event step.  The event search stays inside
+        the step and narrows it relative to its size, so the run succeeds,
+        and T alpha^2 is the same as at alpha = 1e30."""
+        times = {}
+        for alpha in (1e30, 1e45):
+            out = tmp_path / f"a{alpha:g}"
+            code, _ = _run_captured(["run-case", "--case", "case4", "--alpha", repr(alpha),
+                                     "--sample-count", "10", "--out", str(out)])
+            assert code == 0
+            _, events = _read_csv(out / "events.csv")
+            assert events[-1][0] == "collision"
+            times[alpha] = float(events[-1][1]) * alpha * alpha
+        assert times[1e45] == pytest.approx(times[1e30], rel=1e-12)
+
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -286,7 +351,7 @@ class TestFailurePaths:
         argv = [command, *(f"{k}={v}" for k, v in flags.items()),
                 "--sample-count", "20", "--out", str(tmp_path / "fuzz")]
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # scipy's "rtol too small" note
+            warnings.simplefilter("ignore")  # warnings are not failures here
             code, err = _run_captured(argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in err
@@ -369,3 +434,12 @@ class TestSweep:
     def test_b_two_rejected(self, tmp_path):
         assert _run("sweep", "--a-grid", "1", "--b-grid", "2",
                     "--out", str(tmp_path / "x")) == 2
+
+
+def test_import_loads_no_scipy():
+    """scipy is imported only where a quadrature or a special function is
+    used, so a bare import (and a sweep) never loads it."""
+    code = "import sys, peakonlab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.stdout.strip() == "[]"

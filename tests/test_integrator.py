@@ -22,7 +22,7 @@ from peakonlab import (
     to_reduced,
 )
 import peakonlab.integrator as integrator_module
-from peakonlab.dynamics import full_rhs_array
+from peakonlab.dynamics import _full_rhs, full_rhs_array
 
 from conftest import CASE_PRESETS, run_point
 
@@ -145,7 +145,7 @@ class TestOrientedField:
         for name, params, _, initial, traj in _all_runs(case_runs, grid_runs):
             rhs = integrator_module._full_field(initial, params).rhs
             for t, y in zip(traj.times[:-1], traj.state_array[:-1]):
-                assert np.array_equal(rhs(t, y), full_rhs_array(y, params.a, params.b)), name
+                assert np.array_equal(rhs(*y), full_rhs_array(y, params.a, params.b)), name
 
     def test_orientation_from_initial_order(self):
         """Peaks that start in the other order get sigma = -1: the field is the
@@ -160,7 +160,7 @@ class TestOrientedField:
                                                              abs=1e-14)
         y = np.array([-1.0, 1.5, 0.1, 0.05])
         rhs = integrator_module._full_field(PeakonState(*y), params).rhs
-        assert np.array_equal(rhs(0.0, y), full_rhs_array(y, params.a, params.b))
+        assert np.array_equal(rhs(*y), full_rhs_array(y, params.a, params.b))
 
     def test_trial_stage_far_past_the_collision(self):
         """Peaks 1000 apart with frozen momenta: the field is nearly constant,
@@ -174,18 +174,21 @@ class TestOrientedField:
 
     def test_few_rhs_evaluations(self, case_runs, grid_runs, monkeypatch):
         """No trial stage sees a kink, so few steps are rejected: at most 150
-        field evaluations per run (the two-sided field needed 425-626)."""
+        field evaluations per run (the two-sided field needed 425-626).  The
+        count is of the float-level field the stepper calls, and equals the
+        stepper's own count."""
         calls = []
 
-        def counting(y, a, b, orientation=None):
+        def counting(*args):
             calls.append(1)
-            return full_rhs_array(y, a, b, orientation)
+            return _full_rhs(*args)
 
-        monkeypatch.setattr(integrator_module, "full_rhs_array", counting)
+        monkeypatch.setattr(integrator_module, "_full_rhs", counting)
         for name, params, _, initial, traj in _all_runs(case_runs, grid_runs):
             calls.clear()
-            integrate(initial, params, traj.config)
+            run = integrate(initial, params, traj.config)
             assert 0 < len(calls) <= 150, name
+            assert len(calls) == run.nfev, name
 
     def test_full_and_reduced_terminal_times_agree(self, case_runs):
         for name, (params, spec, initial, traj_full) in case_runs.items():
