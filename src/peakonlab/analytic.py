@@ -43,8 +43,10 @@ class InvariantContext:
     w0: float
 
     def __post_init__(self) -> None:
+        # relative to the largest term: at large opposite momenta h0^2 and
+        # 4 z0 cancel to a small w0^2, leaving their roundoff in the gap
         gap = abs(self.h0**2 + 4.0 * self.z0 - self.w0**2)
-        if gap > _IDENTITY_TOL * max(1.0, self.w0**2):
+        if gap > _IDENTITY_TOL * max(1.0, self.h0**2, 4.0 * abs(self.z0), self.w0**2):
             raise ValueError(f"h0^2 + 4 z0 = w0^2 violated by {gap:.3e}")
 
     @classmethod

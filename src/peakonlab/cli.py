@@ -20,15 +20,15 @@ reproduce the run exactly.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 import numpy as np
 
@@ -218,28 +218,42 @@ def _resolve(cfg: ExperimentConfig, require_case: bool = False) -> ResolvedRun:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(f".tmp-{path.name}")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
 
-def _write_table(path: Path, columns: Sequence[str], rows, fmt: str) -> None:
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+def _csv_field(text: str) -> str:
+    """A string as one CSV field: quoted, with quotes doubled, only where it
+    holds a comma, a quote or a line break."""
+    if _NEEDS_QUOTES(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_table(path: Path, columns: Sequence[str], data: Sequence, fmt: str,
+                 text: Collection[str] = ()) -> None:
+    """Write a table given column by column: ``data`` holds one sequence per
+    name in ``columns``, or none for a table without rows.  Columns named in
+    ``text`` hold strings, written as they are; every other column holds
+    floats, written with 17 significant digits, so they read back exactly."""
+    specs = ["%s" if name in text else "%.17g" for name in columns]
+    data = [col.tolist() if isinstance(col, np.ndarray) else col for col in data]
     if fmt == "json":
-        payload = {"columns": list(columns), "data": [[_fmt(v) for v in row] for row in rows]}
+        cells = [list(map(spec.__mod__, col)) for spec, col in zip(specs, data)]
+        payload = {"columns": list(columns), "data": [list(row) for row in zip(*cells)]}
         _write_atomic(path.with_suffix(".json"), json.dumps(payload, indent=1) + "\n")
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
-        _write_atomic(path.with_suffix(".csv"), buf.getvalue())
+        data = [list(map(_csv_field, col)) if name in text else col
+                for name, col in zip(columns, data)]
+        row = ",".join(specs) + "\n"
+        lines = [",".join(map(_csv_field, columns)) + "\n"]
+        lines += [row % cells for cells in zip(*data)]
+        _write_atomic(path.with_suffix(".csv"), "".join(lines))
 
 
 def _write_manifest(outdir: Path, cfg: ExperimentConfig, extra: dict) -> None:
@@ -298,13 +312,19 @@ def _z_or_nan(ctx: InvariantContext, q: float) -> float:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _check_sobolev_indices(s_values) -> None:
+    """Reject an index outside the range where H^s distances exist."""
+    for s in s_values:
+        if not math.isfinite(s):
+            raise ValueError(f"s = {s} is not a finite Sobolev index")
+        if s >= H_S_LIMIT:
+            raise ValueError(f"s = {s} >= 3/2 is outside the admissible range")
+
+
 def run_case(cfg: ExperimentConfig) -> int:
     """Integrate one configuration and export trajectory, events, manifest."""
     run = _resolve(cfg)
-    for s in cfg.s_values:
-        if s >= H_S_LIMIT:
-            print(f"error: s = {s} >= 3/2 is outside the admissible range", file=sys.stderr)
-            return EXIT_CONFIG
+    _check_sobolev_indices(cfg.s_values)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -329,14 +349,14 @@ def run_case(cfg: ExperimentConfig) -> int:
             hs_distances(states, collision, s) if collision is not None
             else np.full_like(ts, math.nan)
         )
-    rows = np.column_stack(table).tolist()
-    _write_table(outdir / "trajectory", columns, rows, cfg.format)
+    _write_table(outdir / "trajectory", columns, table, cfg.format)
 
     ev_rows = [
-        [rec.kind.value, rec.time, rec.state.p1, rec.state.p2, rec.state.q1, rec.state.q2]
+        (rec.kind.value, rec.time, rec.state.p1, rec.state.p2, rec.state.q1, rec.state.q2)
         for rec in traj.events
     ]
-    _write_table(outdir / "events", ["kind", "time", "p1", "p2", "q1", "q2"], ev_rows, cfg.format)
+    _write_table(outdir / "events", ["kind", "time", "p1", "p2", "q1", "q2"],
+                 list(zip(*ev_rows)), cfg.format, text=("kind",))
     _write_manifest(outdir, cfg, _resolved_extra(run))
 
     term = traj.terminal_event
@@ -351,16 +371,8 @@ def run_case(cfg: ExperimentConfig) -> int:
 def certify_nonuniqueness(cfg: ExperimentConfig) -> int:
     """Check the collapse-certificate ingredients for one case and report."""
     s_values = cfg.s_values or (0.5, 1.0, 1.4)
-    for s in s_values:
-        if s >= H_S_LIMIT:
-            print(f"error: s = {s} >= 3/2 rejected (certificate needs s < 3/2)",
-                  file=sys.stderr)
-            return EXIT_CONFIG
-    try:
-        run = _resolve(cfg, require_case=True)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    _check_sobolev_indices(s_values)
+    run = _resolve(cfg, require_case=True)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -487,7 +499,8 @@ def sweep(cfg: ExperimentConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     rows = [_sweep_point(cfg, a, b) for a in cfg.a_grid for b in cfg.b_grid]
     columns = ["a", "b", "case", "mu", "epsilon", "T", "T_within_bound", "event", "status"]
-    _write_table(outdir / "sweep", columns, rows, cfg.format)
+    _write_table(outdir / "sweep", columns, list(zip(*rows)), cfg.format,
+                 text=("case", "T_within_bound", "event", "status"))
     _write_manifest(outdir, cfg, {"points": len(rows)})
     bad = [row for row in rows if row[-1] != "ok"]
     print(f"sweep: {len(rows)} points, {len(bad)} failures; wrote {outdir}/")
@@ -543,8 +556,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["csv", "json"])
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ValueError, so that main
+    reports them in one line like every other configuration error."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="peakonlab",
         description="two-peakon collision laboratory for the cubic (a, b) family",
     )
@@ -563,6 +585,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_negative_number(token: str) -> bool:
+    """True for "-1e-9", "-inf" or "-1,0.5": a value, though it starts with "-"."""
+    if not token.startswith("-"):
+        return False
+    try:
+        [float(v) for v in token.replace(",", " ").split()]
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: Sequence[str]) -> list:
+    """Spell "--a -1e-9" as "--a=-1e-9".
+
+    argparse takes a token that starts with "-" for an option unless it is
+    a plain negative number such as -1 or -.5; exponents, inf, nan and
+    comma-separated lists are not, so it would report a missing value.
+    Every long option but --help and --version takes a value.
+    """
+    out = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and _is_negative_number(token)):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     mapping = {}
     if args.config:
@@ -575,8 +626,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        args = _build_parser().parse_args(_attach_negative_values(argv))
         cfg = _config_from_args(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

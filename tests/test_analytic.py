@@ -178,3 +178,13 @@ class TestPotentials:
     def test_identity_validation(self):
         with pytest.raises(ValueError):
             InvariantContext(ABParams(1 / 3, 3.0), mu=0.1, z0=1.0, h0=0.0, w0=0.5)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1e5, 1e10, 3e12, 1e30])
+    def test_identity_validation_is_relative_to_the_largest_term(self, alpha):
+        """p = (alpha + 1/2, -alpha): h0^2 and 4 z0 grow like alpha^2 and cancel
+        to w0^2 = 1/4, leaving their roundoff in the gap.  The exact data
+        passes at every scale; z0 off by 1e-6 relative still raises."""
+        params = ABParams(1 / 3, 3.0)
+        ctx = InvariantContext.from_initial(params, PeakonState(alpha + 0.5, -alpha, 0.0, 0.1))
+        with pytest.raises(ValueError, match="violated"):
+            InvariantContext(params, mu=ctx.mu, z0=ctx.z0 * (1 + 1e-6), h0=ctx.h0, w0=ctx.w0)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hs_oracle import bessel_distance, hs_distance_mp
+from table_oracle import write_table as oracle_write_table
 
 from peakonlab import (
     ABParams,
@@ -26,11 +27,16 @@ from peakonlab import (
     hs_distance,
     z_closed_form,
 )
+import peakonlab.cli as cli
 import peakonlab.integrator as integrator_module
 from peakonlab.cli import _z_column, main
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: values for the parameter fuzz: negative and extreme floats, lists, empty
+FUZZ_VALUES = ["nan", "-inf", "-1e308", "-1", "-1e-9", "0", "1e-300", "0.5", "1.4", "3",
+               "1e155", "-1,0.5", "0.3333333333333333,-1e-9", ""]
 
 
 def _run(*argv):
@@ -335,6 +341,27 @@ class TestFailurePaths:
             times[alpha] = float(events[-1][1]) * alpha * alpha
         assert times[1e45] == pytest.approx(times[1e30], rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", ["1e5", "1e10", "3e12", "1e30"])
+    def test_large_momenta_pass_the_invariant_check(self, tmp_path, alpha):
+        """h0^2 and 4 z0 grow like alpha^2 and cancel to w0^2 = 1/4; the
+        identity check once took their roundoff for a violation (exit 2 at
+        alpha = 1e10 and 3e12)."""
+        out = tmp_path / "x"
+        code, err = _run_captured(["run-case", "--case", "case1", "--alpha", alpha,
+                                   "--sample-count", "10", "--out", str(out)])
+        assert (code, err) == (0, "")
+        _, events = _read_csv(out / "events.csv")
+        assert events[-1][0] == "collision"
+
+    @pytest.mark.parametrize("command", ["run-case", "certify"])
+    def test_nan_sobolev_index_is_a_config_error(self, tmp_path, command):
+        """A NaN index passed the s >= 3/2 check and failed after the run;
+        it is now rejected before any output is written."""
+        out = tmp_path / "x"
+        code, err = _run_captured([command, "--case", "case1", "--s", "nan", "--out", str(out)])
+        assert (code, err) == (2, "error: s = nan is not a finite Sobolev index\n")
+        assert not out.exists()
+
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -355,6 +382,143 @@ class TestFailurePaths:
             code, err = _run_captured(argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in err
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        command=st.sampled_from(["run-case", "certify", "sweep"]),
+        flags=st.dictionaries(
+            st.sampled_from(["--a", "--b", "--s", "--sample-count", "--a-grid", "--b-grid"]),
+            st.sampled_from(FUZZ_VALUES),
+        ),
+        joined=st.booleans(),
+        config=st.dictionaries(
+            st.sampled_from(["a", "b", "s_values", "sample_count", "a_grid", "b_grid",
+                             "alpha", "mu"]),
+            st.sampled_from(FUZZ_VALUES),
+        ),
+    )
+    def test_parameter_flags_and_config_files_never_crash(self, tmp_path, command, flags,
+                                                          joined, config):
+        """Parameters, indices and grids, as "--flag=value", as "--flag value"
+        or from a flat config file, exit 0, 1 or 2 without a traceback; a
+        configuration error is one line."""
+        argv = [command]
+        if config:
+            path = tmp_path / "fuzz.cfg"
+            path.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+            argv += ["--config", str(path)]
+        for k, v in flags.items():
+            argv += [f"{k}={v}"] if joined else [k, v]
+        argv += ["--out", str(tmp_path / "fuzz")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # warnings are not failures here
+            code, err = _run_captured(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+class TestParser:
+    """One parser per process; negative values; one-line usage errors."""
+
+    def test_successive_calls_share_one_parser(self, tmp_path, monkeypatch):
+        """Two run-case calls parse with the same parser, and the appended
+        --s of the first does not leak into the second."""
+        parser = cli._build_parser()
+        used = []
+        parse_args = cli._Parser.parse_args
+
+        def spy(self, *args, **kwargs):
+            used.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "parse_args", spy)
+        for s in ("0.5", "1.0"):
+            out = tmp_path / s
+            assert _run("run-case", "--case", "case1", "--s", s, "--sample-count", "10",
+                        "--out", str(out)) == 0
+            header, _ = _read_csv(out / "trajectory.csv")
+            assert [h for h in header if h.startswith("dist_")] == [f"dist_s{float(s):g}"]
+        assert used == [parser, parser]
+
+    def test_import_builds_no_parser(self):
+        code = ("import peakonlab.cli as cli; "
+                "print(cli._build_parser.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert out.stdout.strip() == "0"
+
+    @pytest.mark.parametrize("argv, code", [
+        (["run-case", "--case", "custom", "--a", "-1e-9", "--b", "3"], 0),
+        (["run-case", "--s", "-1e308"], 2),
+        (["sweep", "--a-grid", "-1,0.5", "--b-grid", "3"], 0),
+    ], ids=["a", "s", "a-grid"])
+    def test_negative_value_as_its_own_token(self, tmp_path, argv, code):
+        """"--flag -1e-9" means "--flag=-1e-9": same exit code, messages and
+        tables.  argparse alone reads -1e-9 as an unknown option."""
+        joined = [f"{t}={v}" for t, v in zip(argv[1::2], argv[2::2])]
+        results = []
+        for spelling, name in ((argv, "split"), ([argv[0], *joined], "joined")):
+            out = tmp_path / name
+            results.append(_run_captured([*spelling, "--out", str(out)]))
+        assert results[0] == results[1]
+        assert results[0][0] == code
+        tables = sorted(p.name for p in (tmp_path / "joined").glob("*.csv"))
+        assert tables == sorted(p.name for p in (tmp_path / "split").glob("*.csv"))
+        for name in tables:
+            assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "joined" / name).read_bytes()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run-case", "--bogus"], "unrecognized arguments: --bogus"),
+        (["run-case", "--s"], "argument --s: expected one argument"),
+        (["run-case", "--sample-count", "-1e3"],
+         "argument --sample-count: invalid int value: '-1e3'"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_usage_error_is_one_line(self, argv, message):
+        assert _run_captured(argv) == (2, f"error: {message}\n")
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        assert "peakonlab" in capsys.readouterr().out
+
+
+class TestTableWriter:
+    """The column-typed writer against the row-by-row oracle it replaced."""
+
+    FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+              1 / 3, -2.7755575615628914e-17, 1e22]
+    TEXT = ["ok", "a,b", 'say "x"', "two\nlines", "", "%s %d", "error: mu must lie in (0, 1], got 1.2"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("nrows", [10, 1, 0])
+    def test_bytes_equal_the_oracle(self, tmp_path, fmt, nrows):
+        floats = self.FLOATS[:nrows]
+        text = (self.TEXT * 2)[:nrows]
+        columns = ["x", "label", "y", "z"]
+        data = [np.array(floats), text, [np.float64(v) for v in floats], floats[::-1]]
+        rows = [[*row] for row in zip(floats, text, data[2], data[3])]
+        cli._write_table(tmp_path / "new", columns, data, fmt, text=("label",))
+        oracle_write_table(tmp_path / "old", columns, rows, fmt)
+        new, old = (tmp_path / f"{n}.{fmt}" for n in ("new", "old"))
+        assert new.read_bytes() == old.read_bytes()
+        if nrows == 0:  # no columns at all is a table without rows too
+            cli._write_table(tmp_path / "bare", columns, [], fmt, text=("label",))
+            assert (tmp_path / f"bare.{fmt}").read_bytes() == old.read_bytes()
+
+    def test_carriage_return_is_quoted(self, tmp_path):
+        """csv.writer with a "\n" line end leaves a lone "\r" unquoted, and a
+        reader then splits the field there; the writer quotes it."""
+        cli._write_table(tmp_path / "t", ["label", "x"], [["a\rb"], [1.0]], "csv",
+                         text=("label",))
+        assert (tmp_path / "t.csv").read_bytes() == b'label,x\n"a\rb",1\n'
+        with open(tmp_path / "t.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [["label", "x"], ["a\rb", "1"]]
 
 
 class TestSweep:
