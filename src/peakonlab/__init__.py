@@ -28,7 +28,7 @@ from .integrator import (
     Trajectory,
     integrate,
     integrate_reversed,
-    locate_collision,
+    terminal_events,
 )
 from .params import (
     ABParams,
@@ -94,12 +94,12 @@ __all__ = [
     "integrate",
     "integrate_reversed",
     "l_a",
-    "locate_collision",
     "make_initial_profile",
     "pair_integral",
     "pde_residual",
     "reduced_rhs",
     "residual_report",
+    "terminal_events",
     "to_reduced",
     "w_sq",
     "z_closed_form",

@@ -43,6 +43,7 @@ from .integrator import (
     Representation,
     integrate,
     integrate_reversed,
+    terminal_events,
 )
 from .params import (
     ABParams,
@@ -52,7 +53,7 @@ from .params import (
     collision_time_bound,
     make_initial_profile,
 )
-from .sobolev import H_S_LIMIT, collision_function, hs_distances
+from .sobolev import _check_index, collision_function, hs_distances
 
 #: (a, b) supplied by each named preset
 PRESET_AB = {
@@ -313,12 +314,10 @@ def _z_or_nan(ctx: InvariantContext, q: float) -> float:
 # subcommands
 
 def _check_sobolev_indices(s_values) -> None:
-    """Reject an index outside the range where H^s distances exist."""
+    """Reject, before any run, an index at which H^s distances cannot be
+    computed."""
     for s in s_values:
-        if not math.isfinite(s):
-            raise ValueError(f"s = {s} is not a finite Sobolev index")
-        if s >= H_S_LIMIT:
-            raise ValueError(f"s = {s} >= 3/2 is outside the admissible range")
+        _check_index(s)
 
 
 def run_case(cfg: ExperimentConfig) -> int:
@@ -471,19 +470,16 @@ def certify_nonuniqueness(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _sweep_point(cfg: ExperimentConfig, a: float, b: float) -> list:
-    try:
-        point = replace(cfg, case="custom", a=a, b=b)
-        run = _resolve(point, require_case=True)
-        traj = integrate(run.initial, run.params, run.integration)
-        term = traj.terminal_event
-        ok_bound = term.kind is not EventKind.HORIZON and term.time <= run.time_bound
-        return [
-            a, b, run.spec.case_id.value, run.spec.mu, run.epsilon,
-            term.time, "yes" if ok_bound else "no", term.kind.value, "ok",
-        ]
-    except Exception as exc:  # per-point failures recorded, sweep continues
-        return [a, b, "-", math.nan, math.nan, math.nan, "no", "-", f"error: {exc}"]
+def _sweep_row(a: float, b: float, run: ResolvedRun, end) -> list:
+    """One sweep table row: the point's terminal event, or the error that
+    resolving or integrating it raised."""
+    if isinstance(end, Exception):
+        return [a, b, "-", math.nan, math.nan, math.nan, "no", "-", f"error: {end}"]
+    ok_bound = end.kind is not EventKind.HORIZON and end.time <= run.time_bound
+    return [
+        a, b, run.spec.case_id.value, run.spec.mu, run.epsilon,
+        end.time, "yes" if ok_bound else "no", end.kind.value, "ok",
+    ]
 
 
 def sweep(cfg: ExperimentConfig) -> int:
@@ -497,7 +493,19 @@ def sweep(cfg: ExperimentConfig) -> int:
         return EXIT_CONFIG
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = [_sweep_point(cfg, a, b) for a in cfg.a_grid for b in cfg.b_grid]
+    points = [(a, b) for a in cfg.a_grid for b in cfg.b_grid]
+    runs = []
+    for a, b in points:
+        try:
+            runs.append(_resolve(replace(cfg, case="custom", a=a, b=b), require_case=True))
+        except Exception as exc:  # per-point failures recorded, sweep continues
+            runs.append(exc.with_traceback(None))  # keeps no frame alive
+    resolved = [run for run in runs if isinstance(run, ResolvedRun)]
+    ends = iter(terminal_events([run.initial for run in resolved],
+                                [run.params for run in resolved],
+                                [run.integration for run in resolved]))
+    rows = [_sweep_row(a, b, run, run if isinstance(run, Exception) else next(ends))
+            for (a, b), run in zip(points, runs)]
     columns = ["a", "b", "case", "mu", "epsilon", "T", "T_within_bound", "event", "status"]
     _write_table(outdir / "sweep", columns, list(zip(*rows)), cfg.format,
                  text=("case", "T_within_bound", "event", "status"))

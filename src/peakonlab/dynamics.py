@@ -7,9 +7,11 @@ themselves and carry the invariant structure used by the analytic module;
 the two descriptions are related by an invertible change of variables up
 to the overall position q1.
 
-Each field is written once, as a function of plain floats (``_full_rhs``,
-``_reduced_rhs``) that the integrator's stepper calls directly;
-``full_rhs_array`` and ``reduced_rhs_array`` wrap them for numpy vectors.
+Each field is written once (``_full_rhs``, ``_reduced_rhs``), as a function
+of the state components that the integrator's steppers call directly: on
+plain floats for one run, or on numpy arrays holding one run per element for
+a batch of runs in lockstep; ``full_rhs_array`` and ``reduced_rhs_array``
+wrap them for numpy vectors.
 """
 
 from __future__ import annotations
@@ -86,10 +88,30 @@ def aux_diagnostics(state: PeakonState) -> AuxDiagnostics:
     return AuxDiagnostics(p=state.p2**2 - state.p1**2, pprod=state.p1 * state.p2)
 
 
+def _exp(x):
+    """e^x as ``math.exp`` gives it, with inf where that overflows; on an
+    array, element by element.
+
+    numpy's ``exp`` differs from ``math.exp`` in the last bit on a few
+    percent of inputs, and a run integrated as one element of an array must
+    repeat the same run on floats bit for bit.
+    """
+    if not isinstance(x, np.ndarray):
+        try:
+            return math.exp(x)
+        except OverflowError:  # a trial stage far past the collision
+            return math.inf
+    try:
+        return np.fromiter(map(math.exp, x.tolist()), float, x.size)
+    except OverflowError:
+        return np.array([_exp(v) for v in x.tolist()])
+
+
 def _full_rhs(a: float, b: float, orientation: Optional[float],
               p1: float, p2: float, q1: float, q2: float) -> tuple:
     """Float-level form of ``full_rhs_array``: the time derivative
-    (dp1, dp2, dq1, dq2) at the state (p1, p2, q1, q2).
+    (dp1, dp2, dq1, dq2) at the state (p1, p2, q1, q2).  With an
+    ``orientation``, every argument may also be an array over runs.
 
     The parameters come first so that the integrator can bind them once
     with ``functools.partial`` and call the field on the unpacked state.
@@ -100,10 +122,7 @@ def _full_rhs(a: float, b: float, orientation: Optional[float],
     else:
         d = orientation * (q2 - q1)
         s = orientation
-    try:
-        e1 = math.exp(-d)
-    except OverflowError:  # an oriented trial stage far past the collision
-        e1 = math.inf
+    e1 = _exp(-d)  # inf on an oriented trial stage far past the collision
     e2 = e1 * e1
     pp = p1 * p2
     dq1 = (1.0 - a) * p1 * p1 + 2.0 * pp * e1 + (1.0 - 3.0 * a) * p2 * p2 * e2
@@ -141,15 +160,13 @@ def full_rhs(state: PeakonState, params: "ABParams") -> PeakonState:
 def _reduced_rhs(a: float, b: float, q: float, h: float, w: float, z: float,
                  q1: float = 0.0) -> tuple:
     """Float-level form of ``reduced_rhs_array`` with the position q1
-    carried along: (dq, dh, dw, dz, dq1) at (q, h, w, z, q1).
+    carried along: (dq, dh, dw, dz, dq1) at (q, h, w, z, q1).  Every
+    argument may also be an array over runs.
 
     q1' is the full field's dq1 in reduced coordinates, with
     p1 = (w - h)/2 and p2 = (h + w)/2; no component depends on q1 itself.
     """
-    try:
-        e1 = math.exp(-q)
-    except OverflowError:  # a trial stage far past the collision
-        e1 = math.inf
+    e1 = _exp(-q)
     e2 = e1 * e1
     dq = h * w * ((1.0 - a) - (1.0 - 3.0 * a) * e2)
     dh = -(2.0 - b) * w * z * (1.0 + e1) * e1

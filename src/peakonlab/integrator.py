@@ -56,6 +56,30 @@ right-hand side, the map back to [p1, p2, q1, q2] and the event functions.
 Floating-point overflow in trial stages of an overflowing input is left to
 the step controller (the step is rejected, or the solve fails with
 IntegrationError).
+
+The lane stepper.  A sweep integrates about a thousand short runs, and a
+scalar run spends its time in the interpreter, not in arithmetic.
+``terminal_events`` therefore runs many points in lockstep
+(``_lane_runs``): each state component is a numpy array over lanes, one
+lane per point, and each lane keeps its own t, step size, rejection flag,
+step count and armed events, retiring at its event or horizon.  Every lane
+repeats the scalar run of its point bit for bit.  The stage arithmetic,
+the error sums, the dense output and the interpolant are the same
+elementwise code on floats and on arrays, and IEEE addition, subtraction,
+multiplication, division and square root round the same in numpy as in
+Python.  ``exp`` and ``pow`` do not: numpy's differ from ``math.exp`` and
+from the ``**`` of floats in the last bit on a few percent of inputs.  So
+the fields' exponential goes through ``math.exp`` element by element
+(``dynamics._exp``), and so does the controller's err^(-1/8); Python's
+``min``/``max`` become comparisons that keep their NaN behaviour.  The
+starting step and the event's root search run per lane on floats, through
+the scalar code.  A lane the stepper cannot finish (a step below the
+spacing of t, the step budget, a floating-point failure, a non-finite
+dense output, an event residual above ``event_tol``, or an initial field
+that may overflow) is run again through ``integrate``, so its error is the
+scalar run's.  A single run stays on the scalar stepper: one lane costs
+over ten times a scalar run (the fixed numpy cost of each attempt), and
+only from a few dozen points on does lockstep pay (``MIN_LANES``).
 """
 
 from __future__ import annotations
@@ -234,6 +258,11 @@ SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 #: lowered: the presets and sweep grids need under 200, and each kept step
 #: holds its stages for the dense output)
 MAX_STEPS = 10_000
+#: fewest runs that ``terminal_events`` starts in lockstep, which then goes on
+#: while a quarter of that many are running: below these counts the fixed
+#: cost of a lockstep attempt (about 0.5 ms of numpy calls) outweighs the
+#: interpreter work it shares
+MIN_LANES = 32
 ERROR_EXPONENT = -1.0 / 8.0  # -1 / (1 + order of the error estimate)
 _ROOT_TOL = 4.0 * sys.float_info.epsilon
 
@@ -246,8 +275,80 @@ class _StepFailure(Exception):
         self.t, self.y = t, y
 
 
+# The step's arithmetic is elementwise: each state component may be a float
+# (one run) or an array over lanes (``_lane_runs``), with the same operations
+# in the same order, so a lane gives the bits of the run on floats.
+
+
 def _rms(xs, scale) -> float:
     return math.hypot(*[x / s for x, s in zip(xs, scale)]) / len(scale) ** 0.5
+
+
+def _initial_step(f: Callable, y, f0, t_end: float, rtol: float, atol: float) -> float:
+    """HNW Sec. II.4 for an error estimate of order 7 (one field evaluation),
+    on floats."""
+    scale = [atol + abs(v) * rtol for v in y]
+    d0, d1 = _rms(y, scale), _rms(f0, scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
+    f1 = f(*[v + h0 * d for v, d in zip(y, f0)])
+    d2 = _rms([u - v for u, v in zip(f1, f0)], scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100 * h0, h1, t_end)
+
+
+def _stages(f: Callable, y, k1, h) -> tuple:
+    """Stages k2 .. k12 of a step of size h from y, where k1 = f(y), and the
+    8th-order solution y_new: returns (k2, ..., k12, y_new)."""
+    k2 = f(*[v + h * (A21 * a) for v, a in zip(y, k1)])
+    k3 = f(*[v + h * (A31 * a + A32 * b) for v, a, b in zip(y, k1, k2)])
+    k4 = f(*[v + h * (A41 * a + A43 * c) for v, a, c in zip(y, k1, k3)])
+    k5 = f(*[v + h * (A51 * a + A53 * c + A54 * d) for v, a, c, d in zip(y, k1, k3, k4)])
+    k6 = f(*[v + h * (A61 * a + A64 * d + A65 * e) for v, a, d, e in zip(y, k1, k4, k5)])
+    k7 = f(*[v + h * (A71 * a + A74 * d + A75 * e + A76 * s6)
+             for v, a, d, e, s6 in zip(y, k1, k4, k5, k6)])
+    k8 = f(*[v + h * (A81 * a + A84 * d + A85 * e + A86 * s6 + A87 * s7)
+             for v, a, d, e, s6, s7 in zip(y, k1, k4, k5, k6, k7)])
+    k9 = f(*[v + h * (A91 * a + A94 * d + A95 * e + A96 * s6 + A97 * s7 + A98 * s8)
+             for v, a, d, e, s6, s7, s8 in zip(y, k1, k4, k5, k6, k7, k8)])
+    k10 = f(*[v + h * (A101 * a + A104 * d + A105 * e + A106 * s6 + A107 * s7
+                       + A108 * s8 + A109 * s9)
+              for v, a, d, e, s6, s7, s8, s9 in zip(y, k1, k4, k5, k6, k7, k8, k9)])
+    k11 = f(*[v + h * (A111 * a + A114 * d + A115 * e + A116 * s6 + A117 * s7
+                       + A118 * s8 + A119 * s9 + A1110 * s10)
+              for v, a, d, e, s6, s7, s8, s9, s10 in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)])
+    k12 = f(*[v + h * (A121 * a + A124 * d + A125 * e + A126 * s6 + A127 * s7
+                       + A128 * s8 + A129 * s9 + A1210 * s10 + A1211 * s11)
+              for v, a, d, e, s6, s7, s8, s9, s10, s11
+              in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)])
+    y_new = [v + h * (B1 * a + B6 * s6 + B7 * s7 + B8 * s8 + B9 * s9 + B10 * s10
+                      + B11 * s11 + B12 * s12)
+             for v, a, s6, s7, s8, s9, s10, s11, s12
+             in zip(y, k1, k6, k7, k8, k9, k10, k11, k12)]
+    return k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, y_new
+
+
+def _error_sums(ks, scale) -> tuple:
+    """The squared norms (e5, e3) of the 5th- and 3rd-order error estimates
+    of a step with stages ``ks`` = (k1, ..., k12), each component divided by
+    its tolerance ``scale``."""
+    k1, _, _, _, _, k6, k7, k8, k9, k10, k11, k12 = ks
+    e5 = e3 = 0.0
+    for sc, a, s6, s7, s8, s9, s10, s11, s12 in zip(scale, k1, k6, k7, k8, k9, k10, k11, k12):
+        r5 = (ER1 * a + ER6 * s6 + ER7 * s7 + ER8 * s8 + ER9 * s9 + ER10 * s10
+              + ER11 * s11 + ER12 * s12) / sc
+        r3 = (E31 * a + B6 * s6 + B7 * s7 + B8 * s8 + E39 * s9 + B10 * s10
+              + B11 * s11 + E312 * s12) / sc
+        e5 += r5 * r5
+        e3 += r3 * r3
+    return e5, e3
+
+
+def _crosses(u, v):
+    """Whether an event function went from u to v through (or onto) zero."""
+    return ((u <= 0.0) & (v >= 0.0)) | ((u >= 0.0) & (v <= 0.0))
 
 
 def _combine(ks, row) -> list:
@@ -256,6 +357,21 @@ def _combine(ks, row) -> list:
     out = [0.0] * len(ks[0])
     for j, c in row:
         out = [o + c * v for o, v in zip(out, ks[j - 1])]
+    return out
+
+
+def _dense_coeffs(f: Callable, h, y, y_new, k) -> list:
+    """Per component, the coefficients d1 .. d7 of the dense output of the
+    step from y to y_new with stages k = (k1, ..., k13); three more field
+    evaluations."""
+    ks = list(k)
+    for row in DENSE_STAGES:
+        ks.append(f(*[v + h * c for v, c in zip(y, _combine(ks, row))]))
+    rows = [_combine(ks, row) for row in DENSE_ROWS]
+    out = []
+    for v, w, f_old, f_new, *d in zip(y, y_new, ks[0], ks[12], *rows):
+        dy = w - v
+        out.append((dy, h * f_old - dy, 2 * dy - h * (f_new + f_old), *(h * c for c in d)))
     return out
 
 
@@ -304,6 +420,33 @@ def _root(g, a: float, b: float) -> float:
     return b if abs(fb) <= abs(fa) else a
 
 
+class _DenseState:
+    """The state at x = (t - t_old) / h on a step's dense output, each
+    component interpolated when an event function reads it."""
+
+    __slots__ = ("x", "coeffs", "y_old")
+
+    def __init__(self, x, coeffs, y_old):
+        self.x, self.coeffs, self.y_old = x, coeffs, y_old
+
+    def __getitem__(self, j):
+        return _interpolate(self.x, self.coeffs[j], self.y_old[j])
+
+
+def _locate(events, g_old, g_new, t_old: float, t_new: float, h: float, y_old,
+            coeffs) -> tuple:
+    """The earliest root of the events that crossed zero (from the values
+    ``g_old`` to ``g_new``) on the accepted step [t_old, t_new] of size h,
+    found on its dense output: returns (t_event, index of the event, state
+    there).  Raises ValueError where the dense output is not finite, and
+    ZeroDivisionError or OverflowError from the root finder's arithmetic."""
+    at = lambda t: _DenseState((t - t_old) / h, coeffs, y_old)
+    hits = [i for i, (u, v) in enumerate(zip(g_old, g_new)) if _crosses(u, v)]
+    t_event, index = min((_root(lambda t: events[i](at(t)), t_old, t_new), i) for i in hits)
+    state = at(t_event)
+    return t_event, index, [state[j] for j in range(len(y_old))]
+
+
 class _Dop853:
     """DOP853 for an autonomous field ``f(*y) -> sequence`` on float lists.
 
@@ -318,20 +461,6 @@ class _Dop853:
         self.steps = []  # (t, h, y, y_new, (k1 .. k13)) per accepted step
         self._dense = {}  # step index -> interpolant coefficients
 
-    def _initial_step(self, y, f0, t_end: float) -> float:
-        """HNW Sec. II.4 for an error estimate of order 7."""
-        scale = [self.atol + abs(v) * self.rtol for v in y]
-        d0, d1 = _rms(y, scale), _rms(f0, scale)
-        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
-        f1 = self.f(*[v + h0 * d for v, d in zip(y, f0)])
-        self.nfev += 1
-        d2 = _rms([u - v for u, v in zip(f1, f0)], scale) / h0
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
-        return min(100 * h0, h1, t_end)
-
     def solve(self, y, t_end: float, events: Sequence[Callable]):
         """Returns (times, states, index of the event that fired or None)."""
         f, rtol, atol, n = self.f, self.rtol, self.atol, len(y)
@@ -339,8 +468,8 @@ class _Dop853:
         g = [gi(y) for gi in events]
         try:
             k1 = f(*y)
-            self.nfev += 1
-            h_abs = self._initial_step(y, k1, t_end)
+            h_abs = _initial_step(f, y, k1, t_end, rtol, atol)
+            self.nfev += 2
             while t < t_end:
                 if len(steps) == MAX_STEPS:
                     raise _StepFailure(f"more than {MAX_STEPS} steps needed", t, y)
@@ -353,46 +482,10 @@ class _Dop853:
                             "Required step size is less than spacing between numbers.", t, y)
                     t_new = min(t + h_abs, t_end)
                     h = h_abs = t_new - t
-                    k2 = f(*[v + h * (A21 * a) for v, a in zip(y, k1)])
-                    k3 = f(*[v + h * (A31 * a + A32 * b) for v, a, b in zip(y, k1, k2)])
-                    k4 = f(*[v + h * (A41 * a + A43 * c) for v, a, c in zip(y, k1, k3)])
-                    k5 = f(*[v + h * (A51 * a + A53 * c + A54 * d)
-                             for v, a, c, d in zip(y, k1, k3, k4)])
-                    k6 = f(*[v + h * (A61 * a + A64 * d + A65 * e)
-                             for v, a, d, e in zip(y, k1, k4, k5)])
-                    k7 = f(*[v + h * (A71 * a + A74 * d + A75 * e + A76 * s6)
-                             for v, a, d, e, s6 in zip(y, k1, k4, k5, k6)])
-                    k8 = f(*[v + h * (A81 * a + A84 * d + A85 * e + A86 * s6 + A87 * s7)
-                             for v, a, d, e, s6, s7 in zip(y, k1, k4, k5, k6, k7)])
-                    k9 = f(*[v + h * (A91 * a + A94 * d + A95 * e + A96 * s6 + A97 * s7
-                                      + A98 * s8)
-                             for v, a, d, e, s6, s7, s8 in zip(y, k1, k4, k5, k6, k7, k8)])
-                    k10 = f(*[v + h * (A101 * a + A104 * d + A105 * e + A106 * s6 + A107 * s7
-                                       + A108 * s8 + A109 * s9)
-                              for v, a, d, e, s6, s7, s8, s9
-                              in zip(y, k1, k4, k5, k6, k7, k8, k9)])
-                    k11 = f(*[v + h * (A111 * a + A114 * d + A115 * e + A116 * s6 + A117 * s7
-                                       + A118 * s8 + A119 * s9 + A1110 * s10)
-                              for v, a, d, e, s6, s7, s8, s9, s10
-                              in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)])
-                    k12 = f(*[v + h * (A121 * a + A124 * d + A125 * e + A126 * s6 + A127 * s7
-                                       + A128 * s8 + A129 * s9 + A1210 * s10 + A1211 * s11)
-                              for v, a, d, e, s6, s7, s8, s9, s10, s11
-                              in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)])
-                    late = list(zip(k1, k6, k7, k8, k9, k10, k11, k12))
-                    y_new = [v + h * (B1 * a + B6 * s6 + B7 * s7 + B8 * s8 + B9 * s9
-                                      + B10 * s10 + B11 * s11 + B12 * s12)
-                             for v, (a, s6, s7, s8, s9, s10, s11, s12) in zip(y, late)]
+                    *ks, y_new = _stages(f, y, k1, h)
                     self.nfev += 11
-                    e5 = e3 = 0.0
-                    for v, w, (a, s6, s7, s8, s9, s10, s11, s12) in zip(y, y_new, late):
-                        sc = atol + max(abs(v), abs(w)) * rtol
-                        r5 = (ER1 * a + ER6 * s6 + ER7 * s7 + ER8 * s8 + ER9 * s9 + ER10 * s10
-                              + ER11 * s11 + ER12 * s12) / sc
-                        r3 = (E31 * a + B6 * s6 + B7 * s7 + B8 * s8 + E39 * s9 + B10 * s10
-                              + B11 * s11 + E312 * s12) / sc
-                        e5 += r5 * r5
-                        e3 += r3 * r3
+                    scale = [atol + max(abs(v), abs(w)) * rtol for v, w in zip(y, y_new)]
+                    e5, e3 = _error_sums((k1, *ks), scale)
                     err = h * e5 / math.sqrt((e5 + 0.01 * e3) * n) if e5 else 0.0
                     if err < 1.0:
                         factor = MAX_FACTOR if err == 0.0 else min(
@@ -404,14 +497,18 @@ class _Dop853:
                     self.rejected += 1
                 k13 = f(*y_new)
                 self.nfev += 1
-                steps.append((t, h, y, y_new, (k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11,
-                                               k12, k13)))
+                steps.append((t, h, y, y_new, (k1, *ks, k13)))
                 t, y, k1 = t_new, y_new, k13
                 g_new = [gi(y) for gi in events]
-                hits = [i for i, (u, v) in enumerate(zip(g, g_new))
-                        if u <= 0.0 <= v or u >= 0.0 >= v]
-                if hits:
-                    return self._locate(events, hits, t, ts, ys)
+                if any(_crosses(u, v) for u, v in zip(g, g_new)):
+                    t_old, y_old = steps[-1][0], steps[-1][2]
+                    coeffs = self.dense(len(steps) - 1)
+                    try:
+                        t_event, index, y_event = _locate(events, g, g_new, t_old, t, h,
+                                                          y_old, coeffs)
+                    except ValueError as exc:
+                        raise _StepFailure(str(exc), t_old, y_old) from None
+                    return [*ts, t_event], [*ys, y_event], index
                 g = g_new
                 ts.append(t)
                 ys.append(y)
@@ -419,39 +516,151 @@ class _Dop853:
             raise _StepFailure(f"floating-point failure: {exc}", t, y) from None
         return ts, ys, None
 
-    def _locate(self, events, hits, t_new: float, ts, ys):
-        """The earliest event root on the last step [t_old, t_new], found on
-        its dense output."""
-        t_old, h, y_old, _, _ = self.steps[-1]
-        coeffs = self.dense(len(self.steps) - 1)
-        at = lambda t: [_interpolate((t - t_old) / h, c, v) for c, v in zip(coeffs, y_old)]
-        try:
-            roots = [(_root(lambda t: events[i](at(t)), t_old, t_new), i) for i in hits]
-        except ValueError as exc:
-            raise _StepFailure(str(exc), t_old, y_old) from None
-        t_event, index = min(roots)
-        ts.append(t_event)
-        ys.append(at(t_event))
-        return ts, ys, index
-
     def dense(self, i: int) -> list:
         """Per component, the coefficients d1 .. d7 of step i's interpolant
         (built once)."""
         if i not in self._dense:
-            self._dense[i] = self._build_dense(*self.steps[i])
+            _, h, y, y_new, k = self.steps[i]
+            self._dense[i] = _dense_coeffs(self.f, h, y, y_new, k)
+            self.nfev += len(DENSE_STAGES)
         return self._dense[i]
 
-    def _build_dense(self, t, h, y, y_new, k) -> list:
-        ks = list(k)
-        for row in DENSE_STAGES:
-            ks.append(self.f(*[v + h * c for v, c in zip(y, _combine(ks, row))]))
-        self.nfev += len(DENSE_STAGES)
-        rows = [_combine(ks, row) for row in DENSE_ROWS]
-        out = []
-        for v, w, f_old, f_new, *d in zip(y, y_new, ks[0], ks[12], *rows):
-            dy = w - v
-            out.append((dy, h * f_old - dy, 2 * dy - h * (f_new + f_old), *(h * c for c in d)))
+
+class _Lanes:
+    """Per-lane arrays of the lanes still running, the lane on the last axis
+    (states, stages, parameters and event values are 2-D: component, lane)."""
+
+    def __init__(self, **arrays):
+        self.__dict__.update(arrays)
+
+    def keep(self, mask) -> None:
+        for name, value in vars(self).items():
+            setattr(self, name, value[..., mask])
+
+
+def _lane_runs(fields: Sequence, t_ends: Sequence[float], rtol: float, atol: float,
+               events: tuple, min_lanes: int = 1) -> list:
+    """``_Dop853.solve`` for every field at once, one lane per field.
+
+    The fields are of one representation, ``events`` its candidate event
+    functions, and differ only in their parameters: each right-hand side is
+    ``partial(func, *args)`` with the same func, and the lanes stack the
+    args into arrays.  Every lane keeps its own t, step size, rejection flag
+    and step counts, and retires at its event or horizon.  Lockstep stops
+    when fewer than ``min_lanes`` lanes are left.  The dense output and root
+    search of the event steps are done once the stepping has stopped.
+
+    Per lane returns (ts, ys, index of the event in the field's events or
+    None, accepted steps, rejected steps), with the last two times and
+    states in ts and ys (one at the horizon); or None for a lane left
+    running, and where the scalar stepper raises.
+    """
+    n = len(fields)
+    out = [None] * n
+    if not n:
         return out
+    func = fields[0].rhs.func
+    args = np.array([fd.rhs.args for fd in fields]).T
+
+    def whole(args):
+        """The field on a (component, lane) array, taken as one component,
+        so that the step arithmetic runs once over all components."""
+        return lambda y: [np.array(func(*args, *y))]
+
+    y = np.array([fd.y0 for fd in fields]).T
+    with np.errstate(all="ignore"):
+        k1 = np.array(func(*args, *y))
+        h_abs = np.zeros(n)
+        started = np.ones(n, dtype=bool)
+        for i, (fd, t_end, f0) in enumerate(zip(fields, t_ends, k1.T.tolist())):
+            try:
+                h_abs[i] = _initial_step(fd.rhs, fd.y0, f0, t_end, rtol, atol)
+            except (OverflowError, ZeroDivisionError):
+                started[i] = False
+        min_step = np.full(n, 10.0 * math.nextafter(0.0, math.inf))
+        live = _Lanes(
+            lane=np.arange(n), t=np.zeros(n), t_end=np.array(t_ends, dtype=float),
+            steps=np.zeros(n, dtype=int), rejections=np.zeros(n, dtype=int),
+            rejected=np.zeros(n, dtype=bool), min_step=min_step,
+            h_abs=np.where(min_step > h_abs, min_step, h_abs), args=args,
+            armed=np.array([[any(g is h for _, h in fd.events) for fd in fields]
+                            for _, g in events]),
+            y=y, k1=k1, g=np.array([g(y) for _, g in events]))
+        live.keep(started)
+        pool = []  # per batch of event steps: lane, t_old, t_new, h, y_old, y_new, stages,
+        #            accepted and rejected steps
+        while live.lane.size >= min_lanes:
+            ok = (live.min_step <= live.h_abs) & (live.h_abs < math.inf)
+            if not ok.all():  # the step size fell below the spacing of t
+                live.keep(ok)
+                if not live.lane.size:
+                    break
+            f, t, y, k1 = whole(live.args), live.t, live.y, live.k1
+            t_next = t + live.h_abs
+            t_new = np.where(live.t_end < t_next, live.t_end, t_next)
+            h = t_new - t
+            *ks, y_new = (k for k, in _stages(f, [y], [k1], h))
+            v, w = np.abs(y), np.abs(y_new)
+            scale = atol + np.where(w > v, w, v) * rtol  # max(v, w) as Python's max
+            e5, e3 = _error_sums((k1, *ks), scale)
+            err = np.where(e5 != 0.0, h * e5 / np.sqrt((e5 + 0.01 * e3) * len(y)), 0.0)
+            # the ** of floats, element by element: numpy's power differs in the last bit
+            grow = SAFETY * np.array([e ** ERROR_EXPONENT if e else 0.0 for e in err.tolist()])
+            accept = err < 1.0
+            factor = np.where(err == 0.0, MAX_FACTOR, np.where(grow < MAX_FACTOR, grow,
+                                                               MAX_FACTOR))
+            factor = np.where(live.rejected & ~(factor < 1.0), 1.0, factor)
+            live.h_abs = h * np.where(accept, factor,
+                                      np.where(grow > MIN_FACTOR, grow, MIN_FACTOR))
+            live.rejections += ~accept
+            live.rejected = ~accept
+            live.steps += accept
+            k13, = f(y_new)
+            if accept.all():
+                live.t, live.y, live.k1 = t_new, y_new, k13
+            else:
+                live.t = np.where(accept, t_new, t)
+                live.y = np.where(accept, y_new, y)
+                live.k1 = np.where(accept, k13, k1)
+            g_new = np.array([g(live.y) for _, g in events])
+            hit = accept & (live.armed & _crosses(live.g, g_new)).any(axis=0)
+            live.g = g_new
+            horizon = accept & ~hit & ~(live.t < live.t_end)
+            exhausted = accept & ~hit & ~horizon & (live.steps == MAX_STEPS)
+            if hit.any():
+                pool.append((live.lane[hit], t[hit], t_new[hit], h[hit], y[:, hit],
+                             y_new[:, hit], np.array([k[:, hit] for k in (k1, *ks, k13)]),
+                             live.steps[hit], live.rejections[hit]))
+            for i in np.flatnonzero(horizon).tolist():
+                out[live.lane[i]] = ([float(live.t[i])], [live.y[:, i].tolist()], None,
+                                     int(live.steps[i]), int(live.rejections[i]))
+            moved = accept & ~hit
+            live.min_step = np.where(moved, 10.0 * (np.nextafter(live.t, math.inf) - live.t),
+                                     live.min_step)
+            live.h_abs = np.where(moved & (live.min_step > live.h_abs), live.min_step,
+                                  live.h_abs)
+            done = hit | horizon | exhausted
+            if done.any():
+                live.keep(~done)
+
+        if pool:
+            lane, t_old, t_new, h, y_old, y_new, ks, steps, rejections = (
+                np.concatenate(col, axis=-1) for col in zip(*pool))
+            coeffs, = _dense_coeffs(whole(args[:, lane]), h, [y_old], [y_new], ks[:, None])
+            coeffs = np.array(coeffs).T  # lane, component, d1 .. d7
+            for j, i in enumerate(lane.tolist()):  # one lane's floats at a time
+                t0, t1, hj = float(t_old[j]), float(t_new[j]), float(h[j])
+                y0, y1 = y_old[:, j].tolist(), y_new[:, j].tolist()
+                fns = [g for _, g in fields[i].events]
+                try:
+                    t_event, index, y_event = _locate(fns, [g(y0) for g in fns],
+                                                      [g(y1) for g in fns], t0, t1, hj, y0,
+                                                      coeffs[j].tolist())
+                except (ValueError, OverflowError, ZeroDivisionError):
+                    continue
+                out[i] = ([t0, t_event], [y0, y_event], index, int(steps[j]),
+                          int(rejections[j]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +784,7 @@ class Trajectory:
         return st.q2 - st.q1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Field:
     """What the solve path needs of one representation: the initial vector,
     the right-hand side f(*y), the map of raw solver states to
@@ -589,14 +798,24 @@ class _Field:
     time_sign: float = 1.0
 
 
-def _armed(g_coll: Callable, g_p1: Callable, g_p2: Callable, y0) -> tuple:
-    """Terminal event functions; momentum events armed only if p_i(0) != 0."""
-    events = [(EventKind.COLLISION, g_coll)]
-    if g_p1(y0) != 0.0:
-        events.append((EventKind.MOMENTUM_ZERO_1, g_p1))
-    if g_p2(y0) != 0.0:
-        events.append((EventKind.MOMENTUM_ZERO_2, g_p2))
-    return tuple(events)
+#: the terminal event functions of each representation, (kind, g(y)); they
+#: work on floats and on arrays over lanes alike
+_FULL_EVENTS = (
+    (EventKind.COLLISION, lambda y: y[3] - y[2]),
+    (EventKind.MOMENTUM_ZERO_1, lambda y: y[0]),
+    (EventKind.MOMENTUM_ZERO_2, lambda y: y[1]),
+)
+_REDUCED_EVENTS = (
+    (EventKind.COLLISION, lambda y: y[0]),
+    (EventKind.MOMENTUM_ZERO_1, lambda y: 0.5 * (y[2] - y[1])),
+    (EventKind.MOMENTUM_ZERO_2, lambda y: 0.5 * (y[1] + y[2])),
+)
+
+
+def _armed(events: tuple, y0) -> tuple:
+    """The collision event, and each momentum event only if p_i(0) != 0."""
+    return tuple((kind, g) for kind, g in events
+                 if kind is EventKind.COLLISION or g(y0) != 0.0)
 
 
 def _full_field(initial: PeakonState, params: ABParams) -> _Field:
@@ -605,8 +824,7 @@ def _full_field(initial: PeakonState, params: ABParams) -> _Field:
     orientation = 1.0 if initial.q2 >= initial.q1 else -1.0
     rhs = partial(_full_rhs, params.a, params.b, orientation)
     y0 = [initial.p1, initial.p2, initial.q1, initial.q2]
-    events = _armed(lambda y: y[3] - y[2], lambda y: y[0], lambda y: y[1], y0)
-    return _Field(y0, rhs, _full_to_array, events)
+    return _Field(y0, rhs, _full_to_array, _armed(_FULL_EVENTS, y0))
 
 
 def _reduced_field(initial: PeakonState, params: ABParams) -> _Field:
@@ -620,13 +838,15 @@ def _reduced_field(initial: PeakonState, params: ABParams) -> _Field:
         initial.p1 * initial.p2,
         initial.q1,
     ]
-    events = _armed(
-        lambda y: y[0],
-        lambda y: 0.5 * (y[2] - y[1]),
-        lambda y: 0.5 * (y[1] + y[2]),
-        y0,
-    )
-    return _Field(y0, partial(_reduced_rhs, params.a, params.b), _reduced_to_array, events)
+    rhs = partial(_reduced_rhs, params.a, params.b)
+    return _Field(y0, rhs, _reduced_to_array, _armed(_REDUCED_EVENTS, y0))
+
+
+def _forward_field(initial: PeakonState, params: ABParams,
+                   representation: Representation) -> _Field:
+    if representation is Representation.REDUCED:
+        return _reduced_field(initial, params)
+    return _full_field(initial, params)
 
 
 def _field_may_overflow(initial: PeakonState, params: ABParams) -> bool:
@@ -670,17 +890,25 @@ def _solve(
         ts, ys, hit = stepper.solve(field.y0, t_end, [g for _, g in field.events])
     except _StepFailure as exc:
         raise IntegrationError(str(exc), exc.t, _state(to_array, exc.y)) from None
-    if hit is None:
-        record = EventRecord(EventKind.HORIZON, t_end, _state(to_array, ys[-1]))
-    else:
-        kind, g = field.events[hit]
-        residual = abs(g(ys[-1]))
-        if not residual <= config.event_tol:
-            raise IntegrationError(
-                f"{kind.value} event located only to |g| = {residual:.3g} > event_tol "
-                f"{config.event_tol:g}", ts[-2], _state(to_array, ys[-2]))
-        record = EventRecord(kind, ts[-1], _state(to_array, ys[-1]))
+    record = _terminal_record(field, config, t_end, ts, ys, hit)
     return Trajectory(params, config, ts, ys, [record], stepper, to_array, time_sign)
+
+
+def _terminal_record(field: _Field, config: IntegrationConfig, t_end: float, ts, ys,
+                     hit: Optional[int]) -> EventRecord:
+    """The record of a run that ended at times ``ts`` in states ``ys`` (the
+    last two at least) with event ``hit`` or at the horizon.  Raises
+    IntegrationError if the event residual |g(T)| exceeds ``event_tol``."""
+    to_array = field.to_array
+    if hit is None:
+        return EventRecord(EventKind.HORIZON, t_end, _state(to_array, ys[-1]))
+    kind, g = field.events[hit]
+    residual = abs(g(ys[-1]))
+    if not residual <= config.event_tol:
+        raise IntegrationError(
+            f"{kind.value} event located only to |g| = {residual:.3g} > event_tol "
+            f"{config.event_tol:g}", ts[-2], _state(to_array, ys[-2]))
+    return EventRecord(kind, ts[-1], _state(to_array, ys[-1]))
 
 
 def integrate(
@@ -694,12 +922,12 @@ def integrate(
     reaches the horizon gets a HORIZON event record rather than an error.
     Step-size failure raises IntegrationError with the last good state.
     """
-    if config.representation is Representation.REDUCED:
-        field = _reduced_field(initial, params)
-    else:
-        field = _full_field(initial, params)
-    t_max = config.max_time if config.max_time is not None else DEFAULT_HORIZON
-    return _solve(field, params, config, t_max)
+    field = _forward_field(initial, params, config.representation)
+    return _solve(field, params, config, _horizon(config))
+
+
+def _horizon(config: IntegrationConfig) -> float:
+    return config.max_time if config.max_time is not None else DEFAULT_HORIZON
 
 
 def integrate_reversed(
@@ -723,9 +951,52 @@ def integrate_reversed(
     return _solve(field, params, config, duration)
 
 
-def locate_collision(traj: Trajectory) -> Optional[EventRecord]:
-    """First collision event of the trajectory, or None."""
-    for rec in traj.events:
-        if rec.kind is EventKind.COLLISION:
-            return rec
-    return None
+def terminal_events(
+    initials: Sequence[PeakonState],
+    params: Sequence[ABParams],
+    configs: Sequence[IntegrationConfig],
+) -> list:
+    """For each point, what ``integrate(initial, params, config)`` ends with:
+    its terminal event record, or the exception it raises.
+
+    Points that share tolerances and a representation run in lockstep on
+    the lane stepper (see the module docstring) if there are at least
+    ``MIN_LANES`` of them, until fewer than a quarter of that are running;
+    each lane repeats the scalar run bit for bit.  Smaller groups, the
+    last few runs of a group and every run the lanes cannot finish go
+    through ``integrate`` itself, so a failing point raises exactly what it
+    raises alone.
+    """
+    out = [None] * len(initials)
+    groups = {}
+    for i, cfg in enumerate(configs):
+        groups.setdefault((cfg.rel_tol, cfg.abs_tol, cfg.representation), []).append(i)
+    for (rtol, atol, representation), points in groups.items():
+        if len(points) < MIN_LANES:
+            continue
+        lanes = []
+        for i in points:
+            try:
+                field = _forward_field(initials[i], params[i], representation)
+            except ValueError:
+                continue
+            if not _field_may_overflow(initials[i], params[i]):
+                lanes.append((i, field))
+        events = _REDUCED_EVENTS if representation is Representation.REDUCED else _FULL_EVENTS
+        fields = [field for _, field in lanes]
+        t_ends = [_horizon(configs[i]) for i, _ in lanes]
+        runs = _lane_runs(fields, t_ends, rtol, atol, events, MIN_LANES // 4)
+        for (i, field), t_end, run in zip(lanes, t_ends, runs):
+            if run is not None:
+                ts, ys, hit, _, _ = run
+                try:
+                    out[i] = _terminal_record(field, configs[i], t_end, ts, ys, hit)
+                except (IntegrationError, ValueError):
+                    pass
+    for i, record in enumerate(out):
+        if record is None:
+            try:
+                out[i] = integrate(initials[i], params[i], configs[i]).terminal_event
+            except Exception as exc:  # the point's own failure, returned as its result
+                out[i] = exc.with_traceback(None)  # keeps no frame alive
+    return out

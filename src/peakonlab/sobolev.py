@@ -111,10 +111,12 @@ def _quad_checked(f, a, b, **kw):
 
 
 def _check_index(s: float) -> None:
+    """Reject an index at which the H^s quantities cannot be computed."""
+    if not math.isfinite(s):
+        raise ValueError(f"s = {s} is not a finite Sobolev index")
     if s >= H_S_LIMIT:
-        raise ValueError(
-            f"s = {s} >= 3/2: the norm integral diverges; use divergence_probe"
-        )
+        raise ValueError(f"s = {s} >= 3/2 is outside the admissible range: the norm "
+                         "integral diverges; use divergence_probe")
     if H_S_LIMIT - s > _NU_MAX:
         raise ValueError(f"s = {s} < {H_S_LIMIT - _NU_MAX:g}: Gamma(3/2 - s) overflows")
 

@@ -4,6 +4,7 @@ import pytest
 
 from peakonlab import (
     ABParams,
+    EventKind,
     IntegrationConfig,
     case_spec_for,
     collision_time_bound,
@@ -20,6 +21,14 @@ CASE_PRESETS = {
 
 GRID_A = (1.0 / 3.0, -1.0 / 3.0, 1.0, -1.0)
 GRID_B = (0.0, 1.0, 3.0, 4.0)
+
+
+def locate_collision(traj):
+    """The trajectory's collision event record, or None."""
+    for rec in traj.events:
+        if rec.kind is EventKind.COLLISION:
+            return rec
+    return None
 
 
 def run_point(a: float, b: float, alpha: float = 1.0, delta: float = 0.5):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hs_oracle import bessel_distance, hs_distance_mp
+from sweep_oracle import sweep_rows
 from table_oracle import write_table as oracle_write_table
 
 from peakonlab import (
@@ -37,6 +38,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: values for the parameter fuzz: negative and extreme floats, lists, empty
 FUZZ_VALUES = ["nan", "-inf", "-1e308", "-1", "-1e-9", "0", "1e-300", "0.5", "1.4", "3",
                "1e155", "-1,0.5", "0.3333333333333333,-1e-9", ""]
+
+
+SWEEP_COLUMNS = ["a", "b", "case", "mu", "epsilon", "T", "T_within_bound", "event", "status"]
 
 
 def _run(*argv):
@@ -362,6 +366,23 @@ class TestFailurePaths:
         assert (code, err) == (2, "error: s = nan is not a finite Sobolev index\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run-case", "certify"])
+    @pytest.mark.parametrize("s, message", [
+        ("-1e308", "s = -1e+308 < -98.5: Gamma(3/2 - s) overflows"),
+        ("-inf", "s = -inf is not a finite Sobolev index"),
+        ("inf", "s = inf is not a finite Sobolev index"),
+        ("2", "s = 2.0 >= 3/2 is outside the admissible range: the norm integral "
+              "diverges; use divergence_probe"),
+    ])
+    def test_sobolev_index_checked_before_the_run(self, tmp_path, command, s, message):
+        """Every index the distances reject is rejected before the run, with
+        the distances' own message; s = -1e308 used to integrate, create the
+        output directory and only then exit 2."""
+        out = tmp_path / "x"
+        code, err = _run_captured([command, "--case", "case1", f"--s={s}", "--out", str(out)])
+        assert (code, err) == (2, f"error: {message}\n")
+        assert not out.exists()
+
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -598,6 +619,27 @@ class TestSweep:
     def test_b_two_rejected(self, tmp_path):
         assert _run("sweep", "--a-grid", "1", "--b-grid", "2",
                     "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize("rep", ["full", "reduced"])
+    def test_bytes_equal_the_per_point_oracle(self, tmp_path, rep):
+        """A grid large enough to run in lockstep, with a NaN node, points
+        without a design (a = 0.395), points whose integration fails at
+        once (b = 1e300) and a small-|a| column that needs many more steps
+        than its neighbours: the table equals, byte for byte, the one the
+        point-by-point sweep writes."""
+        a_grid = "nan,0.3,-1,0.395,1e-9,-0.2,0.7,-1.6"
+        b_grid = "3,nan,-1,0,1e300,4.5,1.2"
+        out = tmp_path / "lanes"
+        assert _run("sweep", f"--a-grid={a_grid}", f"--b-grid={b_grid}",
+                    "--representation", rep, "--out", str(out)) == 0
+        cfg = cli.ExperimentConfig.from_mapping(
+            {"a_grid": a_grid, "b_grid": b_grid, "representation": rep})
+        assert len(cfg.a_grid) * len(cfg.b_grid) >= integrator_module.MIN_LANES
+        rows = sweep_rows(cfg)
+        assert {row[8] for row in rows} > {"ok", "error: equation parameters must be finite"}
+        cli._write_table(tmp_path / "oracle", SWEEP_COLUMNS, list(zip(*rows)), "csv",
+                         text=("case", "T_within_bound", "event", "status"))
+        assert (out / "sweep.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_import_loads_no_scipy():

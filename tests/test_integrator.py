@@ -18,13 +18,12 @@ from peakonlab import (
     collision_time_bound,
     integrate,
     integrate_reversed,
-    locate_collision,
     to_reduced,
 )
 import peakonlab.integrator as integrator_module
 from peakonlab.dynamics import _full_rhs, full_rhs_array
 
-from conftest import CASE_PRESETS, run_point
+from conftest import CASE_PRESETS, locate_collision, run_point
 
 T_CASE1_REFERENCE = 0.11312894695790218  # rel_tol 1e-13 reference run
 

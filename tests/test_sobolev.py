@@ -42,11 +42,12 @@ from peakonlab import (
     hs_distances,
     hs_norm,
     integrate,
-    locate_collision,
     make_initial_profile,
     pair_integral,
 )
 from peakonlab.integrator import EventRecord
+
+from conftest import locate_collision
 
 RNG = np.random.default_rng(42)
 
@@ -259,6 +260,16 @@ class TestPairIntegral:
                 pair_integral(0.1, s)
         with pytest.raises(ValueError, match="overflows"):
             pair_integral(0.1, -200.0)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_index_rejected(self, s):
+        """A NaN index passed both range checks and failed deep in the
+        series with "cannot convert float NaN to integer"."""
+        state = np.array([[1.5, -1.0, 0.0, 0.1]])
+        for call in (lambda: pair_integral(0.1, s),
+                     lambda: hs_distances(state, CollisionFunction(0.5, 0.0), s)):
+            with pytest.raises(ValueError, match="is not a finite Sobolev index"):
+                call()
 
 
 class TestBatchedDistances:

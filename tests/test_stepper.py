@@ -8,10 +8,17 @@ and time-reversed runs.  The bounds on states are pinned at ten
 times the agreement measured when the stepper was written.  Also checked:
 its tables against scipy's copy of dop853.f's, its work counters, the root
 finder, and what a non-finite dense output at an event becomes.
+
+The lane stepper, which runs many points in lockstep, is checked against
+the scalar stepper itself: every lane must give the scalar run's event
+kind, time and state bit for bit, with the same numbers of accepted and
+rejected steps, and every lane that cannot finish must end with the error
+the scalar run raises.
 """
 
 import math
-from dataclasses import replace
+import random
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -23,8 +30,12 @@ from peakonlab import (
     IntegrationError,
     PeakonState,
     Representation,
+    case_spec_for,
+    collision_time_bound,
     integrate,
     integrate_reversed,
+    make_initial_profile,
+    terminal_events,
 )
 import peakonlab.integrator as integrator_module
 from peakonlab.integrator import MIN_REL_TOL, _root
@@ -173,3 +184,174 @@ def test_rel_tol_floor():
         IntegrationConfig(rel_tol=1e-300)
     with pytest.raises(ValueError, match="2.22e-14"):
         IntegrationConfig(rel_tol=0.5 * MIN_REL_TOL)
+
+
+# ---------------------------------------------------------------------------
+# the lane stepper
+
+
+def _sweep_grid(seed: int):
+    """A 32 x 32 (a, b) grid over all four quadrants: |a| log-spaced in
+    [0.05, 2] on both sides of 0, b in [-1, 1.8] and [2.2, 5], every node
+    jittered by a seeded 3% (a) or 0.04 (b)."""
+    rng = random.Random(seed)
+    mags = [0.05 * 40.0 ** (k / 15) for k in range(16)]
+    a_vals = [v * (1.0 + rng.uniform(-0.03, 0.03)) for v in sorted([-m for m in mags] + mags)]
+    b_vals = [v + rng.uniform(-0.04, 0.04)
+              for v in [-1.0 + 2.8 * k / 15 for k in range(16)]
+              + [2.2 + 2.8 * k / 15 for k in range(16)]]
+    return [(a, b) for a in a_vals for b in b_vals]
+
+
+def _design(a: float, b: float, rep: Representation):
+    """(initial, params, config) of the case design at (a, b), as a sweep
+    point resolves it; None where no design exists."""
+    params = ABParams(a, b)
+    try:
+        spec = case_spec_for(params, 1.0, 0.5)
+    except ValueError:
+        return None
+    config = IntegrationConfig(max_time=10.0 * collision_time_bound(spec, params),
+                               representation=rep)
+    return make_initial_profile(spec), params, config
+
+
+def _bits(record):
+    """An event record as exact text: kind, time and state, with -0.0 kept."""
+    return (record.kind, *map(float.hex, (record.time, *astuple(record.state))))
+
+
+def _outcome(run):
+    """What a run ended with, comparable exactly: a record's bits, or the
+    type and text of the exception it raised."""
+    if isinstance(run, Exception):
+        return type(run), str(run)
+    return _bits(run)
+
+
+def _scalar(initial, params, config):
+    try:
+        return integrate(initial, params, config)
+    except Exception as exc:  # compared with the lane's outcome
+        return exc
+
+
+def _assert_lanes_repeat_scalar(points):
+    """Run (initial, params, config) points of one representation and one
+    set of tolerances as lanes until every lane has retired, and compare
+    each lane with the scalar run of its point."""
+    config = points[0][2]
+    fields = [integrator_module._forward_field(i, p, config.representation)
+              for i, p, _ in points]
+    t_ends = [integrator_module._horizon(c) for _, _, c in points]
+    events = (integrator_module._REDUCED_EVENTS if config.representation
+              is Representation.REDUCED else integrator_module._FULL_EVENTS)
+    runs = integrator_module._lane_runs(fields, t_ends, config.rel_tol, config.abs_tol, events)
+    kinds = set()
+    for (initial, params, cfg), field, t_end, run in zip(points, fields, t_ends, runs):
+        traj = integrate(initial, params, cfg)
+        assert run is not None, (initial, params)
+        ts, ys, hit, steps, rejected = run
+        record = integrator_module._terminal_record(field, cfg, t_end, ts, ys, hit)
+        assert _bits(record) == _bits(traj.terminal_event), (initial, params)
+        assert (steps, rejected) == (traj.steps, traj.rejected), (initial, params)
+        kinds.add(record.kind)
+    return kinds
+
+
+@pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
+class TestLanesRepeatTheScalarRun:
+    def test_seeded_32x32_grid(self, rep):
+        points = [p for p in (_design(a, b, rep) for a, b in _sweep_grid(8)) if p]
+        assert len(points) > 950  # the rest have no design with mu <= 1
+        assert _assert_lanes_repeat_scalar(points) == {EventKind.COLLISION}
+
+    def test_sixteen_point_grid(self, rep):
+        points = [_design(a, b, rep) for a in GRID_A for b in GRID_B]
+        assert _assert_lanes_repeat_scalar(points)
+
+    def test_public_call_equals_integrate(self, rep):
+        """``terminal_events`` on a grid large enough to run in lockstep."""
+        points = [p for p in (_design(a, b, rep) for a, b in _sweep_grid(9)[::16]) if p]
+        assert len(points) >= integrator_module.MIN_LANES
+        got = terminal_events(*zip(*points))
+        want = [integrate(*point).terminal_event for point in points]
+        assert list(map(_bits, got)) == list(map(_bits, want))
+
+
+def test_lanes_cover_every_ending():
+    """Reversed peak order (sigma = -1), a lane stopped at a tiny horizon,
+    a vanishing momentum, and a zero momentum that is not armed, in one
+    batch with ordinary collisions."""
+    cfg = IntegrationConfig(max_time=5.0)
+    points = [
+        (PeakonState(0.5, 1.5, 0.1, 0.0), ABParams(1 / 3, 3.0), cfg),  # sigma = -1
+        (PeakonState(-1.0, 1.5, 0.05, 0.0), ABParams(-1.0, 0.0), cfg),  # sigma = -1
+        (PeakonState(1.5, -1.0, 0.0, 0.1), ABParams(1 / 3, 3.0), replace(cfg, max_time=1e-3)),
+        (PeakonState(-1.9236922751240804, -1.4803211942178187, 0.0, 0.5835482436363378),
+         ABParams(-0.08290509943933122, -0.8394101791196349), cfg),  # p2 reaches 0
+        (PeakonState(1.0, 0.0, 0.0, 20.0), ABParams(1 / 3, 3.0), cfg),  # p2 = 0, unarmed
+        *[_design(a, b, Representation.FULL) for a, b in CASE_PRESETS.values()],
+    ]
+    kinds = _assert_lanes_repeat_scalar(points)
+    assert kinds == {EventKind.COLLISION, EventKind.HORIZON, EventKind.MOMENTUM_ZERO_2}
+
+
+def test_failing_lanes_raise_what_integrate_raises(monkeypatch):
+    """A batch in which some points fail: the overflow guard, a creeping
+    novikov-reduced run that exhausts the step budget, a NaN dense output
+    at the event, and a reduced point with the peaks in reverse order.  Each
+    carries the exception text of its scalar run; its neighbours still run
+    as lanes and give the scalar results bit for bit."""
+    rep = Representation.REDUCED
+    neighbours = [_design(a, b, rep) for a in GRID_A for b in GRID_B]
+    marked = neighbours[5]
+    marker = integrate(*marked)._stepper.steps[-1][2][0]  # q at the event step's start
+    interpolate = integrator_module._interpolate
+
+    def nan_for_marked_step(x, coeffs, y_old):
+        if isinstance(y_old, float) and y_old == marker:
+            return math.nan
+        return interpolate(x, coeffs, y_old)
+
+    cfg = IntegrationConfig(max_time=100.0, representation=rep)
+    failing = [
+        (PeakonState(1e80, -1e80, 0.0, 0.1), ABParams(1 / 3, 3.0), cfg),
+        (PeakonState(-0.5, 0.5, 0.0, 0.1), ABParams(0.0, 3.0), cfg),
+        (PeakonState(1.5, -1.0, 0.1, 0.0), ABParams(1 / 3, 3.0), cfg),
+    ]
+    points = neighbours[:3] + failing[:1] + neighbours[3:9] + failing[1:] + neighbours[9:]
+    monkeypatch.setattr(integrator_module, "MAX_STEPS", 60)  # the creeping run needs more
+    monkeypatch.setattr(integrator_module, "_interpolate", nan_for_marked_step)
+    monkeypatch.setattr(integrator_module, "MIN_LANES", 4)  # every lane runs to its end
+    ends = [_scalar(*p) for p in points]
+    errors = [str(end) for end in ends if isinstance(end, Exception)]
+    for phrase, error in zip(["may overflow", "not finite", "more than 60 steps",
+                              "requires q2 > q1"], errors, strict=True):
+        assert phrase in error
+    reruns = []
+    scalar_integrate = integrator_module.integrate
+    monkeypatch.setattr(integrator_module, "integrate",
+                        lambda *p: reruns.append(p) or scalar_integrate(*p))
+    got = terminal_events(*zip(*points))
+    assert list(map(_outcome, got)) == [
+        _outcome(end if isinstance(end, Exception) else end.terminal_event) for end in ends]
+    assert len(reruns) == 4  # only the failing points ran on their own
+
+
+def test_small_batches_and_single_runs_stay_scalar(monkeypatch, tmp_path):
+    """Fewer points than MIN_LANES, and run-case and certify, never start
+    the lane stepper."""
+    from peakonlab.cli import main
+
+    def no_lanes(*args, **kwargs):
+        raise AssertionError("lane stepper started")
+
+    monkeypatch.setattr(integrator_module, "_lane_runs", no_lanes)
+    points = [_design(a, b, Representation.FULL) for a in GRID_A for b in GRID_B]
+    assert len(points) < integrator_module.MIN_LANES
+    got = terminal_events(*zip(*points))
+    assert list(map(_bits, got)) == [_bits(integrate(*p).terminal_event) for p in points]
+    assert main(["run-case", "--sample-count", "5", "--out", str(tmp_path / "r")]) == 0
+    assert main(["certify", "--s", "0.5", "--out", str(tmp_path / "c")]) == 0
+    assert main(["sweep", "--out", str(tmp_path / "s")]) == 0
