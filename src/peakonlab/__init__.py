@@ -28,7 +28,6 @@ from .integrator import (
     Trajectory,
     integrate,
     integrate_reversed,
-    terminal_events,
 )
 from .params import (
     ABParams,
@@ -99,7 +98,6 @@ __all__ = [
     "pde_residual",
     "reduced_rhs",
     "residual_report",
-    "terminal_events",
     "to_reduced",
     "w_sq",
     "z_closed_form",

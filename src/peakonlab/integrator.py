@@ -78,8 +78,12 @@ spacing of t, the step budget, a floating-point failure, a non-finite
 dense output, an event residual above ``event_tol``, or an initial field
 that may overflow) is run again through ``integrate``, so its error is the
 scalar run's.  A single run stays on the scalar stepper: one lane costs
-over ten times a scalar run (the fixed numpy cost of each attempt), and
-only from a few dozen points on does lockstep pay (``MIN_LANES``).
+over ten times a scalar run (the fixed numpy cost of each attempt).
+Measured on seeded sweep grids, lockstep is slower than one scalar run
+after another below 32 points, about even at 32 and faster from 40 on
+(``MIN_LANES``); and once only a few lanes are left, running them again
+from t = 0 on the scalar stepper is cheaper than more lockstep attempts
+(``LANE_HANDOFF``).
 """
 
 from __future__ import annotations
@@ -258,11 +262,16 @@ SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 #: lowered: the presets and sweep grids need under 200, and each kept step
 #: holds its stages for the dense output)
 MAX_STEPS = 10_000
-#: fewest runs that ``terminal_events`` starts in lockstep, which then goes on
-#: while a quarter of that many are running: below these counts the fixed
-#: cost of a lockstep attempt (about 0.5 ms of numpy calls) outweighs the
-#: interpreter work it shares
+#: fewest points that ``terminal_events`` runs in lockstep: on seeded sweep
+#: grids, full and reduced, 16 points took 10-14 ms in lockstep against
+#: 8-9 ms one after another, 32 points about the same either way, and 64
+#: points 19-24 ms against 34-39 ms
 MIN_LANES = 32
+#: lockstep ends when fewer lanes than this are still running, and those
+#: points run again on the scalar stepper: at 64 points this takes 19-24 ms
+#: against 23-27 ms for stepping every lane to its end (at 1,000 points the
+#: two are within the noise)
+LANE_HANDOFF = 4
 ERROR_EXPONENT = -1.0 / 8.0  # -1 / (1 + order of the error estimate)
 _ROOT_TOL = 4.0 * sys.float_info.epsilon
 
@@ -539,7 +548,7 @@ class _Lanes:
 
 
 def _lane_runs(fields: Sequence, t_ends: Sequence[float], rtol: float, atol: float,
-               events: tuple, min_lanes: int = 1) -> list:
+               events: tuple) -> list:
     """``_Dop853.solve`` for every field at once, one lane per field.
 
     The fields are of one representation, ``events`` its candidate event
@@ -547,13 +556,14 @@ def _lane_runs(fields: Sequence, t_ends: Sequence[float], rtol: float, atol: flo
     ``partial(func, *args)`` with the same func, and the lanes stack the
     args into arrays.  Every lane keeps its own t, step size, rejection flag
     and step counts, and retires at its event or horizon.  Lockstep stops
-    when fewer than ``min_lanes`` lanes are left.  The dense output and root
-    search of the event steps are done once the stepping has stopped.
+    when fewer than ``LANE_HANDOFF`` lanes are left.  The dense output and
+    root search of the event steps are done once the stepping has stopped.
 
     Per lane returns (ts, ys, index of the event in the field's events or
     None, accepted steps, rejected steps), with the last two times and
     states in ts and ys (one at the horizon); or None for a lane left
-    running, and where the scalar stepper raises.
+    running, and where the scalar stepper raises.  The rejected steps are
+    counted for the tests, which compare both counts with the scalar run's.
     """
     n = len(fields)
     out = [None] * n
@@ -589,7 +599,7 @@ def _lane_runs(fields: Sequence, t_ends: Sequence[float], rtol: float, atol: flo
         live.keep(started)
         pool = []  # per batch of event steps: lane, t_old, t_new, h, y_old, y_new, stages,
         #            accepted and rejected steps
-        while live.lane.size >= min_lanes:
+        while live.lane.size >= LANE_HANDOFF:
             ok = (live.min_step <= live.h_abs) & (live.h_abs < math.inf)
             if not ok.all():  # the step size fell below the spacing of t
                 live.keep(ok)
@@ -849,15 +859,19 @@ def _forward_field(initial: PeakonState, params: ABParams,
     return _full_field(initial, params)
 
 
-def _field_may_overflow(initial: PeakonState, params: ABParams) -> bool:
-    """Whether the field can overflow at the initial state.
+def _field_may_overflow(field: _Field, params: ABParams) -> bool:
+    """Whether the field can overflow at its initial vector.
 
     Both fields are sums of at most four terms, each a coefficient 1 - a,
     1 - 3a or 2 - b (or a small integer) times a monomial of degree at most
     four in the momenta (the reduced z' = (2-b) h w z e^{-2q} is quartic)
     times exponential factors that are at most 1 at t = 0.  If that bound
     is finite, so is the field; checking it evaluates no right-hand side.
+    The momenta are read back from the initial vector (for the reduced
+    field, rebuilt from h and w, which can move them by an ulp), so
+    ``_solve`` and ``terminal_events`` judge a point alike.
     """
+    initial = _state(field.to_array, field.y0)
     a, b = params.a, params.b
     m = max(1.0, abs(initial.p1), abs(initial.p2))
     c = max(1.0, abs(1.0 - a), abs(1.0 - 3.0 * a), abs(2.0 - b))
@@ -882,7 +896,7 @@ def _solve(
     if t_end == 0.0:  # nothing to integrate: the constant trajectory
         rec = EventRecord(EventKind.HORIZON, 0.0, initial)
         return Trajectory(params, config, [0.0], [field.y0], [rec], None, to_array, time_sign)
-    if _field_may_overflow(initial, params):
+    if _field_may_overflow(field, params):
         raise IntegrationError("the field may overflow at the initial state", 0.0, initial)
 
     stepper = _Dop853(field.rhs, config.rel_tol, config.abs_tol)
@@ -959,33 +973,36 @@ def terminal_events(
     """For each point, what ``integrate(initial, params, config)`` ends with:
     its terminal event record, or the exception it raises.
 
-    Points that share tolerances and a representation run in lockstep on
-    the lane stepper (see the module docstring) if there are at least
-    ``MIN_LANES`` of them, until fewer than a quarter of that are running;
-    each lane repeats the scalar run bit for bit.  Smaller groups, the
-    last few runs of a group and every run the lanes cannot finish go
-    through ``integrate`` itself, so a failing point raises exactly what it
-    raises alone.
+    The configs must share their tolerances and representation (a sweep's
+    do); horizons and event tolerances may differ.  With at least
+    ``MIN_LANES`` points, they run in lockstep on the lane stepper (see the
+    module docstring) until fewer than ``LANE_HANDOFF`` are running; each
+    lane repeats the scalar run bit for bit.  Fewer points, the last few
+    runs and every run the lanes cannot finish go through ``integrate``
+    itself, so a failing point raises exactly what it raises alone.
     """
     out = [None] * len(initials)
-    groups = {}
-    for i, cfg in enumerate(configs):
-        groups.setdefault((cfg.rel_tol, cfg.abs_tol, cfg.representation), []).append(i)
-    for (rtol, atol, representation), points in groups.items():
-        if len(points) < MIN_LANES:
-            continue
+    if not configs:
+        return out
+    rtol, atol, representation = (configs[0].rel_tol, configs[0].abs_tol,
+                                  configs[0].representation)
+    if any((c.rel_tol, c.abs_tol, c.representation) != (rtol, atol, representation)
+           for c in configs):
+        raise ValueError("terminal_events needs one rel_tol, abs_tol and representation "
+                         "for all points")
+    if len(initials) >= MIN_LANES:
         lanes = []
-        for i in points:
+        for i, (initial, par) in enumerate(zip(initials, params)):
             try:
-                field = _forward_field(initials[i], params[i], representation)
+                field = _forward_field(initial, par, representation)
             except ValueError:
                 continue
-            if not _field_may_overflow(initials[i], params[i]):
+            if not _field_may_overflow(field, par):
                 lanes.append((i, field))
         events = _REDUCED_EVENTS if representation is Representation.REDUCED else _FULL_EVENTS
         fields = [field for _, field in lanes]
         t_ends = [_horizon(configs[i]) for i, _ in lanes]
-        runs = _lane_runs(fields, t_ends, rtol, atol, events, MIN_LANES // 4)
+        runs = _lane_runs(fields, t_ends, rtol, atol, events)
         for (i, field), t_end, run in zip(lanes, t_ends, runs):
             if run is not None:
                 ts, ys, hit, _, _ = run

@@ -35,10 +35,9 @@ from peakonlab import (
     integrate,
     integrate_reversed,
     make_initial_profile,
-    terminal_events,
 )
 import peakonlab.integrator as integrator_module
-from peakonlab.integrator import MIN_REL_TOL, _root
+from peakonlab.integrator import MIN_REL_TOL, _root, terminal_events
 
 from conftest import CASE_PRESETS, GRID_A, GRID_B, run_point
 from ivp_oracle import integrate_oracle, reversed_oracle
@@ -246,7 +245,10 @@ def _assert_lanes_repeat_scalar(points):
     t_ends = [integrator_module._horizon(c) for _, _, c in points]
     events = (integrator_module._REDUCED_EVENTS if config.representation
               is Representation.REDUCED else integrator_module._FULL_EVENTS)
-    runs = integrator_module._lane_runs(fields, t_ends, config.rel_tol, config.abs_tol, events)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integrator_module, "LANE_HANDOFF", 1)  # every lane runs to its end
+        runs = integrator_module._lane_runs(fields, t_ends, config.rel_tol, config.abs_tol,
+                                            events)
     kinds = set()
     for (initial, params, cfg), field, t_end, run in zip(points, fields, t_ends, runs):
         traj = integrate(initial, params, cfg)
@@ -323,7 +325,8 @@ def test_failing_lanes_raise_what_integrate_raises(monkeypatch):
     points = neighbours[:3] + failing[:1] + neighbours[3:9] + failing[1:] + neighbours[9:]
     monkeypatch.setattr(integrator_module, "MAX_STEPS", 60)  # the creeping run needs more
     monkeypatch.setattr(integrator_module, "_interpolate", nan_for_marked_step)
-    monkeypatch.setattr(integrator_module, "MIN_LANES", 4)  # every lane runs to its end
+    monkeypatch.setattr(integrator_module, "MIN_LANES", 4)
+    monkeypatch.setattr(integrator_module, "LANE_HANDOFF", 1)  # every lane runs to its end
     ends = [_scalar(*p) for p in points]
     errors = [str(end) for end in ends if isinstance(end, Exception)]
     for phrase, error in zip(["may overflow", "not finite", "more than 60 steps",
@@ -337,6 +340,48 @@ def test_failing_lanes_raise_what_integrate_raises(monkeypatch):
     assert list(map(_outcome, got)) == [
         _outcome(end if isinstance(end, Exception) else end.terminal_event) for end in ends]
     assert len(reruns) == 4  # only the failing points ran on their own
+
+
+def test_overflow_guard_reads_the_state_integrate_reads(monkeypatch):
+    """A reduced point at the edge of the overflow guard: its own momenta
+    pass the guard, the ones rebuilt from (h, w) are an ulp larger and do
+    not.  ``integrate`` rejects it, and so does the lockstep batch, before
+    the point becomes a lane."""
+    params = ABParams(1 / 3, 6.0)
+    edge = PeakonState(2.8948022309329046e+76, -2.8948022309328946e+76, 0.0, 0.5)
+    assert not integrator_module._field_may_overflow(
+        integrator_module._full_field(edge, params), params)
+    cfg = IntegrationConfig(representation=Representation.REDUCED)
+    with pytest.raises(IntegrationError, match="may overflow") as raised:
+        integrate(edge, params, cfg)
+    points = [(edge, params, cfg), *(_design(a, b, cfg.representation) for a in GRID_A
+                                     for b in GRID_B)]
+    lane_points = []
+    lane_runs = integrator_module._lane_runs
+
+    def recording(fields, *args):
+        lane_points.extend(fields)
+        return lane_runs(fields, *args)
+
+    monkeypatch.setattr(integrator_module, "MIN_LANES", 4)
+    monkeypatch.setattr(integrator_module, "_lane_runs", recording)
+    got = terminal_events(*zip(*points))
+    assert _outcome(got[0]) == (IntegrationError, str(raised.value))
+    assert len(lane_points) == len(points) - 1  # every point but the edge one
+    assert list(map(_bits, got[1:])) == [_bits(integrate(*p).terminal_event)
+                                         for p in points[1:]]
+
+
+def test_points_must_share_tolerances_and_representation():
+    point = _design(*CASE_PRESETS["case1"], Representation.FULL)
+    for change in ({"rel_tol": 1e-10}, {"abs_tol": 1e-12},
+                   {"representation": Representation.REDUCED}):
+        other = (*point[:2], replace(point[2], **change))
+        with pytest.raises(ValueError, match="one rel_tol, abs_tol and representation"):
+            terminal_events(*zip(point, other))
+    ends = terminal_events(*zip(point, (*point[:2], replace(point[2], max_time=1e-3))))
+    assert [end.kind for end in ends] == [EventKind.COLLISION, EventKind.HORIZON]
+    assert terminal_events([], [], []) == []
 
 
 def test_small_batches_and_single_runs_stay_scalar(monkeypatch, tmp_path):
