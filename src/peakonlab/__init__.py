@@ -8,17 +8,7 @@ equation pointwise off the peaks.
 """
 
 from .analytic import F1, F2, InvariantContext, f_density, h_sq, w_sq, z_closed_form
-from .dynamics import (
-    AuxDiagnostics,
-    PeakonState,
-    ReducedState,
-    aux_diagnostics,
-    evaluate_u,
-    from_reduced,
-    full_rhs,
-    reduced_rhs,
-    to_reduced,
-)
+from .dynamics import PeakonState, ReducedState, to_reduced
 from .integrator import (
     EventKind,
     EventRecord,
@@ -57,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ABParams",
-    "AuxDiagnostics",
     "CaseID",
     "CaseSpec",
     "CollisionFunction",
@@ -74,7 +63,6 @@ __all__ = [
     "ResidualReport",
     "Trajectory",
     "admissible_c",
-    "aux_diagnostics",
     "case_epsilon",
     "case_spec_for",
     "classify",
@@ -82,10 +70,7 @@ __all__ = [
     "collision_time_bound",
     "compute_mu",
     "divergence_probe",
-    "evaluate_u",
     "f_density",
-    "from_reduced",
-    "full_rhs",
     "h_sq",
     "hs_distance",
     "hs_distances",
@@ -96,7 +81,6 @@ __all__ = [
     "make_initial_profile",
     "pair_integral",
     "pde_residual",
-    "reduced_rhs",
     "residual_report",
     "to_reduced",
     "w_sq",

@@ -12,9 +12,10 @@ exact differentials, so that
     h(t)^2 = h0^2 + 2*F1(q(t)),   w(t)^2 = w0^2 + 2*F2(q(t)),
 
 where F1, F2 are integrals in the separation variable of the density
-f(q) weighted by (1 + e^{-q}) and (1 - e^{-q}).  These identities hold as
-long as the separation stays in the range where L_a keeps a fixed sign,
-and they bound the momenta up to the collision.
+f(q) weighted by (1 + e^{-q}) and (1 - e^{-q}).  Since h^2 + 4z = w^2 is
+conserved, F2 = F1 + 2(z(q) - z0), so only F1 needs a quadrature.  These
+identities hold as long as the separation stays in the range where L_a
+keeps a fixed sign, and they bound the momenta up to the collision.
 """
 
 from __future__ import annotations
@@ -70,18 +71,18 @@ def _scalar_pow(base, exponent: float):
 def z_closed_form(ctx: InvariantContext, q):
     """Momentum product as an explicit function of the separation.
 
-    Equals z0 at q = mu and is constant when b = 2.  Accepts scalars or
-    arrays.  Raises ValueError outside the range where L_a(q)/L_a(mu)
-    stays positive, since the derivation integrates d(ln|z|) there.
-    Array and scalar calls agree bit for bit.
+    Equals z0 at q = mu and is constant when b = 2, for any a.  Accepts
+    scalars or arrays.  Raises ValueError at a = 0 otherwise, and outside
+    the range where L_a(q)/L_a(mu) stays positive, since the derivation
+    integrates d(ln|z|) there.  Array and scalar calls agree bit for bit.
     """
     a, b = ctx.params.a, ctx.params.b
-    if a == 0:
-        raise ValueError("a must be nonzero")
     q = np.asarray(q, dtype=float)
     if b == 2.0:
-        # zero exponent: constant product, valid for every separation
+        # zero exponent: constant product, valid for every separation and a
         val = np.full_like(q, ctx.z0)
+    elif a == 0:
+        raise ValueError("a must be nonzero")
     elif abs(1.0 - 3.0 * a) < _THIRD_TOL:
         val = ctx.z0 * np.exp(
             -(3.0 * (2.0 - b) / 4.0) * (np.exp(-2.0 * q) - np.exp(-2.0 * ctx.mu))
@@ -109,13 +110,13 @@ def f_density(ctx: InvariantContext, q):
     return float(val) if val.ndim == 0 else val
 
 
-def _potential(ctx: InvariantContext, q: float, sign: float) -> float:
+def _potential(ctx: InvariantContext, q: float) -> float:
     from scipy.integrate import quad  # imported on use, off the import path
 
     if q == ctx.mu:
         return 0.0
     val, err = quad(
-        lambda rho: (1.0 + sign * math.exp(-rho)) * f_density(ctx, rho),
+        lambda rho: (1.0 + math.exp(-rho)) * f_density(ctx, rho),
         ctx.mu,
         q,
         epsabs=_QUAD_ABS_TOL,
@@ -132,12 +133,16 @@ def _potential(ctx: InvariantContext, q: float, sign: float) -> float:
 
 def F1(ctx: InvariantContext, q: float) -> float:
     """Integral of (1 + e^{-rho}) f(rho) from mu to q; F1(mu) = 0."""
-    return _potential(ctx, q, +1.0)
+    return _potential(ctx, q)
 
 
 def F2(ctx: InvariantContext, q: float) -> float:
-    """Integral of (1 - e^{-rho}) f(rho) from mu to q; F2(mu) = 0."""
-    return _potential(ctx, q, -1.0)
+    """Integral of (1 - e^{-rho}) f(rho) from mu to q; F2(mu) = 0.
+
+    Along the closed form dz/drho = -e^{-rho} f(rho), so the weights'
+    difference -2 e^{-rho} f integrates to 2(z(q) - z0): F2 is F1 plus that.
+    """
+    return F1(ctx, q) + 2.0 * (z_closed_form(ctx, q) - ctx.z0)
 
 
 def h_sq(ctx: InvariantContext, q: float) -> float:

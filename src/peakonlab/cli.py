@@ -26,7 +26,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Collection, Optional, Sequence
 
@@ -46,6 +46,9 @@ from .integrator import (
     terminal_events,
 )
 from .params import (
+    DEFAULT_ALPHA,
+    DEFAULT_DELTA,
+    DEFAULT_SMALL_MU,
     ABParams,
     CaseSpec,
     case_epsilon,
@@ -81,8 +84,8 @@ class ExperimentConfig:
     case: str = "case1"
     a: Optional[float] = None
     b: Optional[float] = None
-    alpha: float = 1.0
-    delta: float = 0.5
+    alpha: float = DEFAULT_ALPHA
+    delta: float = DEFAULT_DELTA
     mu: Optional[float] = None
     c: Optional[float] = None
     rel_tol: float = IntegrationConfig.rel_tol
@@ -105,9 +108,10 @@ class ExperimentConfig:
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
         cfg = cls()
+        names = {f.name for f in fields(cls)}
         for key, raw in mapping.items():
             name = key.replace("-", "_")
-            if not hasattr(cfg, name) or name.startswith("_"):
+            if name not in names:
                 raise ValueError(f"unknown configuration key: {key}")
             if raw is None:
                 continue  # an unset optional stays at its default
@@ -128,31 +132,12 @@ class ExperimentConfig:
             raise ValueError(f"format must be csv or json, got {cfg.format!r}")
         if cfg.representation not in (None, "full", "reduced"):
             raise ValueError(f"unknown representation {cfg.representation!r}")
+        if cfg.sample_count < 0:
+            raise ValueError(f"sample count must be non-negative, got {cfg.sample_count}")
         return cfg
 
     def to_manifest(self) -> dict:
-        return {
-            "tool": "peakonlab",
-            "version": __version__,
-            "case": self.case,
-            "a": self.a,
-            "b": self.b,
-            "alpha": self.alpha,
-            "delta": self.delta,
-            "mu": self.mu,
-            "c": self.c,
-            "rel_tol": self.rel_tol,
-            "abs_tol": self.abs_tol,
-            "event_tol": self.event_tol,
-            "max_time": self.max_time,
-            "representation": self.representation,
-            "s_values": list(self.s_values),
-            "sample_count": self.sample_count,
-            "out": self.out,
-            "format": self.format,
-            "a_grid": list(self.a_grid),
-            "b_grid": list(self.b_grid),
-        }
+        return {"tool": "peakonlab", "version": __version__, **asdict(self)}
 
 
 @dataclass
@@ -188,7 +173,7 @@ def _resolve(cfg: ExperimentConfig, require_case: bool = False) -> ResolvedRun:
             raise ValueError(
                 f"{name}: no collapse construction exists at this parameter point"
             )
-        mu = cfg.mu if cfg.mu is not None else 0.1
+        mu = cfg.mu if cfg.mu is not None else DEFAULT_SMALL_MU
         initial = PeakonState(p1=cfg.alpha + cfg.delta, p2=cfg.alpha, q1=0.0, q2=mu)
         spec, eps, bound = None, None, None
         max_time = cfg.max_time if cfg.max_time is not None else DEFAULT_HORIZON
@@ -333,7 +318,8 @@ def run_case(cfg: ExperimentConfig) -> int:
     if traj.terminal_event.kind is not EventKind.HORIZON and cfg.s_values:
         collision = collision_function(traj)
     ctx = None
-    if run.params.a != 0.0:
+    # z(q) is derived for a != 0 and the order q2 >= q1
+    if run.params.a != 0.0 and run.initial.q2 >= run.initial.q1:
         ctx = InvariantContext.from_initial(run.params, run.initial)
 
     columns = ["t", "q1", "q2", "p1", "p2", "q", "h", "w", "z", "z_closed_form"]

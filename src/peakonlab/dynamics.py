@@ -3,9 +3,9 @@
 State of the wave ansatz u(x,t) = p1 e^{-|x-q1|} + p2 e^{-|x-q2|} is the
 four-vector (p1, p2, q1, q2) of momenta and positions.  The reduced
 coordinates (q, h, w, z) = (q2-q1, p2-p1, p1+p2, p1*p2) close on
-themselves and carry the invariant structure used by the analytic module;
-the two descriptions are related by an invertible change of variables up
-to the overall position q1.
+themselves and carry the invariant structure used by the analytic module.
+``to_reduced`` maps a state to them; the inverse, given the overall
+position q1, is p1 = (w-h)/2, p2 = (h+w)/2, q2 = q1 + q.
 
 Each field is written once (``_full_rhs``, ``_reduced_rhs``), as a function
 of the state components that the integrator's steppers call directly: on
@@ -17,17 +17,10 @@ wrap them for numpy vectors.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
-
-if TYPE_CHECKING:  # avoid a runtime cycle; params imports PeakonState
-    from .params import ABParams
-
-#: relative tolerance on |p1*p2 - z| accepted silently by from_reduced
-PRODUCT_CONSISTENCY_TOL = 1e-8
 
 #: roundoff slack allowed on the q2 >= q1 orientation requirement
 ORIENTATION_TOL = 1e-12
@@ -70,22 +63,6 @@ class ReducedState:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.q, self.h, self.w, self.z], dtype=float)
-
-    @classmethod
-    def from_array(cls, y) -> "ReducedState":
-        return cls(q=float(y[0]), h=float(y[1]), w=float(y[2]), z=float(y[3]))
-
-
-@dataclass(frozen=True)
-class AuxDiagnostics:
-    """Derived quantities p = p2^2 - p1^2 = h*w and the product p1*p2."""
-
-    p: float
-    pprod: float
-
-
-def aux_diagnostics(state: PeakonState) -> AuxDiagnostics:
-    return AuxDiagnostics(p=state.p2**2 - state.p1**2, pprod=state.p1 * state.p2)
 
 
 def _exp(x):
@@ -152,11 +129,6 @@ def full_rhs_array(
     return np.array(_full_rhs(a, b, orientation, *y.tolist()))
 
 
-def full_rhs(state: PeakonState, params: "ABParams") -> PeakonState:
-    """Time derivative of the full state, packaged in the same field layout."""
-    return PeakonState.from_array(full_rhs_array(state.as_array(), params.a, params.b))
-
-
 def _reduced_rhs(a: float, b: float, q: float, h: float, w: float, z: float,
                  q1: float = 0.0) -> tuple:
     """Float-level form of ``reduced_rhs_array`` with the position q1
@@ -188,11 +160,6 @@ def reduced_rhs_array(y: np.ndarray, a: float, b: float) -> np.ndarray:
     return np.array(_reduced_rhs(a, b, *y.tolist())[:4])
 
 
-def reduced_rhs(state: ReducedState, params: "ABParams") -> ReducedState:
-    """Time derivative of the reduced state, same field layout."""
-    return ReducedState.from_array(reduced_rhs_array(state.as_array(), params.a, params.b))
-
-
 def to_reduced(state: PeakonState) -> ReducedState:
     """Change of variables (p1, p2, q1, q2) -> (q, h, w, z).
 
@@ -209,27 +176,3 @@ def to_reduced(state: PeakonState) -> ReducedState:
         z=state.p1 * state.p2,
     )
 
-
-def from_reduced(state: ReducedState, q1: float) -> PeakonState:
-    """Inverse change of variables given the absolute position q1.
-
-    Momenta come from p1 = (w-h)/2, p2 = (h+w)/2; a warning is emitted
-    when the reconstructed product disagrees with the stored z, which
-    happens only if the input violates h^2 + 4z = w^2.
-    """
-    p1 = 0.5 * (state.w - state.h)
-    p2 = 0.5 * (state.h + state.w)
-    mismatch = abs(p1 * p2 - state.z)
-    if mismatch > PRODUCT_CONSISTENCY_TOL * max(1.0, abs(state.z)):
-        warnings.warn(
-            f"reduced state inconsistent: |p1*p2 - z| = {mismatch:.3e}",
-            stacklevel=2,
-        )
-    return PeakonState(p1=p1, p2=p2, q1=q1, q2=q1 + state.q)
-
-
-def evaluate_u(state: PeakonState, x):
-    """Wave profile p1 e^{-|x-q1|} + p2 e^{-|x-q2|} at x (scalar or array)."""
-    x = np.asarray(x, dtype=float)
-    val = state.p1 * np.exp(-np.abs(x - state.q1)) + state.p2 * np.exp(-np.abs(x - state.q2))
-    return float(val) if val.ndim == 0 else val

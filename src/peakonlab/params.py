@@ -115,6 +115,13 @@ def l_a(a: float, q) -> float:
     return (1.0 - a) - (1.0 - 3.0 * a) * e2
 
 
+def _log_argument(a: float, c: float) -> tuple:
+    """Argument ((c+1)a - 1)/(3a - 1) of ``compute_mu``'s logarithm, and
+    whether it lies in (0, 1): whether c is admissible for a (a != 0, 1/3)."""
+    arg = ((c + 1.0) * a - 1.0) / (3.0 * a - 1.0)
+    return arg, 0 < arg < 1
+
+
 def compute_mu(a: float, c: float) -> float:
     """Separation mu with L_a(mu) = c*a, via mu = -ln(((c+1)a-1)/(3a-1))/2.
 
@@ -127,8 +134,8 @@ def compute_mu(a: float, c: float) -> float:
         raise ValueError("a = 1/3: use a small positive mu directly")
     if not 1 < c < 2:
         raise ValueError(f"c must lie in (1, 2), got {c}")
-    arg = ((c + 1.0) * a - 1.0) / (3.0 * a - 1.0)
-    if not 0 < arg < 1:
+    arg, admissible = _log_argument(a, c)
+    if not admissible:
         raise ValueError(
             f"c = {c} inadmissible for a = {a}: log argument {arg} not in (0, 1)"
         )
@@ -139,20 +146,15 @@ def admissible_c(a: float, first: float = DEFAULT_C, step: float = C_SCAN_STEP) 
     """First admissible design constant, or None if the scan finds none.
 
     Tries ``first``, then walks the open interval (1, 2) in ``step``
-    increments.  For 0 < a < 1/3 no c in (1, 2) is admissible and the
-    caller falls back to a small fixed separation.
+    increments.  For 0 < a < 1/3 (and at a = 0 and a = 1/3) no c is
+    admissible and the caller falls back to a small fixed separation.
     """
-    candidates = [first]
+    if a == 0 or abs(1.0 - 3.0 * a) < _THIRD_TOL:
+        return None
     n = int(round((2.0 - 1.0) / step))
-    candidates += [1.0 + k * step for k in range(1, n)]
-    for c in candidates:
-        if not 1 < c < 2:
-            continue
-        try:
-            compute_mu(a, c)
-        except ValueError:
-            continue
-        return c
+    for c in [first] + [1.0 + k * step for k in range(1, n)]:
+        if 1 < c < 2 and _log_argument(a, c)[1]:
+            return c
     return None
 
 

@@ -38,6 +38,18 @@ def _ctx(a, b, state):
 CASE1_STATE = PeakonState(1.5, -1.0, 0.0, 0.1)
 
 
+def _f2_quadrature(ctx, q):
+    """Integral of (1 - e^{-rho}) f(rho) from mu to q by adaptive quadrature,
+    the way F2 was computed before the identity F2 = F1 + 2(z - z0); kept as
+    the oracle for that identity."""
+    from scipy.integrate import quad
+
+    if q == ctx.mu:
+        return 0.0
+    return quad(lambda rho: (1.0 - math.exp(-rho)) * f_density(ctx, rho), ctx.mu, q,
+                epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+
+
 class TestZClosedForm:
     def test_equals_z0_at_mu(self, case_runs):
         for params, spec, initial, _ in case_runs.values():
@@ -148,6 +160,21 @@ class TestPotentials:
                     rtol=1e-6,
                     atol=1e-8,
                 )
+
+    def test_f2_matches_its_quadrature(self, case_runs):
+        """F2 from F1 and the closed form z(q) agrees with the quadrature of
+        its own density to 1e-13 across [0, mu] on the four presets, at
+        b = 2 and at a = 1/3, and beyond mu where a > 0."""
+        contexts = [InvariantContext.from_initial(params, initial)
+                    for params, _, initial, _ in case_runs.values()]
+        contexts += [_ctx(a, b, CASE1_STATE)
+                     for a, b in ((0.8, 2.0), (-0.5, 2.0), (1 / 3, 0.5), (1 / 3, 5.0))]
+        for ctx in contexts:
+            qs = list(np.linspace(0.0, ctx.mu, 21))
+            if ctx.params.a > 0:
+                qs += [1.5 * ctx.mu, 0.5, 2.0]
+            for q in map(float, qs):
+                assert abs(F2(ctx, q) - _f2_quadrature(ctx, q)) <= 1e-13, (ctx.params, q)
 
     def test_fundamental_theorem(self):
         """Central difference of F1 matches (1+e^{-q}) f(q) to 1e-6."""

@@ -23,9 +23,11 @@ from table_oracle import write_table as oracle_write_table
 from peakonlab import (
     ABParams,
     CollisionFunction,
+    IntegrationConfig,
     InvariantContext,
     PeakonState,
     hs_distance,
+    integrate,
     z_closed_form,
 )
 import peakonlab.cli as cli
@@ -356,6 +358,46 @@ class TestFailurePaths:
         assert (code, err) == (0, "")
         _, events = _read_csv(out / "events.csv")
         assert events[-1][0] == "collision"
+
+    def test_negative_sample_count_rejected_before_the_run(self, tmp_path):
+        """numpy refused the count after the run had integrated and created
+        the output directory."""
+        out = tmp_path / "x"
+        code, err = _run_captured(["run-case", "--case", "case1", "--sample-count", "-1",
+                                   "--out", str(out)])
+        assert (code, err) == (2, "error: sample count must be non-negative, got -1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["to_manifest", "from_mapping", "_INT"])
+    def test_config_key_naming_no_field_rejected(self, tmp_path, key):
+        """A key naming a method or class constant of the config passed as a
+        field: to_manifest = 1 shadowed the method and ended in a traceback
+        after the run."""
+        cfg, out = tmp_path / "run.cfg", tmp_path / "x"
+        cfg.write_text(f"case = case1\n{key} = 1\n")
+        code, err = _run_captured(["run-case", "--config", str(cfg), "--out", str(out)])
+        assert (code, err) == (2, f"error: unknown configuration key: {key}\n")
+        assert not out.exists()
+
+    def test_reversed_initial_order_leaves_z_closed_form_nan(self, tmp_path):
+        """forq with mu = -1 starts with q2 < q1, outside the order the closed
+        form z(q) is derived for; the invariant check refused that after the
+        run.  The column is nan, and every other column is the run itself."""
+        out = tmp_path / "x"
+        code, err = _run_captured(["run-case", "--case", "forq", "--mu", "-1",
+                                   "--sample-count", "30", "--out", str(out)])
+        assert (code, err) == (0, "")
+        header, rows = _read_csv(out / "trajectory.csv")
+        table = dict(zip(header, np.array(rows, dtype=float).T))
+        assert np.all(np.isnan(table["z_closed_form"]))
+        initial = PeakonState(1.5, 1.0, 0.0, -1.0)
+        traj = integrate(initial, ABParams(1 / 3, 2.0),
+                         IntegrationConfig(max_time=integrator_module.DEFAULT_HORIZON))
+        p1, p2, q1, q2 = traj.sample_array(table["t"]).T
+        expected = {"q1": q1, "q2": q2, "p1": p1, "p2": p2, "q": q2 - q1,
+                    "h": p2 - p1, "w": p1 + p2, "z": p1 * p2}
+        for name, values in expected.items():
+            assert np.array_equal(table[name], values), name
 
     @pytest.mark.parametrize("command", ["run-case", "certify"])
     def test_nan_sobolev_index_is_a_config_error(self, tmp_path, command):

@@ -12,17 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from peakonlab import (
-    ABParams,
-    PeakonState,
-    ReducedState,
-    aux_diagnostics,
-    evaluate_u,
-    from_reduced,
-    full_rhs,
-    reduced_rhs,
-    to_reduced,
-)
+from peakonlab import ABParams, PeakonState, ReducedState, to_reduced
 from peakonlab.dynamics import full_rhs_array, reduced_rhs_array
 
 RNG = np.random.default_rng(0)
@@ -34,17 +24,17 @@ class TestFullRhs:
     def test_single_peakon_degeneracy(self):
         """With p2 = 0 the surviving peak moves at (1-a) p1^2, momenta frozen."""
         for a, b in [(1 / 3, 3.0), (0.7, 0.0), (-1.0, 5.0)]:
-            d = full_rhs(PeakonState(1.0, 0.0, 0.0, 5.0), ABParams(a, b))
-            assert d.q1 == pytest.approx(1 - a, rel=1e-15)
-            assert d.p1 == 0.0 and d.p2 == 0.0
+            dp1, dp2, dq1, _ = full_rhs_array(np.array([1.0, 0.0, 0.0, 5.0]), a, b)
+            assert dq1 == pytest.approx(1 - a, rel=1e-15)
+            assert dp1 == 0.0 and dp2 == 0.0
 
     def test_hand_value_forq_b2(self):
         # a = 1/3, b = 2, p1 = p2 = 1, separation ln 2:
         # q1' = 2/3 + 2*(1/2) + 0 = 5/3, momenta frozen by the (2-b) factor
-        d = full_rhs(PeakonState(1.0, 1.0, 0.0, math.log(2.0)), ABParams(1 / 3, 2.0))
-        assert d.q1 == pytest.approx(5 / 3, rel=1e-14)
-        assert d.q2 == pytest.approx(5 / 3, rel=1e-14)
-        assert d.p1 == 0.0 and d.p2 == 0.0
+        dp1, dp2, dq1, dq2 = full_rhs_array(np.array([1.0, 1.0, 0.0, math.log(2.0)]), 1 / 3, 2.0)
+        assert dq1 == pytest.approx(5 / 3, rel=1e-14)
+        assert dq2 == pytest.approx(5 / 3, rel=1e-14)
+        assert dp1 == 0.0 and dp2 == 0.0
 
     def test_b2_freezes_momenta_everywhere(self):
         for _ in range(50):
@@ -101,13 +91,13 @@ class TestFullRhs:
 
 class TestReducedRhs:
     def test_b2_freezes_h_w_z(self):
-        d = reduced_rhs(ReducedState(q=0.1, h=-2.5, w=0.5, z=-1.5), ABParams(1 / 3, 2.0))
-        assert (d.h, d.w, d.z) == (0.0, 0.0, 0.0)
+        _, dh, dw, dz = reduced_rhs_array(np.array([0.1, -2.5, 0.5, -1.5]), 1 / 3, 2.0)
+        assert (dh, dw, dz) == (0.0, 0.0, 0.0)
 
     def test_far_apart_decoupling(self):
-        d = reduced_rhs(ReducedState(q=80.0, h=1.0, w=3.0, z=2.0), ABParams(0.25, 3.0))
-        assert d.q == pytest.approx(1.0 * 3.0 * (1 - 0.25), rel=1e-12)
-        assert abs(d.h) < 1e-30 and abs(d.w) < 1e-30 and abs(d.z) < 1e-30
+        dq, dh, dw, dz = reduced_rhs_array(np.array([80.0, 1.0, 3.0, 2.0]), 0.25, 3.0)
+        assert dq == pytest.approx(1.0 * 3.0 * (1 - 0.25), rel=1e-12)
+        assert abs(dh) < 1e-30 and abs(dw) < 1e-30 and abs(dz) < 1e-30
 
     def test_consistency_with_full_system(self):
         """1000 random states: reduced field equals the product-rule image
@@ -137,6 +127,8 @@ class TestReducedRhs:
 
 
 class TestChangeOfVariables:
+    """The inverse map, given q1, is p1 = (w-h)/2, p2 = (h+w)/2, q2 = q1 + q."""
+
     def test_hand_example(self):
         red = to_reduced(PeakonState(1.5, -1.0, 0.0, 0.1))
         assert (red.q, red.h, red.w, red.z) == (0.1, -2.5, 0.5, -1.5)
@@ -152,18 +144,14 @@ class TestChangeOfVariables:
             to_reduced(PeakonState(1.0, 1.0, 0.5, 0.0))
 
     def test_inverse_hand_examples(self):
-        st_ = from_reduced(ReducedState(0.1, -2.5, 0.5, -1.5), q1=0.0)
-        assert (st_.p1, st_.p2, st_.q1, st_.q2) == (1.5, -1.0, 0.0, 0.1)
-        st_ = from_reduced(ReducedState(1.0, 2.0, 0.0, -1.0), q1=0.0)
-        assert (st_.p1, st_.p2, st_.q2) == (-1.0, 1.0, 1.0)
+        red, q1 = ReducedState(0.1, -2.5, 0.5, -1.5), 0.0
+        assert ((red.w - red.h) / 2, (red.h + red.w) / 2, q1, q1 + red.q) == (1.5, -1.0, 0.0, 0.1)
+        red = ReducedState(1.0, 2.0, 0.0, -1.0)
+        assert ((red.w - red.h) / 2, (red.h + red.w) / 2, q1 + red.q) == (-1.0, 1.0, 1.0)
 
     def test_equal_momenta_from_zero_difference(self):
-        st_ = from_reduced(ReducedState(0.3, 0.0, 1.6, 0.64), q1=0.2)
-        assert st_.p1 == st_.p2 == pytest.approx(0.8)
-
-    def test_inconsistent_product_warns(self):
-        with pytest.warns(UserWarning, match="inconsistent"):
-            from_reduced(ReducedState(0.5, 0.0, 2.0, 0.5), q1=0.0)  # p1 p2 = 1 != 0.5
+        red = ReducedState(0.3, 0.0, 1.6, 0.64)
+        assert (red.w - red.h) / 2 == (red.h + red.w) / 2 == pytest.approx(0.8)
 
     @given(
         p1=finite_floats, p2=finite_floats,
@@ -172,37 +160,17 @@ class TestChangeOfVariables:
     )
     def test_round_trip(self, p1, p2, q1, dq):
         state = PeakonState(p1, p2, q1, q1 + dq)
-        back = from_reduced(to_reduced(state), q1=state.q1)
-        np.testing.assert_allclose(back.as_array(), state.as_array(), rtol=1e-12, atol=1e-12)
+        red = to_reduced(state)
+        back = [(red.w - red.h) / 2, (red.h + red.w) / 2, state.q1, state.q1 + red.q]
+        np.testing.assert_allclose(back, state.as_array(), rtol=1e-12, atol=1e-12)
 
     def test_diagnostics_identity(self):
-        """p2^2 - p1^2 factors as h*w."""
+        """p2^2 - p1^2 factors as h*w, and p1*p2 is z."""
         for _ in range(100):
             p1, p2, q1 = RNG.uniform(-2, 2, 3)
-            state = PeakonState(p1, p2, q1, q1 + 1.0)
-            diag = aux_diagnostics(state)
-            red = to_reduced(state)
-            np.testing.assert_allclose(diag.p, red.h * red.w, rtol=1e-12, atol=1e-14)
-            assert diag.pprod == pytest.approx(red.z)
-
-
-class TestEvaluateU:
-    def test_peak_value(self):
-        assert evaluate_u(PeakonState(1.0, 0.0, 0.0, 7.0), 0.0) == 1.0
-
-    def test_odd_cancellation_at_origin(self):
-        assert evaluate_u(PeakonState(1.0, -1.0, -0.4, 0.4), 0.0) == pytest.approx(0.0)
-
-    def test_hand_value(self):
-        got = evaluate_u(PeakonState(1.5, -1.0, 0.0, 0.1), 0.1)
-        assert got == pytest.approx(1.5 * math.exp(-0.1) - 1.0, rel=1e-15)
-
-    def test_vectorized(self):
-        state = PeakonState(1.5, -1.0, 0.0, 0.1)
-        xs = np.array([-1.0, 0.0, 0.1, 2.0])
-        np.testing.assert_allclose(
-            evaluate_u(state, xs), [evaluate_u(state, float(x)) for x in xs]
-        )
+            red = to_reduced(PeakonState(p1, p2, q1, q1 + 1.0))
+            np.testing.assert_allclose(p2**2 - p1**2, red.h * red.w, rtol=1e-12, atol=1e-14)
+            assert p1 * p2 == pytest.approx(red.z)
 
     def test_state_requires_finite_fields(self):
         with pytest.raises(ValueError):
