@@ -53,6 +53,7 @@ from .params import (
     CaseSpec,
     case_epsilon,
     case_spec_for,
+    classify,
     collision_time_bound,
     make_initial_profile,
 )
@@ -468,6 +469,35 @@ def _sweep_row(a: float, b: float, run: ResolvedRun, end) -> list:
     ]
 
 
+def _sweep_runs(cfg: ExperimentConfig, points: Sequence[tuple]) -> list:
+    """Per grid point (a, b), what ``_resolve(replace(cfg, case="custom",
+    a=a, b=b), require_case=True)`` returns, or the error it raises.
+
+    Of a point's resolution only its params depend on b itself; the rest
+    depends on a and the point's case (the side of b = 2), so each (a, case)
+    is resolved once per call, at its first point.
+    """
+    by_case = {}
+    runs = []
+    for a, b in points:
+        try:
+            params = ABParams(a=a, b=b)
+            key = (a, classify(params))
+        except ValueError as exc:  # per-point failures recorded, sweep continues
+            runs.append(exc.with_traceback(None))  # keeps no frame alive
+            continue
+        if key not in by_case:
+            try:
+                by_case[key] = _resolve(replace(cfg, case="custom", a=a, b=b), require_case=True)
+            except Exception as exc:  # the same for every b of this case
+                by_case[key] = exc.with_traceback(None)
+        run = by_case[key]
+        runs.append(run if isinstance(run, Exception) else ResolvedRun(
+            run.label, params, run.initial, run.spec, run.integration, run.epsilon,
+            run.time_bound))
+    return runs
+
+
 def sweep(cfg: ExperimentConfig) -> int:
     """Run the (a, b) grid and tabulate collision outcomes per point."""
     if any(a == 0.0 for a in cfg.a_grid):
@@ -480,12 +510,7 @@ def sweep(cfg: ExperimentConfig) -> int:
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     points = [(a, b) for a in cfg.a_grid for b in cfg.b_grid]
-    runs = []
-    for a, b in points:
-        try:
-            runs.append(_resolve(replace(cfg, case="custom", a=a, b=b), require_case=True))
-        except Exception as exc:  # per-point failures recorded, sweep continues
-            runs.append(exc.with_traceback(None))  # keeps no frame alive
+    runs = _sweep_runs(cfg, points)
     resolved = [run for run in runs if isinstance(run, ResolvedRun)]
     ends = iter(terminal_events([run.initial for run in resolved],
                                 [run.params for run in resolved],

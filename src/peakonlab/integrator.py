@@ -70,20 +70,27 @@ multiplication, division and square root round the same in numpy as in
 Python.  ``exp`` and ``pow`` do not: numpy's differ from ``math.exp`` and
 from the ``**`` of floats in the last bit on a few percent of inputs.  So
 the fields' exponential goes through ``math.exp`` element by element
-(``dynamics._exp``), and so does the controller's err^(-1/8); Python's
-``min``/``max`` become comparisons that keep their NaN behaviour.  The
-starting step and the event's root search run per lane on floats, through
-the scalar code.  A lane the stepper cannot finish (a step below the
-spacing of t, the step budget, a floating-point failure, a non-finite
-dense output, an event residual above ``event_tol``, or an initial field
-that may overflow) is run again through ``integrate``, so its error is the
-scalar run's.  A single run stays on the scalar stepper: one lane costs
-over ten times a scalar run (the fixed numpy cost of each attempt).
-Measured on seeded sweep grids, lockstep is slower than one scalar run
-after another below 32 points, about even at 32 and faster from 40 on
-(``MIN_LANES``); and once only a few lanes are left, running them again
-from t = 0 on the scalar stepper is cheaper than more lockstep attempts
-(``LANE_HANDOFF``).
+(``dynamics._exp``), and so do the controller's err^(-1/8), the starting
+step's hypot and its ^(1/8); Python's ``min``/``max`` become comparisons
+that keep their NaN behaviour.  The starting step (``_initial_steps``) and
+the event's root search (``_locate_lanes``, ``_roots``) run over all lanes
+at once, their branches as masks: one Illinois iteration over every
+crossed event of every lane, each bracket reading only the state
+components its event reads.  Its last few brackets (``ROOT_HANDOFF``), and
+every lane on which the scalar search would raise, go through the scalar
+``_locate``.  The lanes, their overflow guard and their terminal records
+are built from the points' floats (``_lane_points``), with no ``_Field``
+per point.  A lane the stepper cannot finish (a starting step the scalar
+code cannot take, a step below the spacing of t, the step budget, a
+floating-point failure, a non-finite dense output, an event residual above
+``event_tol``, or an initial field that may overflow) is run again through
+``integrate``, so its error is the scalar run's.  A single run stays on the
+scalar stepper: one lane costs over ten times a scalar run (the fixed numpy
+cost of each attempt).  Measured on seeded sweep grids, lockstep is slower
+than one scalar run after another below 32 points, about even at 32 and
+faster from 40 on (``MIN_LANES``); and once only a few lanes are left,
+running them again from t = 0 on the scalar stepper is cheaper than more
+lockstep attempts (``LANE_HANDOFF``).
 """
 
 from __future__ import annotations
@@ -265,13 +272,26 @@ MAX_STEPS = 10_000
 #: fewest points that ``terminal_events`` runs in lockstep: on seeded sweep
 #: grids, full and reduced, 16 points took 10-14 ms in lockstep against
 #: 8-9 ms one after another, 32 points about the same either way, and 64
-#: points 19-24 ms against 34-39 ms
+#: points 19-24 ms against 34-39 ms.  Re-timed with the batched starting
+#: step and root search (full / reduced, medians over seeds 1, 7 and 29; the
+#: 2-vCPU guest ran slower than for the first timings, so compare within a
+#: row only): 24 points 18.7 / 24.3 ms against 17.5 / 19.6 ms,
+#: 32 points 16.6 / 23.1 ms against 19.1 / 22.8 ms, 40 points 22.7 / 27.9 ms
+#: against 30.0 / 34.2 ms
 MIN_LANES = 32
 #: lockstep ends when fewer lanes than this are still running, and those
 #: points run again on the scalar stepper: at 64 points this takes 19-24 ms
 #: against 23-27 ms for stepping every lane to its end (at 1,000 points the
-#: two are within the noise)
+#: two are within the noise).  Re-timed with the batched starting step and
+#: root search: at 64 points (full) 33.9 ms at 4, 31.7 ms at 8, 37.2 ms at
+#: 16 and 38.6 ms at 1, the reduced field and 1,000 points within the noise
 LANE_HANDOFF = 4
+#: the lanes' event root search hands its last brackets to the scalar search
+#: when fewer than this are still narrowing: on the seed-1 and seed-29 bench
+#: grids the search took 6.8-6.9 ms (full) and 9.6-10.2 ms (reduced) at 8,
+#: 8.8-8.9 and 10.0-10.6 ms at 4, 6.4-6.8 and 10.0-10.7 ms at 16, and
+#: 8.8-9.3 and 15.1-15.8 ms at 128 (medians of 9 interleaved runs)
+ROOT_HANDOFF = 8
 ERROR_EXPONENT = -1.0 / 8.0  # -1 / (1 + order of the error estimate)
 _ROOT_TOL = 4.0 * sys.float_info.epsilon
 
@@ -287,6 +307,17 @@ class _StepFailure(Exception):
 # The step's arithmetic is elementwise: each state component may be a float
 # (one run) or an array over lanes (``_lane_runs``), with the same operations
 # in the same order, so a lane gives the bits of the run on floats.
+
+
+def _max(x, y):
+    """Python's max(x, y) elementwise: y where y > x, else x (a NaN y loses,
+    a NaN x wins)."""
+    return np.where(y > x, y, x)
+
+
+def _min(x, y):
+    """Python's min(x, y) elementwise: y where y < x, else x."""
+    return np.where(y < x, y, x)
 
 
 def _rms(xs, scale) -> float:
@@ -306,6 +337,33 @@ def _initial_step(f: Callable, y, f0, t_end: float, rtol: float, atol: float) ->
     else:
         h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
     return min(100 * h0, h1, t_end)
+
+
+def _rms_lanes(xs, scale) -> np.ndarray:
+    """``_rms`` per lane of (component, lane) arrays; ``math.hypot`` element by
+    element, as numpy's hypot may round differently."""
+    return (np.fromiter(map(math.hypot, *(xs / scale).tolist()), float, xs.shape[-1])
+            / len(scale) ** 0.5)
+
+
+def _initial_steps(f: Callable, y, f0, t_end, rtol: float, atol: float) -> tuple:
+    """``_initial_step`` for every lane at once, bit for bit: y and f0 are
+    (component, lane) arrays, t_end is per lane and f the field on component
+    arrays.  Returns (h, started); started is False where the scalar code
+    raises ZeroDivisionError (h0 = 0, or max(d1, d2) = 0 where it divides by
+    it) or h is not finite, and h is meaningless there."""
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms_lanes(y, scale), _rms_lanes(f0, scale)
+    h0 = _min(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), t_end)
+    f1 = np.array(f(*(y + h0 * f0)))
+    d2 = _rms_lanes(f1 - f0, scale) / h0
+    flat = (d1 <= 1e-15) & (d2 <= 1e-15)
+    d_max = _max(d1, d2)
+    # the ** of floats, element by element, as for the step-size factor
+    root8 = np.fromiter((v ** (1.0 / 8.0) for v in (0.01 / d_max).tolist()), float, y.shape[-1])
+    h1 = np.where(flat, _max(1e-6, h0 * 1e-3), root8)
+    h = _min(_min(100 * h0, h1), t_end)
+    return h, (h0 != 0.0) & (flat | (d_max != 0.0)) & np.isfinite(h)
 
 
 def _stages(f: Callable, y, k1, h) -> tuple:
@@ -429,6 +487,54 @@ def _root(g, a: float, b: float) -> float:
     return b if abs(fb) <= abs(fa) else a
 
 
+def _roots(g: Callable, a, b, handoff: int = 0) -> tuple:
+    """``_root`` on arrays of brackets [a, b] at once, each root with the
+    scalar one's bits (the same IEEE operations in the same order, the
+    branches as masks): g(t, i) gives the values at the times t of the
+    functions numbered i.  Brackets leave the iteration as they converge;
+    once fewer than ``handoff`` are left, those are left unfinished.
+
+    Returns (roots, found).  ``found`` is False where ``_root`` raises (a
+    NaN value, or a zero divisor wb - wa) and where a bracket was left
+    unfinished: the scalar code decides those.
+    """
+    fa, fb = g(a, np.arange(a.size)), g(b, np.arange(a.size))
+    found = (fa == fa) & (fb == fb)
+    roots = np.where(fa == 0.0, a, b)
+    i = np.flatnonzero(found & ~((fa == 0.0) | ((fb != 0.0) & ((fa > 0.0) == (fb > 0.0)))))
+    a, b, fa, fb = a[i], b[i], fa[i], fb[i]
+    wa, wb, kept = fa, fb, np.zeros(i.size, dtype=int)
+    for _ in range(200):
+        converged = (fb == 0.0) | (b - a <= _ROOT_TOL * np.abs(b))
+        divisor = wb - wa
+        t = b - wb * (b - a) / divisor
+        outside = ~((a < t) & (t < b))
+        t = np.where(outside, 0.5 * (a + b), t)
+        failed = ~converged & (divisor == 0.0)
+        stop = converged | (~failed & outside & ~((a < t) & (t < b)))  # or a, b adjacent
+        go = ~(stop | failed)
+        if not go.all():
+            roots[i[stop]] = np.where(np.abs(fb) <= np.abs(fa), b, a)[stop]
+            found[i[failed]] = False
+            i, a, b, fa, fb, wa, wb, kept, t = (v[go] for v in (i, a, b, fa, fb, wa, wb, kept, t))
+        if i.size < max(handoff, 1):
+            found[i] = False
+            return roots, found
+        ft = g(t, i)
+        to_b = ((ft > 0.0) == (fb > 0.0)) | (ft == 0.0)
+        wa = np.where(to_b, np.where(kept == 1, 0.5 * wa, wa), ft)
+        wb = np.where(to_b, ft, np.where(kept == -1, 0.5 * wb, wb))
+        a, fa = np.where(to_b, a, t), np.where(to_b, fa, ft)
+        b, fb = np.where(to_b, t, b), np.where(to_b, ft, fb)
+        kept = np.where(to_b, 1, -1)
+        nan = ft != ft
+        if nan.any():
+            found[i[nan]] = False
+            i, a, b, fa, fb, wa, wb, kept = (v[~nan] for v in (i, a, b, fa, fb, wa, wb, kept))
+    roots[i] = np.where(np.abs(fb) <= np.abs(fa), b, a)  # the iteration cap
+    return roots, found
+
+
 class _DenseState:
     """The state at x = (t - t_old) / h on a step's dense output, each
     component interpolated when an event function reads it."""
@@ -454,6 +560,45 @@ def _locate(events, g_old, g_new, t_old: float, t_new: float, h: float, y_old,
     t_event, index = min((_root(lambda t: events[i](at(t)), t_old, t_new), i) for i in hits)
     state = at(t_event)
     return t_event, index, [state[j] for j in range(len(y_old))]
+
+
+def _locate_lanes(events: tuple, armed, t_old, t_new, h, y_old, y_new, coeffs,
+                  handoff: int) -> tuple:
+    """``_locate`` for the event steps of many lanes at once, the lane on the
+    last axis: ``events`` are the representation's (kind, g) pairs, ``armed``
+    says per event which lanes arm it, and ``coeffs`` are the interpolants'
+    (component, d1 .. d7, lane).  Every crossed event of every lane is one
+    bracket of ``_roots``, which reads only the components its event reads;
+    the earliest root wins, ties to the lower event.
+
+    Returns (t_event, index of the event among the lane's armed events,
+    state there as (component, lane), found); where found is False, the
+    root search of one of the lane's events raises or was handed off, and
+    the other values are meaningless.
+    """
+    crossed = armed & _crosses(np.array([g(y_old) for _, g in events]),
+                               np.array([g(y_new) for _, g in events]))
+    event, lane = np.nonzero(crossed)  # by event, then lane
+
+    def values(t, i):
+        out = np.empty(i.size)
+        ends = np.searchsorted(event[i], np.arange(len(events) + 1))  # i keeps that order
+        for (_, g), lo, hi in zip(events, ends[:-1], ends[1:]):
+            if lo < hi:
+                j = lane[i[lo:hi]]
+                out[lo:hi] = g(_DenseState((t[lo:hi] - t_old[j]) / h[j], coeffs[:, :, j],
+                                           y_old[:, j]))
+        return out
+
+    roots, found = _roots(values, t_old[lane], t_new[lane], handoff)
+    order = np.lexsort((event, roots, lane))
+    first = order[np.diff(lane[order], prepend=-1) != 0]  # one per lane, in lane order
+    ok = np.ones(h.size, dtype=bool)
+    ok[lane[~found]] = False
+    t_event = roots[first]
+    state = _DenseState((t_event - t_old) / h, coeffs, y_old)
+    index = np.cumsum(armed, axis=0)[event[first], np.arange(h.size)] - 1
+    return t_event, index, np.array([state[j] for j in range(len(y_old))]), ok
 
 
 class _Dop853:
@@ -547,54 +692,76 @@ class _Lanes:
             setattr(self, name, value[..., mask])
 
 
-def _lane_runs(fields: Sequence, t_ends: Sequence[float], rtol: float, atol: float,
+class _LaneSet:
+    """Points of one representation as lanes, the lane on the last axis: the
+    field ``func(*args, *y)`` with its parameters ``args`` (parameter,
+    lane), the map ``to_array`` of its vectors to [p1, p2, q1, q2], the
+    initial vectors ``y0`` (component, lane) and, per event of the
+    representation's ``events``, whether each lane arms it (``_arming``)."""
+
+    def __init__(self, func: Callable, args, y0, to_array: Callable, events: tuple):
+        self.func, self.args, self.y0, self.to_array = func, args, y0, to_array
+        self.armed = np.array(_arming(events, y0))
+
+    def __len__(self) -> int:
+        return self.y0.shape[-1]
+
+    def __iter__(self):
+        """The lanes, each as its initial vector."""
+        return iter(self.y0.T)
+
+    @classmethod
+    def of_fields(cls, fields: Sequence, events: tuple) -> "_LaneSet":
+        """The lanes of ``_Field``s that differ only in the parameters bound in
+        their right-hand sides, ``partial(func, *args)`` with one func."""
+        return cls(fields[0].rhs.func, np.array([fd.rhs.args for fd in fields]).T,
+                   np.array([fd.y0 for fd in fields]).T, fields[0].to_array, events)
+
+
+def _lane_runs(lanes, t_ends: Sequence[float], rtol: float, atol: float,
                events: tuple) -> list:
-    """``_Dop853.solve`` for every field at once, one lane per field.
+    """``_Dop853.solve`` for every lane at once.
 
-    The fields are of one representation, ``events`` its candidate event
-    functions, and differ only in their parameters: each right-hand side is
-    ``partial(func, *args)`` with the same func, and the lanes stack the
-    args into arrays.  Every lane keeps its own t, step size, rejection flag
-    and step counts, and retires at its event or horizon.  Lockstep stops
-    when fewer than ``LANE_HANDOFF`` lanes are left.  The dense output and
-    root search of the event steps are done once the stepping has stopped.
+    ``lanes`` is a ``_LaneSet``, or the ``_Field`` of each lane; ``events``
+    are the representation's candidate event functions.  Every lane keeps
+    its own t, step size, rejection flag and step counts, and retires at its
+    event or horizon.  The starting steps are found for all lanes at once
+    (``_initial_steps``).  Lockstep stops when fewer than ``LANE_HANDOFF``
+    lanes are left.  The dense output and the root search of the event
+    steps are done together once the stepping has stopped
+    (``_locate_lanes``); the last few brackets of the search, and the lanes
+    whose search fails, go through the scalar ``_locate``.
 
-    Per lane returns (ts, ys, index of the event in the field's events or
-    None, accepted steps, rejected steps), with the last two times and
+    Per lane returns (ts, ys, index of the event in the lane's armed events
+    or None, accepted steps, rejected steps), with the last two times and
     states in ts and ys (one at the horizon); or None for a lane left
     running, and where the scalar stepper raises.  The rejected steps are
     counted for the tests, which compare both counts with the scalar run's.
     """
-    n = len(fields)
+    n = len(lanes)
     out = [None] * n
     if not n:
         return out
-    func = fields[0].rhs.func
-    args = np.array([fd.rhs.args for fd in fields]).T
+    if not isinstance(lanes, _LaneSet):
+        lanes = _LaneSet.of_fields(lanes, events)
+    func, args = lanes.func, lanes.args
 
     def whole(args):
         """The field on a (component, lane) array, taken as one component,
         so that the step arithmetic runs once over all components."""
         return lambda y: [np.array(func(*args, *y))]
 
-    y = np.array([fd.y0 for fd in fields]).T
+    y = lanes.y0
+    t_end = np.array(t_ends, dtype=float)
     with np.errstate(all="ignore"):
         k1 = np.array(func(*args, *y))
-        h_abs = np.zeros(n)
-        started = np.ones(n, dtype=bool)
-        for i, (fd, t_end, f0) in enumerate(zip(fields, t_ends, k1.T.tolist())):
-            try:
-                h_abs[i] = _initial_step(fd.rhs, fd.y0, f0, t_end, rtol, atol)
-            except (OverflowError, ZeroDivisionError):
-                started[i] = False
+        h_abs, started = _initial_steps(partial(func, *args), y, k1, t_end, rtol, atol)
         min_step = np.full(n, 10.0 * math.nextafter(0.0, math.inf))
         live = _Lanes(
-            lane=np.arange(n), t=np.zeros(n), t_end=np.array(t_ends, dtype=float),
+            lane=np.arange(n), t=np.zeros(n), t_end=t_end,
             steps=np.zeros(n, dtype=int), rejections=np.zeros(n, dtype=int),
             rejected=np.zeros(n, dtype=bool), min_step=min_step,
-            h_abs=np.where(min_step > h_abs, min_step, h_abs), args=args,
-            armed=np.array([[any(g is h for _, h in fd.events) for fd in fields]
-                            for _, g in events]),
+            h_abs=_max(h_abs, min_step), args=args, armed=lanes.armed,
             y=y, k1=k1, g=np.array([g(y) for _, g in events]))
         live.keep(started)
         pool = []  # per batch of event steps: lane, t_old, t_new, h, y_old, y_new, stages,
@@ -606,22 +773,18 @@ def _lane_runs(fields: Sequence, t_ends: Sequence[float], rtol: float, atol: flo
                 if not live.lane.size:
                     break
             f, t, y, k1 = whole(live.args), live.t, live.y, live.k1
-            t_next = t + live.h_abs
-            t_new = np.where(live.t_end < t_next, live.t_end, t_next)
+            t_new = _min(t + live.h_abs, live.t_end)
             h = t_new - t
             *ks, y_new = (k for k, in _stages(f, [y], [k1], h))
-            v, w = np.abs(y), np.abs(y_new)
-            scale = atol + np.where(w > v, w, v) * rtol  # max(v, w) as Python's max
+            scale = atol + _max(np.abs(y), np.abs(y_new)) * rtol
             e5, e3 = _error_sums((k1, *ks), scale)
             err = np.where(e5 != 0.0, h * e5 / np.sqrt((e5 + 0.01 * e3) * len(y)), 0.0)
             # the ** of floats, element by element: numpy's power differs in the last bit
             grow = SAFETY * np.array([e ** ERROR_EXPONENT if e else 0.0 for e in err.tolist()])
             accept = err < 1.0
-            factor = np.where(err == 0.0, MAX_FACTOR, np.where(grow < MAX_FACTOR, grow,
-                                                               MAX_FACTOR))
+            factor = np.where(err == 0.0, MAX_FACTOR, _min(MAX_FACTOR, grow))
             factor = np.where(live.rejected & ~(factor < 1.0), 1.0, factor)
-            live.h_abs = h * np.where(accept, factor,
-                                      np.where(grow > MIN_FACTOR, grow, MIN_FACTOR))
+            live.h_abs = h * np.where(accept, factor, _max(MIN_FACTOR, grow))
             live.rejections += ~accept
             live.rejected = ~accept
             live.steps += accept
@@ -647,8 +810,7 @@ def _lane_runs(fields: Sequence, t_ends: Sequence[float], rtol: float, atol: flo
             moved = accept & ~hit
             live.min_step = np.where(moved, 10.0 * (np.nextafter(live.t, math.inf) - live.t),
                                      live.min_step)
-            live.h_abs = np.where(moved & (live.min_step > live.h_abs), live.min_step,
-                                  live.h_abs)
+            live.h_abs = np.where(moved, _max(live.h_abs, live.min_step), live.h_abs)
             done = hit | horizon | exhausted
             if done.any():
                 live.keep(~done)
@@ -657,19 +819,23 @@ def _lane_runs(fields: Sequence, t_ends: Sequence[float], rtol: float, atol: flo
             lane, t_old, t_new, h, y_old, y_new, ks, steps, rejections = (
                 np.concatenate(col, axis=-1) for col in zip(*pool))
             coeffs, = _dense_coeffs(whole(args[:, lane]), h, [y_old], [y_new], ks[:, None])
-            coeffs = np.array(coeffs).T  # lane, component, d1 .. d7
-            for j, i in enumerate(lane.tolist()):  # one lane's floats at a time
-                t0, t1, hj = float(t_old[j]), float(t_new[j]), float(h[j])
-                y0, y1 = y_old[:, j].tolist(), y_new[:, j].tolist()
-                fns = [g for _, g in fields[i].events]
-                try:
-                    t_event, index, y_event = _locate(fns, [g(y0) for g in fns],
-                                                      [g(y1) for g in fns], t0, t1, hj, y0,
-                                                      coeffs[j].tolist())
-                except (ValueError, OverflowError, ZeroDivisionError):
-                    continue
-                out[i] = ([t0, t_event], [y0, y_event], index, int(steps[j]),
-                          int(rejections[j]))
+            coeffs, armed = np.stack(coeffs, axis=1), lanes.armed[:, lane]
+            t_event, index, y_event, found = _locate_lanes(
+                events, armed, t_old, t_new, h, y_old, y_new, coeffs, ROOT_HANDOFF)
+            columns = zip(lane.tolist(), t_old.tolist(), t_event.tolist(), y_old.T.tolist(),
+                          y_event.T.tolist(), index.tolist(), steps.tolist(),
+                          rejections.tolist(), found.tolist())
+            for j, (i, t0, t1, y0, y1, hit, n_steps, n_rejected, ok) in enumerate(columns):
+                if not ok:  # the scalar search decides, on the lane's floats
+                    fns = [g for (_, g), on in zip(events, armed[:, j]) if on]
+                    y_end = y_new[:, j].tolist()
+                    try:
+                        t1, hit, y1 = _locate(fns, [g(y0) for g in fns], [g(y_end) for g in fns],
+                                              t0, float(t_new[j]), float(h[j]), y0,
+                                              coeffs[:, :, j].tolist())
+                    except (ValueError, OverflowError, ZeroDivisionError):
+                        continue
+                out[i] = ([t0, t1], [y0, y1], hit, n_steps, n_rejected)
     return out
 
 
@@ -822,10 +988,21 @@ _REDUCED_EVENTS = (
 )
 
 
+def _arming(events: tuple, y0) -> list:
+    """Per event, whether it is armed at the initial vector y0 (floats, or
+    arrays over lanes): the collision always, a momentum event only where
+    p_i(0) != 0."""
+    return [(kind is EventKind.COLLISION) | (g(y0) != 0.0) for kind, g in events]
+
+
 def _armed(events: tuple, y0) -> tuple:
-    """The collision event, and each momentum event only if p_i(0) != 0."""
-    return tuple((kind, g) for kind, g in events
-                 if kind is EventKind.COLLISION or g(y0) != 0.0)
+    """The events armed at y0 (``_arming``)."""
+    return tuple(event for event, on in zip(events, _arming(events, y0)) if on)
+
+
+def _reduced_y0(p1, p2, q1, q2) -> list:
+    """The reduced initial vector (q, h, w, z, q1), on floats or on arrays."""
+    return [q2 - q1, p2 - p1, p1 + p2, p1 * p2, q1]
 
 
 def _full_field(initial: PeakonState, params: ABParams) -> _Field:
@@ -841,13 +1018,7 @@ def _reduced_field(initial: PeakonState, params: ABParams) -> _Field:
     """The reduced field on (q, h, w, z), with q1 carried as a fifth component."""
     if initial.q2 <= initial.q1:
         raise ValueError("reduced representation requires q2 > q1")
-    y0 = [
-        initial.q2 - initial.q1,
-        initial.p2 - initial.p1,
-        initial.p1 + initial.p2,
-        initial.p1 * initial.p2,
-        initial.q1,
-    ]
+    y0 = _reduced_y0(initial.p1, initial.p2, initial.q1, initial.q2)
     rhs = partial(_reduced_rhs, params.a, params.b)
     return _Field(y0, rhs, _reduced_to_array, _armed(_REDUCED_EVENTS, y0))
 
@@ -991,25 +1162,28 @@ def terminal_events(
         raise ValueError("terminal_events needs one rel_tol, abs_tol and representation "
                          "for all points")
     if len(initials) >= MIN_LANES:
-        lanes = []
-        for i, (initial, par) in enumerate(zip(initials, params)):
-            try:
-                field = _forward_field(initial, par, representation)
-            except ValueError:
-                continue
-            if not _field_may_overflow(field, par):
-                lanes.append((i, field))
         events = _REDUCED_EVENTS if representation is Representation.REDUCED else _FULL_EVENTS
-        fields = [field for _, field in lanes]
-        t_ends = [_horizon(configs[i]) for i, _ in lanes]
-        runs = _lane_runs(fields, t_ends, rtol, atol, events)
-        for (i, field), t_end, run in zip(lanes, t_ends, runs):
-            if run is not None:
-                ts, ys, hit, _, _ = run
-                try:
-                    out[i] = _terminal_record(field, configs[i], t_end, ts, ys, hit)
-                except (IntegrationError, ValueError):
-                    pass
+        index, lanes = _lane_points(initials, params, representation, events)
+        t_ends = [_horizon(configs[i]) for i in index]
+        runs = _lane_runs(lanes, t_ends, rtol, atol, events)
+        ends = [run[1][-1] for run in runs if run is not None]
+        states = iter(lanes.to_array(np.array(ends).T).T.tolist() if ends else ())
+        for i, t_end, armed, run in zip(index, t_ends, lanes.armed.T.tolist(), runs):
+            if run is None:
+                continue
+            ts, ys, hit, _, _ = run
+            state = next(states)
+            if hit is None:
+                kind, t = EventKind.HORIZON, t_end
+            else:  # as ``_terminal_record``, on the lane's floats
+                kind, g = [event for event, on in zip(events, armed) if on][hit]
+                if not abs(g(ys[-1])) <= configs[i].event_tol:
+                    continue
+                t = ts[-1]
+            try:
+                out[i] = EventRecord(kind, t, PeakonState(*state))
+            except ValueError:  # a state that is not finite
+                pass
     for i, record in enumerate(out):
         if record is None:
             try:
@@ -1017,3 +1191,31 @@ def terminal_events(
             except Exception as exc:  # the point's own failure, returned as its result
                 out[i] = exc.with_traceback(None)  # keeps no frame alive
     return out
+
+
+def _lane_points(initials: Sequence[PeakonState], params: Sequence[ABParams],
+                 representation: Representation, events: tuple) -> tuple:
+    """The points that can run as lanes, as (their indices, their
+    ``_LaneSet``), built from the points' floats as ``_forward_field`` and
+    ``_field_may_overflow`` build and judge one field.  Left out, for
+    ``integrate`` to reject: a reduced point without q2 > q1, a state read
+    back from the initial vector that is not finite, and a field that may
+    overflow there."""
+    p1, p2, q1, q2 = np.array([(s.p1, s.p2, s.q1, s.q2) for s in initials]).T
+    a, b = np.array([(p.a, p.b) for p in params]).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        if representation is Representation.REDUCED:
+            func, to_array, ok = _reduced_rhs, _reduced_to_array, q2 > q1
+            args, y0 = np.array([a, b]), np.array(_reduced_y0(p1, p2, q1, q2))
+        else:
+            func, to_array, ok = _full_rhs, _full_to_array, True
+            args, y0 = np.array([a, b, np.where(q2 >= q1, 1.0, -1.0)]), np.array([p1, p2, q1, q2])
+        state = to_array(y0)
+        # ``_field_may_overflow``'s bound per lane; that guard stays on floats,
+        # where numpy's overhead would cost each ``integrate`` call about 50 us
+        m = _max(_max(1.0, np.abs(state[0])), np.abs(state[1]))
+        c = _max(_max(_max(1.0, np.abs(1.0 - a)), np.abs(1.0 - 3.0 * a)), np.abs(2.0 - b))
+        overflow = ~np.isfinite(64.0 * c * m * m * m * m)
+    ok = ok & np.isfinite(state).all(axis=0) & ~overflow
+    index = np.flatnonzero(ok)
+    return index.tolist(), _LaneSet(func, args[:, index], y0[:, index], to_array, events)

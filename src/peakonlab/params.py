@@ -197,7 +197,12 @@ def case_spec_for(
 
     c_use = c if c is not None else admissible_c(a)
     if c_use is None:
-        # only reachable for 0 < a < 1/3
+        if a < 0:  # every c in (1, 2) is admissible here in exact arithmetic
+            raise ValueError(f"a = {a:g}: the separation design's log argument "
+                             "((c+1)a - 1)/(3a - 1) overflows or rounds out of (0, 1) "
+                             "for every c scanned")
+        # 0 < a < 1/3, where no c is admissible, or a just above 1/3, where
+        # the scan stops short of the c it needs; cases 1-2 need no c
         return CaseSpec(case, alpha, delta, DEFAULT_SMALL_MU, None)
     return CaseSpec(case, alpha, delta, compute_mu(a, c_use), c_use)
 

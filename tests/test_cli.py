@@ -648,6 +648,17 @@ class TestSweep:
         _, rows = _read_csv(out / "sweep.csv")
         assert len(rows) == 1 and rows[0][8].startswith("error:")
 
+    def test_negative_a_without_a_float_design_names_it(self, tmp_path):
+        """At a = -1e308 the design's log argument overflows for every c; the
+        row says so (it said that cases 3-4 need c)."""
+        out = tmp_path / "huge"
+        assert _run("sweep", "--a-grid=-1e308", "--b-grid=3", "--out", str(out)) == 1
+        with open(out / "sweep.csv", newline="") as fh:
+            _, row = list(csv.reader(fh))
+        assert row[8] == ("error: a = -1e+308: the separation design's log argument "
+                          "((c+1)a - 1)/(3a - 1) overflows or rounds out of (0, 1) "
+                          "for every c scanned")
+
     def test_empty_grid(self, tmp_path):
         out = tmp_path / "empty"
         assert _run("sweep", "--a-grid", "", "--b-grid", "", "--out", str(out)) == 0
@@ -662,20 +673,27 @@ class TestSweep:
         assert _run("sweep", "--a-grid", "1", "--b-grid", "2",
                     "--out", str(tmp_path / "x")) == 2
 
-    @pytest.mark.parametrize("rep", ["full", "reduced"])
-    def test_bytes_equal_the_per_point_oracle(self, tmp_path, rep):
+    @pytest.mark.parametrize("rep, design", [
+        pytest.param("full", {}, id="full"),
+        pytest.param("reduced", {}, id="reduced"),
+        pytest.param("full", {"mu": "0.05"}, id="full-mu"),
+        pytest.param("full", {"c": "1.3"}, id="full-c"),
+    ])
+    def test_bytes_equal_the_per_point_oracle(self, tmp_path, rep, design):
         """A grid large enough to run in lockstep, with a NaN node, points
         without a design (a = 0.395), points whose integration fails at
         once (b = 1e300) and a small-|a| column that needs many more steps
         than its neighbours: the table equals, byte for byte, the one the
-        point-by-point sweep writes."""
+        point-by-point sweep writes; also where --mu or --c overrides the
+        design that the sweep finds once per a and case."""
         a_grid = "nan,0.3,-1,0.395,1e-9,-0.2,0.7,-1.6"
         b_grid = "3,nan,-1,0,1e300,4.5,1.2"
         out = tmp_path / "lanes"
-        assert _run("sweep", f"--a-grid={a_grid}", f"--b-grid={b_grid}",
+        flags = [f"--{key}={value}" for key, value in design.items()]
+        assert _run("sweep", f"--a-grid={a_grid}", f"--b-grid={b_grid}", *flags,
                     "--representation", rep, "--out", str(out)) == 0
         cfg = cli.ExperimentConfig.from_mapping(
-            {"a_grid": a_grid, "b_grid": b_grid, "representation": rep})
+            {"a_grid": a_grid, "b_grid": b_grid, "representation": rep, **design})
         assert len(cfg.a_grid) * len(cfg.b_grid) >= integrator_module.MIN_LANES
         rows = sweep_rows(cfg)
         assert {row[8] for row in rows} > {"ok", "error: equation parameters must be finite"}

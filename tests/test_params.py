@@ -134,6 +134,24 @@ class TestCaseSpecPolicy:
         assert spec.mu == pytest.approx(0.1)
         assert spec.c is None
 
+    def test_scan_fails_just_above_third(self):
+        """a = 0.335 needs c > 1/0.335 - 1 = 1.985, past the scan's last 1.95:
+        the small fixed separation, which cases 1-2 can use."""
+        assert admissible_c(0.335) is None
+        spec = case_spec_for(ABParams(0.335, 3.0))
+        assert (spec.mu, spec.c) == (0.1, None)
+
+    @pytest.mark.parametrize("a", [-1e308, -6.5e307, -1e-300])
+    def test_negative_a_whose_design_fails_in_floats_raises(self, a):
+        """Every c in (1, 2) is admissible for a < 0 in exact arithmetic, but
+        the log argument overflows (large |a|) or rounds to 1 (tiny |a|).
+        That is named, not answered with the small separation, which leaves
+        cases 3-4 without the c their epsilon needs."""
+        assert admissible_c(a) is None
+        for b in (3.0, 0.0):
+            with pytest.raises(ValueError, match=r"overflows or rounds out of \(0, 1\)"):
+                case_spec_for(ABParams(a, b))
+
     def test_forq_branch_uses_default_mu(self):
         spec = case_spec_for(ABParams(1 / 3, 3.0))
         assert spec.mu == pytest.approx(0.1)

@@ -19,6 +19,7 @@ the scalar run raises.
 import math
 import random
 from dataclasses import astuple, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -169,6 +170,154 @@ class TestRootFinder:
             _root(lambda t: math.nan if t > 0.3 else t - 0.5, 0.0, 1.0)
 
 
+def _batch(functions):
+    """g(t, i) for ``_roots``: function i at time t, on floats, as ``_root``
+    evaluates it."""
+    return lambda t, i: np.array([functions[k](v) for k, v in zip(i.tolist(), t.tolist())])
+
+
+def _scalar_root(g, a, b):
+    try:
+        return _root(g, a, b)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _root_brackets(seed: int, count: int):
+    """Seeded (g, a, b): cubics (t - r)(s + t^2)(3 - t) - e with the root r
+    inside, outside or at an end of the bracket, and shifted sines."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        a = rng.uniform(-2.0, 2.0)
+        b = a + 10.0 ** rng.uniform(-12, 1)
+        r = rng.choice([rng.uniform(a, b), rng.uniform(a - 1.0, b + 1.0), a, b])
+        s, e = rng.uniform(0.1, 3.0), rng.choice([0.0, rng.uniform(-1e-3, 1e-3)])
+        w, p = rng.uniform(0.5, 40.0), rng.uniform(0.0, 6.3)
+        out.append(rng.choice([
+            (lambda t, r=r, s=s, e=e: (t - r) * (s + t * t) * (3.0 - t) - e, a, b),
+            (lambda t, w=w, p=p, e=e: math.sin(w * t + p) + e, a, b)]))
+    return out
+
+
+class TestLaneRootSearch:
+    """``_roots`` finds every bracket's root with ``_root``'s bits, and fails
+    exactly the brackets where ``_root`` raises."""
+
+    def _check(self, brackets, handoff=0):
+        functions, a, b = zip(*brackets)
+        roots, found = integrator_module._roots(_batch(functions), np.array(a), np.array(b),
+                                                handoff)
+        want = [_scalar_root(*bracket) for bracket in brackets]
+        for got, ok, root in zip(roots.tolist(), found.tolist(), want):
+            if handoff == 0:
+                assert ok == (root is not None)
+            if ok:
+                assert float.hex(got) == float.hex(root)
+        return found
+
+    def test_root_finder_cases_as_one_batch(self):
+        cubic = lambda root: (lambda t: (t - root) * (1.0 + t * t) * (3.0 - t))
+        brackets = [(cubic(root), 0.0, 1.0) for root in (0.1, 0.5, 0.999, 1e-9)]
+        brackets += [(lambda t: t - 3e-91, 1e-91, 9e-91),
+                     (lambda t: t, 0.0, 1.0), (lambda t: t - 1.0, 0.0, 1.0),
+                     (lambda t: 1.0 + t, 0.0, 1.0)]
+        assert self._check(brackets).all()
+
+    def test_seeded_brackets(self):
+        assert self._check(_root_brackets(3, 400)).all()
+
+    def test_endpoint_roots_and_no_sign_change(self):
+        functions = [lambda t: t, lambda t: t - 1.0, lambda t: 1.0 + t, lambda t: -1.0 - t]
+        roots, found = integrator_module._roots(_batch(functions), np.zeros(4), np.ones(4))
+        assert found.all()
+        assert roots.tolist() == [0.0, 1.0, 1.0, 1.0]  # no sign change: the step end
+
+    def test_nan_fails_only_its_bracket(self):
+        brackets = _root_brackets(4, 40)
+        brackets[7] = (lambda t: math.nan if t > 0.3 else t - 0.5, 0.0, 1.0)
+        brackets[19] = (lambda t: math.nan, 0.0, 1.0)
+        found = self._check(brackets)
+        assert np.flatnonzero(~found).tolist() == [7, 19]
+
+    def test_handoff_leaves_the_last_brackets_unfinished(self):
+        brackets = _root_brackets(5, 200)
+        found = self._check(brackets, handoff=16)
+        assert 0 < (~found).sum() < 16
+
+
+def test_lane_event_search_equals_locate():
+    """``_locate_lanes`` against ``_locate``, lane by lane and bit for bit, on
+    linear interpolants of the full state (p1, p2, q1, q2) over [1, 1.5]:
+    the collision and p1 = 0 at the same instant (the lower event wins), p2
+    before the collision, and a crossing p1 that the lane does not arm."""
+    y_old = np.array([[-0.5, 0.5, 0.3], [1.0, -0.25, 1.0], [0.0, 0.0, 0.0], [-0.5, -0.75, -0.6]])
+    slope = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    coeffs = np.zeros((4, 7, 3))
+    coeffs[:, 0, :] = slope  # d1; the interpolant is y_old + x d1
+    armed = np.array([[True] * 3, [True, True, False], [True] * 3])
+    t_old, t_new, h = np.full(3, 1.0), np.full(3, 1.5), np.full(3, 0.5)
+    events = integrator_module._FULL_EVENTS
+    t_event, index, state, found = integrator_module._locate_lanes(
+        events, armed, t_old, t_new, h, y_old, y_old + slope, coeffs, 0)
+    assert found.all()
+    assert index.tolist() == [0, 2, 0]
+    for j in range(3):
+        fns = [g for (_, g), on in zip(events, armed[:, j]) if on]
+        y0, y1 = y_old[:, j].tolist(), (y_old + slope)[:, j].tolist()
+        want = integrator_module._locate(fns, [g(y0) for g in fns], [g(y1) for g in fns],
+                                         1.0, 1.5, 0.5, y0, coeffs[:, :, j].tolist())
+        got = (float(t_event[j]), int(index[j]), state[:, j].tolist())
+        assert got == want
+        assert list(map(float.hex, [got[0], *got[2]])) == list(map(float.hex, [want[0], *want[2]]))
+
+
+class TestLaneStartingStep:
+    """``_initial_steps`` gives every lane ``_initial_step``'s bits, and leaves
+    unstarted exactly the lanes where it raises or is not finite."""
+
+    @staticmethod
+    def _check(func, args, y, f0, t_end):
+        with np.errstate(all="ignore"):
+            h, started = integrator_module._initial_steps(
+                partial(func, *args), y, f0, t_end, 1e-12, 1e-14)
+        for k in range(y.shape[1]):
+            try:
+                want = integrator_module._initial_step(
+                    partial(func, *args[:, k].tolist()), y[:, k].tolist(), f0[:, k].tolist(),
+                    float(t_end[k]), 1e-12, 1e-14)
+            except ZeroDivisionError:
+                want = None
+            if want is None or not math.isfinite(want):
+                assert not started[k], k
+            else:
+                assert started[k] and float.hex(float(h[k])) == float.hex(want), k
+        return started
+
+    @pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
+    def test_sweep_grid_points(self, rep):
+        points = [p for p in (_design(a, b, rep) for a, b in _sweep_grid(8)[::4]) if p]
+        fields = [integrator_module._forward_field(i, p, rep) for i, p, _ in points]
+        lanes = integrator_module._LaneSet.of_fields(fields, integrator_module._FULL_EVENTS)
+        f0 = np.array(lanes.func(*lanes.args, *lanes.y0))
+        t_end = np.array([integrator_module._horizon(c) for _, _, c in points])
+        t_end[::7] = 1e-9  # the horizon caps h0
+        assert self._check(lanes.func, lanes.args, lanes.y0, f0, t_end).all()
+
+    def test_failing_lanes_are_not_started(self):
+        """Lane 1 has d1 = 0 and d2 = NaN, where the scalar code divides by
+        max(d1, d2) = 0; lane 2 has d1 = inf, so h0 = 0 and the scalar code
+        divides by it; lane 3's field is NaN, and so is its step.  Lane 4's
+        field overflows to inf and its step is 0, as in the scalar code; the
+        other lanes are ordinary."""
+        field = lambda c, x: (c * x * x,)
+        c = np.array([[1.0, math.nan, 1.0, 1.0, 1e300, 0.5, 2.0]])
+        y = np.array([[1.0, 1.0, 1.0, 1.0, 1e10, 0.0, -3.0]])
+        f0 = np.array([[1.0, 0.0, math.inf, math.nan, 1e300, 0.0, 18.0]])
+        started = self._check(field, c, y, f0, np.full(7, 5.0))
+        assert started.tolist() == [True, False, False, False, True, True, True]
+
+
 def test_non_finite_dense_output_is_an_integration_error(monkeypatch):
     params, _, initial, base = run_point(*CASE_PRESETS["case1"])
     monkeypatch.setattr(integrator_module, "_interpolate", lambda x, coeffs, y: math.nan)
@@ -312,9 +461,11 @@ def test_failing_lanes_raise_what_integrate_raises(monkeypatch):
     interpolate = integrator_module._interpolate
 
     def nan_for_marked_step(x, coeffs, y_old):
-        if isinstance(y_old, float) and y_old == marker:
-            return math.nan
-        return interpolate(x, coeffs, y_old)
+        """NaN for the marked component: a float, or its elements of an array
+        over lanes, where the lanes' root search reads it."""
+        if isinstance(y_old, float):
+            return math.nan if y_old == marker else interpolate(x, coeffs, y_old)
+        return np.where(y_old == marker, math.nan, interpolate(x, coeffs, y_old))
 
     cfg = IntegrationConfig(max_time=100.0, representation=rep)
     failing = [
@@ -368,6 +519,21 @@ def test_overflow_guard_reads_the_state_integrate_reads(monkeypatch):
     got = terminal_events(*zip(*points))
     assert _outcome(got[0]) == (IntegrationError, str(raised.value))
     assert len(lane_points) == len(points) - 1  # every point but the edge one
+    assert list(map(_bits, got[1:])) == [_bits(integrate(*p).terminal_event)
+                                         for p in points[1:]]
+
+
+def test_unreadable_reduced_point_fails_alone():
+    """A reduced point whose momenta, read back from (h, w), overflow: the
+    batch returns the ValueError that ``integrate`` raises for it, and its
+    neighbours still run (the batch used to raise it for every point)."""
+    cfg = IntegrationConfig(representation=Representation.REDUCED)
+    points = [(PeakonState(1e308, -1e308, 0.0, 1.0), ABParams(1 / 3, 3.0), cfg),
+              *(p for p in (_design(a, b, cfg.representation) for a, b in _sweep_grid(9)[::16])
+                if p)]
+    assert len(points) >= integrator_module.MIN_LANES
+    got = terminal_events(*zip(*points))
+    assert _outcome(got[0]) == (ValueError, "state component p1 must be finite")
     assert list(map(_bits, got[1:])) == [_bits(integrate(*p).terminal_event)
                                          for p in points[1:]]
 
