@@ -16,6 +16,11 @@ f(q) weighted by (1 + e^{-q}) and (1 - e^{-q}).  Since h^2 + 4z = w^2 is
 conserved, F2 = F1 + 2(z(q) - z0), so only F1 needs a quadrature.  These
 identities hold as long as the separation stays in the range where L_a
 keeps a fixed sign, and they bound the momenta up to the collision.
+
+The quadrature's integrand is a float-level copy of ``f_density``'s
+formula (``math.exp`` and the float ``**``), since numpy's cost on a single
+float would outweigh the arithmetic at each of its nodes.  ``f_density`` and
+``z_closed_form`` keep their array form for every other caller.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +36,7 @@ from .dynamics import PeakonState, to_reduced
 from .params import _THIRD_TOL, ABParams, l_a
 
 _QUAD_ABS_TOL = 1e-12
+_RANGE_ERROR = "separation left the sign-definite range of L_a"
 _IDENTITY_TOL = 1e-9  # accepted violation of h0^2 + 4 z0 = w0^2
 
 
@@ -90,7 +97,7 @@ def z_closed_form(ctx: InvariantContext, q):
     else:
         ratio = l_a(a, q) / l_a(a, ctx.mu)
         if np.any(ratio <= 0):
-            raise ValueError("separation left the sign-definite range of L_a")
+            raise ValueError(_RANGE_ERROR)
         val = ctx.z0 * _scalar_pow(ratio, (2.0 - b) / (2.0 * (1.0 - 3.0 * a)))
     return float(val) if val.ndim == 0 else val
 
@@ -110,13 +117,57 @@ def f_density(ctx: InvariantContext, q):
     return float(val) if val.ndim == 0 else val
 
 
+def _weighted_density(ctx: InvariantContext) -> Callable[[float], float]:
+    """rho -> (1 + e^{-rho}) f(rho), the integrand of F1, on Python floats.
+
+    ``f_density``'s formula with ``math.exp`` and the float ``**``: numpy's
+    handling of a single float would cost more than the arithmetic.  The
+    values agree with ``f_density``'s to roundoff, and the same ValueError
+    is raised outside the sign-definite range.  Where a float overflows,
+    numpy's rules decide, as they did before: that point is evaluated
+    through ``f_density``.
+    """
+    a, b = ctx.params.a, ctx.params.b
+    if b == 2.0:  # the weight stays, so a node past its overflow fails as before
+        return lambda rho: (1.0 + math.exp(-rho)) * 0.0
+    if a == 0:
+        raise ValueError("a must be nonzero")
+    c, d = 1.0 - a, 1.0 - 3.0 * a
+    head, z0 = -(2.0 - b), ctx.z0
+    e_mu = math.exp(-2.0 * ctx.mu)
+    if abs(d) < _THIRD_TOL:
+        rate = -(3.0 * (2.0 - b) / 4.0)
+
+        def z_of(e2):
+            return z0 * math.exp(rate * (e2 - e_mu))
+    else:
+        l_mu, k = c - d * e_mu, (2.0 - b) / (2.0 * d)
+
+        def z_of(e2):
+            ratio = (c - d * e2) / l_mu
+            if ratio <= 0:
+                raise ValueError(_RANGE_ERROR)
+            return z0 * ratio**k
+
+    def integrand(rho: float) -> float:
+        try:
+            e, e2 = math.exp(-rho), math.exp(-2.0 * rho)
+            return (1.0 + e) * (head * e * z_of(e2) / (c - d * e2))
+        except OverflowError:
+            return (1.0 + math.exp(-rho)) * f_density(ctx, rho)
+
+    return integrand
+
+
 def _potential(ctx: InvariantContext, q: float) -> float:
     from scipy.integrate import quad  # imported on use, off the import path
 
+    if math.isnan(q):
+        raise ValueError("separation q is NaN")
     if q == ctx.mu:
         return 0.0
     val, err = quad(
-        lambda rho: (1.0 + math.exp(-rho)) * f_density(ctx, rho),
+        _weighted_density(ctx),
         ctx.mu,
         q,
         epsabs=_QUAD_ABS_TOL,
@@ -132,7 +183,10 @@ def _potential(ctx: InvariantContext, q: float) -> float:
 
 
 def F1(ctx: InvariantContext, q: float) -> float:
-    """Integral of (1 + e^{-rho}) f(rho) from mu to q; F1(mu) = 0."""
+    """Integral of (1 + e^{-rho}) f(rho) from mu to q; F1(mu) = 0.
+
+    A NaN q raises ValueError (the quadrature over [mu, nan] would return 0).
+    """
     return _potential(ctx, q)
 
 

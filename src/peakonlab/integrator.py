@@ -420,10 +420,13 @@ def _crosses(u, v):
 
 def _combine(ks, row) -> list:
     """sum_j c_j k_j over the (stage, c_j) pairs of ``row``, per component,
-    accumulated left to right."""
-    out = [0.0] * len(ks[0])
-    for j, c in row:
-        out = [o + c * v for o, v in zip(out, ks[j - 1])]
+    accumulated left to right from 0.0."""
+    out = []
+    for i in range(len(ks[0])):
+        acc = 0.0
+        for j, c in row:
+            acc = acc + c * ks[j - 1][i]
+        out.append(acc)
     return out
 
 

@@ -125,12 +125,15 @@ def _lgamma_slope(a: np.ndarray, t: float) -> np.ndarray:
     """(ln Gamma(a + t) - ln Gamma(a)) / t for a >= 1, |t| <= 1/2; psi(a) at t = 0.
 
     Small |t| uses the Taylor series psi(a) - sum_{j>=2} zeta(j, a) (-t)^{j-1} / j,
-    where the difference quotient would lose digits.
+    where the difference quotient would lose digits.  At t = 0 every term of
+    the sum is zero, so psi(a) is returned as it stands.
     """
     from scipy.special import gammaln, psi, zeta
 
     if abs(t) >= _SLOPE_TAYLOR:
         return (gammaln(a + t) - gammaln(a)) / t
+    if t == 0.0:
+        return psi(a)
     j = np.arange(2, _SLOPE_TERMS + 2, dtype=float)[:, None]
     return psi(a) - np.sum(zeta(j, a) * (-t) ** (j - 1) / j, axis=0)
 

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from analytic_oracle import potential_quadrature
 
 from peakonlab import (
     ABParams,
@@ -25,7 +26,9 @@ from peakonlab import (
     w_sq,
     z_closed_form,
 )
+from peakonlab.analytic import _weighted_density
 from peakonlab.dynamics import reduced_rhs_array
+from peakonlab.params import _THIRD_TOL
 
 # limit-branch value at a=1/3, b=3, z0=1, mu=0.1, q=0
 Z_LIMIT_FORQ_B3 = 1.1456268279374306
@@ -215,3 +218,69 @@ class TestPotentials:
         ctx = InvariantContext.from_initial(params, PeakonState(alpha + 0.5, -alpha, 0.0, 0.1))
         with pytest.raises(ValueError, match="violated"):
             InvariantContext(params, mu=ctx.mu, z0=ctx.z0 * (1 + 1e-6), h0=ctx.h0, w0=ctx.w0)
+
+
+class TestFloatIntegrand:
+    """F1 integrates a float-level copy of the density; ``analytic_oracle``
+    integrates ``f_density`` itself, as F1 did before."""
+
+    @staticmethod
+    def _contexts(case_runs):
+        contexts = [InvariantContext.from_initial(params, initial)
+                    for params, _, initial, _ in case_runs.values()]
+        # |1 - 3a| < _THIRD_TOL takes the exponential branch; b = 2 gives zero
+        return contexts + [_ctx(1 / 3 + 0.25 * _THIRD_TOL, 3.0, CASE1_STATE),
+                           _ctx(1 / 3 - 0.25 * _THIRD_TOL, 1.0, CASE1_STATE),
+                           _ctx(-0.5, 2.0, CASE1_STATE)]
+
+    def test_f1_agrees_with_the_numpy_quadrature(self, case_runs):
+        for ctx in self._contexts(case_runs):
+            qs = list(np.linspace(0.0, ctx.mu, 11))
+            if ctx.params.a > 0:
+                qs += [1.5 * ctx.mu, 2.0]
+            for q in map(float, qs):
+                assert abs(F1(ctx, q) - potential_quadrature(ctx, q)) <= 1e-14, (ctx.params, q)
+
+    def test_density_pinned_to_f_density(self, case_runs):
+        for ctx in self._contexts(case_runs):
+            integrand = _weighted_density(ctx)
+            for q in np.linspace(0.0, ctx.mu, 41).tolist():
+                want = (1.0 + math.exp(-q)) * f_density(ctx, q)
+                assert abs(integrand(q) - want) <= 1e-15 * abs(want), (ctx.params, q)
+
+    def test_outside_the_sign_definite_range(self, case_runs):
+        """a < 0: L_a changes sign beyond mu, and the quadrature raises the
+        ValueError that f_density raises there."""
+        params, spec, initial, _ = case_runs["case3"]
+        ctx = InvariantContext.from_initial(params, initial)
+        for fn in (F1, potential_quadrature):
+            with pytest.raises(ValueError, match="sign-definite range"):
+                fn(ctx, 2.0)
+            with pytest.raises(ValueError, match="sign-definite range"):
+                fn(ctx, math.inf)
+
+    @pytest.mark.filterwarnings("ignore")
+    def test_overflowing_nodes_end_as_the_oracle_does(self):
+        """Far below mu exp(-rho) overflows a float; those nodes follow
+        numpy's rules, so F1 gives the oracle's inf, nan or OverflowError."""
+        def outcome(fn, ctx, q):
+            try:
+                return fn(ctx, q)
+            except OverflowError:
+                return "OverflowError"
+
+        for a, b in ((1 / 3, 3.0), (1 / 3, 1.0), (0.5, 3.0), (-1.0, 3.0), (0.7, 2.0)):
+            ctx = _ctx(a, b, CASE1_STATE)
+            for q in (-5.0, -400.0, -800.0, -math.inf):
+                got, want = outcome(F1, ctx, q), outcome(potential_quadrature, ctx, q)
+                if isinstance(want, str) or not math.isfinite(want):
+                    assert repr(got) == repr(want), (a, b, q)
+                else:
+                    assert got == pytest.approx(want, rel=1e-14), (a, b, q)
+
+    def test_nan_separation_raises(self):
+        """quad over [mu, nan] would return 0, so h_sq(nan) would be h0^2."""
+        ctx = _ctx(1 / 3, 3.0, CASE1_STATE)
+        for fn in (F1, F2, h_sq, w_sq):
+            with pytest.raises(ValueError, match="separation"):
+                fn(ctx, math.nan)

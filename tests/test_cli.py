@@ -709,3 +709,14 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert out.stdout.strip() == "[]"
+
+
+def test_python_m_runs_from_the_source_tree(tmp_path):
+    """``python -m peakonlab`` runs the command line without an installed
+    entry point, with only the source directory on the path."""
+    out = subprocess.run(
+        [sys.executable, "-m", "peakonlab", "sweep", "--a-grid=0.1", "--b-grid=3",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "sweep.csv").is_file()

@@ -276,3 +276,60 @@ class TestClosedForm:
         for x in (-1.0, 0.5, 2.0):
             assert abs(pde_residual(pair, 0.0, x, params)
                        - pde_residual(single, 0.0, x, params)) <= 1e-14
+
+
+class _Counting:
+    """A real trajectory that counts its ``sample`` and ``sample_derivative`` calls."""
+
+    def __init__(self, base):
+        self._base = base
+        self.samples = self.derivatives = 0
+
+    def sample(self, t):
+        self.samples += 1
+        return self._base.sample(t)
+
+    def sample_derivative(self, t):
+        self.derivatives += 1
+        return self._base.sample_derivative(t)
+
+
+class TestReportSamplesOnce:
+    """``residual_report`` samples the state and its derivative once per
+    report, and each value is still ``pde_residual``'s at its point."""
+
+    @staticmethod
+    def _points(traj, t):
+        """Left of, between (one inside the exclusion radius) and right of
+        the peaks, and far out on both sides."""
+        st = traj.sample(t)
+        lo, hi = sorted((st.q1, st.q2))
+        return [lo - 40.0, lo - 1.5, lo + 0.05, 0.5 * (lo + hi), hi + 0.7, hi + 3.0, hi + 40.0]
+
+    def test_one_sample_whatever_the_number_of_points(self, case_runs):
+        for params, _, _, traj in case_runs.values():
+            t = 0.5 * traj.t_end
+            for points in (None, self._points(traj, t)):
+                counting = _Counting(traj)
+                residual_report(counting, t, params, points=points)
+                assert counting.samples == 1
+                assert counting.derivatives <= 1
+
+    def test_values_equal_pde_residual_bit_for_bit(self, case_runs):
+        for name, (params, _, _, traj) in case_runs.items():
+            for fraction in (0.1, 0.5, 0.9):
+                t = fraction * traj.t_end
+                for points in (None, self._points(traj, t)):
+                    report = residual_report(traj, t, params, points=points)
+                    assert report.sample_points
+                    want = [pde_residual(traj, t, x, params) for x in report.sample_points]
+                    assert list(map(float.hex, report.residual_values)) == list(
+                        map(float.hex, want)), (name, t, points)
+
+    def test_no_kept_point_needs_no_derivative(self, case1_traj):
+        params, traj = case1_traj
+        t = 0.5 * traj.terminal_event.time
+        counting = _Counting(traj)
+        report = residual_report(counting, t, params, points=[traj.sample(t).q1])
+        assert report.sample_points == () and report.max_abs_residual == 0.0
+        assert (counting.samples, counting.derivatives) == (1, 0)

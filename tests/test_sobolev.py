@@ -46,6 +46,7 @@ from peakonlab import (
     pair_integral,
 )
 from peakonlab.integrator import EventRecord
+from peakonlab.sobolev import _SERIES_TERMS, _SLOPE_TERMS, _lgamma_slope
 
 from conftest import locate_collision
 
@@ -233,6 +234,18 @@ class TestPairIntegral:
         h = 1e-6
         mid = 0.5 * (pair_integral(w, 0.5 - h) + pair_integral(w, 0.5 + h))
         np.testing.assert_allclose(mid, pair_integral(w, 0.5), rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("t", (0.0, -0.0))
+    def test_integer_order_slope_is_psi(self, t):
+        """At t = 0 (nu an integer) the log-gamma slope is psi(a) as it
+        stands; the Taylor series, whose terms are all +-0 there, gives the
+        same bits."""
+        from scipy.special import psi, zeta
+
+        a = np.arange(1.0, 2.0 * _SERIES_TERMS + 2.0)
+        j = np.arange(2, _SLOPE_TERMS + 2, dtype=float)[:, None]
+        taylor = psi(a) - np.sum(zeta(j, a) * (-t) ** (j - 1) / j, axis=0)
+        assert _lgamma_slope(a, t).tobytes() == taylor.tobytes()
 
     @pytest.mark.parametrize("s", (0.5, 1.0, 1.4, 1.45))
     def test_against_quadrature_oracle(self, s):

@@ -120,6 +120,56 @@ def test_tableau_is_dop853():
     assert np.array_equal(d, ref.D)
 
 
+def _combine_oracle(ks, row) -> list:
+    """The dense output's stage combination as it was first written: one new
+    list per (stage, coefficient) pair, accumulated left to right from 0.0.
+    ``integrator._combine`` accumulates in scalars instead and must give the
+    same bits."""
+    out = [0.0] * len(ks[0])
+    for j, c in row:
+        out = [o + c * v for o, v in zip(out, ks[j - 1])]
+    return out
+
+
+class TestDenseCoefficients:
+    """``_dense_coeffs`` against itself with ``_combine_oracle``, bit for bit."""
+
+    @staticmethod
+    def _both(monkeypatch, *args):
+        got = integrator_module._dense_coeffs(*args)
+        with monkeypatch.context() as m:
+            m.setattr(integrator_module, "_combine", _combine_oracle)
+            want = integrator_module._dense_coeffs(*args)
+        return got, want
+
+    def test_every_preset_step(self, case_runs, monkeypatch):
+        for rep in Representation:
+            for params, _, initial, base in case_runs.values():
+                traj = integrate(initial, params, replace(base.config, representation=rep))
+                stepper = traj._stepper
+                for _, h, y, y_new, k in stepper.steps:
+                    got, want = self._both(monkeypatch, stepper.f, h, y, y_new, k)
+                    assert [list(map(float.hex, c)) for c in got] == [
+                        list(map(float.hex, c)) for c in want]
+
+    def test_component_lane_arrays(self, case_runs, monkeypatch):
+        """The lane path's call: the whole (component, lane) state as one
+        component, one lane per accepted step of the case1 run."""
+        params, _, initial, traj = case_runs["case1"]
+        stepper = traj._stepper
+        _, h, y, y_new, k = (np.array(col) for col in zip(*stepper.steps))
+        f = stepper.f  # the full field, which also takes arrays over lanes
+
+        def whole(y):
+            return [np.array(f(*y))]
+
+        got, want = self._both(monkeypatch, whole, h, [y.T], [y_new.T],
+                               np.moveaxis(k, 0, -1)[:, None])
+        assert len(got) == 1 and len(got[0]) == 7
+        for g, w in zip(got[0], want[0]):
+            assert g.shape == (4, len(h)) and g.tobytes() == w.tobytes()
+
+
 class TestCounters:
     def test_evaluations_per_step(self, case_runs, grid_runs):
         """2 to start, 11 per attempt, the new state's field per accepted
