@@ -174,6 +174,8 @@ def _potential(ctx: InvariantContext, q: float) -> float:
         epsrel=_QUAD_ABS_TOL,
         limit=200,
     )
+    if not math.isfinite(val):  # far below mu, where e^{-2q} or z(q) overflows a float
+        raise ValueError(f"F1 is not finite at separation q = {q:g}")
     if err > 100 * _QUAD_ABS_TOL * max(1.0, abs(val)):
         warnings.warn(
             f"potential quadrature did not converge: estimated error {err:.3e}",
@@ -185,7 +187,9 @@ def _potential(ctx: InvariantContext, q: float) -> float:
 def F1(ctx: InvariantContext, q: float) -> float:
     """Integral of (1 + e^{-rho}) f(rho) from mu to q; F1(mu) = 0.
 
-    A NaN q raises ValueError (the quadrature over [mu, nan] would return 0).
+    A NaN q raises ValueError (the quadrature over [mu, nan] would return 0),
+    and so does a q where the integral is not finite (F2, h_sq and w_sq
+    raise with it).
     """
     return _potential(ctx, q)
 

@@ -480,12 +480,8 @@ def _sweep_runs(cfg: ExperimentConfig, points: Sequence[tuple]) -> list:
     by_case = {}
     runs = []
     for a, b in points:
-        try:
-            params = ABParams(a=a, b=b)
-            key = (a, classify(params))
-        except ValueError as exc:  # per-point failures recorded, sweep continues
-            runs.append(exc.with_traceback(None))  # keeps no frame alive
-            continue
+        params = ABParams(a=a, b=b)  # ``sweep`` admits finite a != 0 and b != 2 only
+        key = (a, classify(params))
         if key not in by_case:
             try:
                 by_case[key] = _resolve(replace(cfg, case="custom", a=a, b=b), require_case=True)
@@ -500,6 +496,9 @@ def _sweep_runs(cfg: ExperimentConfig, points: Sequence[tuple]) -> list:
 
 def sweep(cfg: ExperimentConfig) -> int:
     """Run the (a, b) grid and tabulate collision outcomes per point."""
+    if not all(map(math.isfinite, (*cfg.a_grid, *cfg.b_grid))):
+        print("error: sweep grid contains a value that is not finite", file=sys.stderr)
+        return EXIT_CONFIG
     if any(a == 0.0 for a in cfg.a_grid):
         print("error: sweep grid contains a = 0 (no construction there)", file=sys.stderr)
         return EXIT_CONFIG

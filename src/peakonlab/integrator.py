@@ -50,9 +50,14 @@ with the two-sided one there bit for bit and the solution is unchanged;
 only trial stages past the collision see a different field, and a smooth
 one.  The reduced field is smooth through q = 0 already.
 
-Both representations, forward and time-reversed runs, go through one
-solve path, driven by a ``_Field`` record of the initial vector, the
-right-hand side, the map back to [p1, p2, q1, q2] and the event functions.
+Each representation is described once (``_FieldDescription``): its field,
+the map back to [p1, p2, q1, q2], its candidate events, and a ``start``
+that gives the field's parameters (sigma among them), the initial vector
+and whether the point can run, in arithmetic and comparisons that act the
+same on floats and on arrays over lanes.  One run calls it on floats, the
+lane stepper on arrays; the overflow guard (``_may_overflow``) and the
+terminal record with its residual check (``_terminal_record``) are shared
+the same way.  Forward and time-reversed runs go through one solve path.
 Floating-point overflow in trial stages of an overflowing input is left to
 the step controller (the step is rejected, or the solve fails with
 IntegrationError).
@@ -78,10 +83,10 @@ at once, their branches as masks: one Illinois iteration over every
 crossed event of every lane, each bracket reading only the state
 components its event reads.  Its last few brackets (``ROOT_HANDOFF``), and
 every lane on which the scalar search would raise, go through the scalar
-``_locate``.  The lanes, their overflow guard and their terminal records
-are built from the points' floats (``_lane_points``), with no ``_Field``
-per point.  A lane the stepper cannot finish (a starting step the scalar
-code cannot take, a step below the spacing of t, the step budget, a
+``_locate``.  The lanes are built by one call of the description's
+``start`` on arrays over the points (``_lane_points``), with no record per
+point.  A lane the stepper cannot finish (a starting step the scalar code
+cannot take, a step below the spacing of t, the step budget, a
 floating-point failure, a non-finite dense output, an event residual above
 ``event_tol``, or an initial field that may overflow) is run again through
 ``integrate``, so its error is the scalar run's.  A single run stays on the
@@ -695,38 +700,13 @@ class _Lanes:
             setattr(self, name, value[..., mask])
 
 
-class _LaneSet:
-    """Points of one representation as lanes, the lane on the last axis: the
-    field ``func(*args, *y)`` with its parameters ``args`` (parameter,
-    lane), the map ``to_array`` of its vectors to [p1, p2, q1, q2], the
-    initial vectors ``y0`` (component, lane) and, per event of the
-    representation's ``events``, whether each lane arms it (``_arming``)."""
-
-    def __init__(self, func: Callable, args, y0, to_array: Callable, events: tuple):
-        self.func, self.args, self.y0, self.to_array = func, args, y0, to_array
-        self.armed = np.array(_arming(events, y0))
-
-    def __len__(self) -> int:
-        return self.y0.shape[-1]
-
-    def __iter__(self):
-        """The lanes, each as its initial vector."""
-        return iter(self.y0.T)
-
-    @classmethod
-    def of_fields(cls, fields: Sequence, events: tuple) -> "_LaneSet":
-        """The lanes of ``_Field``s that differ only in the parameters bound in
-        their right-hand sides, ``partial(func, *args)`` with one func."""
-        return cls(fields[0].rhs.func, np.array([fd.rhs.args for fd in fields]).T,
-                   np.array([fd.y0 for fd in fields]).T, fields[0].to_array, events)
-
-
-def _lane_runs(lanes, t_ends: Sequence[float], rtol: float, atol: float,
-               events: tuple) -> list:
+def _lane_runs(fields: "_FieldDescription", args, y0, t_ends: Sequence[float], rtol: float,
+               atol: float) -> list:
     """``_Dop853.solve`` for every lane at once.
 
-    ``lanes`` is a ``_LaneSet``, or the ``_Field`` of each lane; ``events``
-    are the representation's candidate event functions.  Every lane keeps
+    The lanes are points of the representation ``fields``, with the field's
+    parameters ``args`` (parameter, lane) and initial vectors ``y0``
+    (component, lane), as ``_lane_points`` builds them.  Every lane keeps
     its own t, step size, rejection flag and step counts, and retires at its
     event or horizon.  The starting steps are found for all lanes at once
     (``_initial_steps``).  Lockstep stops when fewer than ``LANE_HANDOFF``
@@ -741,31 +721,29 @@ def _lane_runs(lanes, t_ends: Sequence[float], rtol: float, atol: float,
     running, and where the scalar stepper raises.  The rejected steps are
     counted for the tests, which compare both counts with the scalar run's.
     """
-    n = len(lanes)
+    n = y0.shape[-1]
     out = [None] * n
     if not n:
         return out
-    if not isinstance(lanes, _LaneSet):
-        lanes = _LaneSet.of_fields(lanes, events)
-    func, args = lanes.func, lanes.args
+    func, events = fields.func, fields.events
+    armed = np.array(_arming(events, y0))
 
     def whole(args):
         """The field on a (component, lane) array, taken as one component,
         so that the step arithmetic runs once over all components."""
         return lambda y: [np.array(func(*args, *y))]
 
-    y = lanes.y0
     t_end = np.array(t_ends, dtype=float)
     with np.errstate(all="ignore"):
-        k1 = np.array(func(*args, *y))
-        h_abs, started = _initial_steps(partial(func, *args), y, k1, t_end, rtol, atol)
+        k1 = np.array(func(*args, *y0))
+        h_abs, started = _initial_steps(partial(func, *args), y0, k1, t_end, rtol, atol)
         min_step = np.full(n, 10.0 * math.nextafter(0.0, math.inf))
         live = _Lanes(
             lane=np.arange(n), t=np.zeros(n), t_end=t_end,
             steps=np.zeros(n, dtype=int), rejections=np.zeros(n, dtype=int),
             rejected=np.zeros(n, dtype=bool), min_step=min_step,
-            h_abs=_max(h_abs, min_step), args=args, armed=lanes.armed,
-            y=y, k1=k1, g=np.array([g(y) for _, g in events]))
+            h_abs=_max(h_abs, min_step), args=args, armed=armed,
+            y=y0, k1=k1, g=np.array([g(y0) for _, g in events]))
         live.keep(started)
         pool = []  # per batch of event steps: lane, t_old, t_new, h, y_old, y_new, stages,
         #            accepted and rejected steps
@@ -822,32 +800,28 @@ def _lane_runs(lanes, t_ends: Sequence[float], rtol: float, atol: float,
             lane, t_old, t_new, h, y_old, y_new, ks, steps, rejections = (
                 np.concatenate(col, axis=-1) for col in zip(*pool))
             coeffs, = _dense_coeffs(whole(args[:, lane]), h, [y_old], [y_new], ks[:, None])
-            coeffs, armed = np.stack(coeffs, axis=1), lanes.armed[:, lane]
+            coeffs, armed = np.stack(coeffs, axis=1), armed[:, lane]
             t_event, index, y_event, found = _locate_lanes(
                 events, armed, t_old, t_new, h, y_old, y_new, coeffs, ROOT_HANDOFF)
             columns = zip(lane.tolist(), t_old.tolist(), t_event.tolist(), y_old.T.tolist(),
                           y_event.T.tolist(), index.tolist(), steps.tolist(),
                           rejections.tolist(), found.tolist())
-            for j, (i, t0, t1, y0, y1, hit, n_steps, n_rejected, ok) in enumerate(columns):
+            for j, (i, t_a, t_b, y_a, y_b, hit, n_steps, n_rejected, ok) in enumerate(columns):
                 if not ok:  # the scalar search decides, on the lane's floats
-                    fns = [g for (_, g), on in zip(events, armed[:, j]) if on]
+                    fns = [g for _, g in _armed(events, armed[:, j])]
                     y_end = y_new[:, j].tolist()
                     try:
-                        t1, hit, y1 = _locate(fns, [g(y0) for g in fns], [g(y_end) for g in fns],
-                                              t0, float(t_new[j]), float(h[j]), y0,
-                                              coeffs[:, :, j].tolist())
+                        t_b, hit, y_b = _locate(fns, [g(y_a) for g in fns],
+                                                [g(y_end) for g in fns], t_a, float(t_new[j]),
+                                                float(h[j]), y_a, coeffs[:, :, j].tolist())
                     except (ValueError, OverflowError, ZeroDivisionError):
                         continue
-                out[i] = ([t0, t1], [y0, y1], hit, n_steps, n_rejected)
+                out[i] = ([t_a, t_b], [y_a, y_b], hit, n_steps, n_rejected)
     return out
 
 
 # ---------------------------------------------------------------------------
 # trajectories
-
-
-def _full_to_array(y) -> np.ndarray:
-    return np.asarray(y)
 
 
 def _reduced_to_array(y) -> np.ndarray:
@@ -963,32 +937,50 @@ class Trajectory:
         return st.q2 - st.q1
 
 
-@dataclass(frozen=True, slots=True)
-class _Field:
-    """What the solve path needs of one representation: the initial vector,
-    the right-hand side f(*y), the map of raw solver states to
-    [p1, p2, q1, q2] rows, the terminal event functions g(y) with their
-    kinds, and the direction of time (-1 for a reversed run)."""
+@dataclass(frozen=True)
+class _FieldDescription:
+    """One representation, as the scalar and the lane stepper both read it:
+    the field ``func(*args, *y)``, the map ``to_array`` of its vectors to
+    [p1, p2, q1, q2] rows, its candidate terminal events (kind, g(y)), and
+    ``start(a, b, p1, p2, q1, q2) -> (args, y0, ok)``: the field's
+    parameters and initial vector at a point, and whether the
+    representation can run it.  ``start`` and the event functions use only
+    arithmetic and comparisons, so they give the same bits on floats (one
+    run) and on arrays over lanes (``_lane_points``)."""
 
-    y0: list
-    rhs: Callable
+    func: Callable
     to_array: Callable
-    events: tuple = ()
-    time_sign: float = 1.0
+    events: tuple
+    start: Callable
 
 
-#: the terminal event functions of each representation, (kind, g(y)); they
-#: work on floats and on arrays over lanes alike
-_FULL_EVENTS = (
+def _full_start(a, b, p1, p2, q1, q2) -> tuple:
+    """The full field, oriented once by the initial peak order: sigma = +1
+    where q2 >= q1 (the peaks coinciding too), else -1 (see the module
+    docstring).  Every point can run."""
+    return (a, b, 2.0 * (q2 >= q1) - 1.0), [p1, p2, q1, q2], True
+
+
+def _reduced_start(a, b, p1, p2, q1, q2) -> tuple:
+    """The reduced field on (q, h, w, z), with q1 carried as a fifth
+    component; it needs q2 > q1."""
+    return (a, b), [q2 - q1, p2 - p1, p1 + p2, p1 * p2, q1], q2 > q1
+
+
+_FULL = _FieldDescription(_full_rhs, np.asarray, (
     (EventKind.COLLISION, lambda y: y[3] - y[2]),
     (EventKind.MOMENTUM_ZERO_1, lambda y: y[0]),
     (EventKind.MOMENTUM_ZERO_2, lambda y: y[1]),
-)
-_REDUCED_EVENTS = (
+), _full_start)
+_REDUCED = _FieldDescription(_reduced_rhs, _reduced_to_array, (
     (EventKind.COLLISION, lambda y: y[0]),
     (EventKind.MOMENTUM_ZERO_1, lambda y: 0.5 * (y[2] - y[1])),
     (EventKind.MOMENTUM_ZERO_2, lambda y: 0.5 * (y[1] + y[2])),
-)
+), _reduced_start)
+
+
+def _description(representation: Representation) -> _FieldDescription:
+    return _REDUCED if representation is Representation.REDUCED else _FULL
 
 
 def _arming(events: tuple, y0) -> list:
@@ -998,104 +990,68 @@ def _arming(events: tuple, y0) -> list:
     return [(kind is EventKind.COLLISION) | (g(y0) != 0.0) for kind, g in events]
 
 
-def _armed(events: tuple, y0) -> tuple:
-    """The events armed at y0 (``_arming``)."""
-    return tuple(event for event, on in zip(events, _arming(events, y0)) if on)
+def _armed(events: tuple, arming) -> list:
+    """The events that one point's ``_arming`` arms."""
+    return [event for event, on in zip(events, arming) if on]
 
 
-def _reduced_y0(p1, p2, q1, q2) -> list:
-    """The reduced initial vector (q, h, w, z, q1), on floats or on arrays."""
-    return [q2 - q1, p2 - p1, p1 + p2, p1 * p2, q1]
-
-
-def _full_field(initial: PeakonState, params: ABParams) -> _Field:
-    """The full field, oriented once by the initial peak order (see the module
-    docstring)."""
-    orientation = 1.0 if initial.q2 >= initial.q1 else -1.0
-    rhs = partial(_full_rhs, params.a, params.b, orientation)
-    y0 = [initial.p1, initial.p2, initial.q1, initial.q2]
-    return _Field(y0, rhs, _full_to_array, _armed(_FULL_EVENTS, y0))
-
-
-def _reduced_field(initial: PeakonState, params: ABParams) -> _Field:
-    """The reduced field on (q, h, w, z), with q1 carried as a fifth component."""
-    if initial.q2 <= initial.q1:
-        raise ValueError("reduced representation requires q2 > q1")
-    y0 = _reduced_y0(initial.p1, initial.p2, initial.q1, initial.q2)
-    rhs = partial(_reduced_rhs, params.a, params.b)
-    return _Field(y0, rhs, _reduced_to_array, _armed(_REDUCED_EVENTS, y0))
-
-
-def _forward_field(initial: PeakonState, params: ABParams,
-                   representation: Representation) -> _Field:
-    if representation is Representation.REDUCED:
-        return _reduced_field(initial, params)
-    return _full_field(initial, params)
-
-
-def _field_may_overflow(field: _Field, params: ABParams) -> bool:
-    """Whether the field can overflow at its initial vector.
+def _may_overflow(a, b, p1, p2, maximum: Callable = max):
+    """Whether the field can overflow at momenta (p1, p2): on floats with
+    ``max``, on arrays over lanes with ``_max``.
 
     Both fields are sums of at most four terms, each a coefficient 1 - a,
     1 - 3a or 2 - b (or a small integer) times a monomial of degree at most
     four in the momenta (the reduced z' = (2-b) h w z e^{-2q} is quartic)
     times exponential factors that are at most 1 at t = 0.  If that bound
     is finite, so is the field; checking it evaluates no right-hand side.
-    The momenta are read back from the initial vector (for the reduced
-    field, rebuilt from h and w, which can move them by an ulp), so
-    ``_solve`` and ``terminal_events`` judge a point alike.
+    ``integrate`` and ``terminal_events`` pass the momenta read back from
+    the initial vector (for the reduced field, rebuilt from h and w, which
+    can move them by an ulp), so they judge a point alike.
     """
-    initial = _state(field.to_array, field.y0)
-    a, b = params.a, params.b
-    m = max(1.0, abs(initial.p1), abs(initial.p2))
-    c = max(1.0, abs(1.0 - a), abs(1.0 - 3.0 * a), abs(2.0 - b))
-    return not math.isfinite(64.0 * c * m * m * m * m)
+    m = maximum(maximum(1.0, abs(p1)), abs(p2))
+    c = maximum(maximum(maximum(1.0, abs(1.0 - a)), abs(1.0 - 3.0 * a)), abs(2.0 - b))
+    return 64.0 * c * m * m * m * m == math.inf  # c, m >= 1: a NaN never wins the max
 
 
-def _solve(
-    field: _Field,
-    params: ABParams,
-    config: IntegrationConfig,
-    t_end: float,
-) -> Trajectory:
-    """Integrate ``field`` on [0, t_end] until its first event.
+def _solve(rhs: Callable, y0: list, to_array: Callable, events: Sequence, params: ABParams,
+           config: IntegrationConfig, t_end: float, time_sign: float = 1.0) -> Trajectory:
+    """Integrate ``rhs`` from y0 on [0, t_end] until the first of ``events``.
 
     The trajectory ends exactly at the located event time, or at t_end with
     a HORIZON record.  Step-size failure, a non-finite dense output at an
     event, or an event residual above ``event_tol`` raises IntegrationError
     with the last good state.
     """
-    to_array, time_sign = field.to_array, field.time_sign
-    initial = _state(to_array, field.y0)
+    initial = _state(to_array, y0)
     if t_end == 0.0:  # nothing to integrate: the constant trajectory
         rec = EventRecord(EventKind.HORIZON, 0.0, initial)
-        return Trajectory(params, config, [0.0], [field.y0], [rec], None, to_array, time_sign)
-    if _field_may_overflow(field, params):
+        return Trajectory(params, config, [0.0], [y0], [rec], None, to_array, time_sign)
+    if _may_overflow(params.a, params.b, initial.p1, initial.p2):
         raise IntegrationError("the field may overflow at the initial state", 0.0, initial)
 
-    stepper = _Dop853(field.rhs, config.rel_tol, config.abs_tol)
+    stepper = _Dop853(rhs, config.rel_tol, config.abs_tol)
     try:
-        ts, ys, hit = stepper.solve(field.y0, t_end, [g for _, g in field.events])
+        ts, ys, hit = stepper.solve(y0, t_end, [g for _, g in events])
     except _StepFailure as exc:
         raise IntegrationError(str(exc), exc.t, _state(to_array, exc.y)) from None
-    record = _terminal_record(field, config, t_end, ts, ys, hit)
+    record = _terminal_record(events, hit, to_array, config.event_tol, t_end, ts, ys)
     return Trajectory(params, config, ts, ys, [record], stepper, to_array, time_sign)
 
 
-def _terminal_record(field: _Field, config: IntegrationConfig, t_end: float, ts, ys,
-                     hit: Optional[int]) -> EventRecord:
+def _terminal_record(events: Sequence, hit: Optional[int], to_array: Callable,
+                     event_tol: float, t_end: float, ts, ys) -> EventRecord:
     """The record of a run that ended at times ``ts`` in states ``ys`` (the
-    last two at least) with event ``hit`` or at the horizon.  Raises
-    IntegrationError if the event residual |g(T)| exceeds ``event_tol``."""
-    to_array = field.to_array
+    last two at least) with event ``hit`` of its armed ``events``, or at the
+    horizon.  Raises IntegrationError if the event residual |g(T)| exceeds
+    ``event_tol``, and ValueError if the end state is not finite."""
     if hit is None:
         return EventRecord(EventKind.HORIZON, t_end, _state(to_array, ys[-1]))
-    kind, g = field.events[hit]
+    kind, g = events[hit]
     residual = abs(g(ys[-1]))
-    if not residual <= config.event_tol:
+    if not residual <= event_tol:
         raise IntegrationError(
             f"{kind.value} event located only to |g| = {residual:.3g} > event_tol "
-            f"{config.event_tol:g}", ts[-2], _state(to_array, ys[-2]))
+            f"{event_tol:g}", ts[-2], _state(to_array, ys[-2]))
     return EventRecord(kind, ts[-1], _state(to_array, ys[-1]))
 
 
@@ -1110,8 +1066,14 @@ def integrate(
     reaches the horizon gets a HORIZON event record rather than an error.
     Step-size failure raises IntegrationError with the last good state.
     """
-    field = _forward_field(initial, params, config.representation)
-    return _solve(field, params, config, _horizon(config))
+    fields = _description(config.representation)
+    args, y0, ok = fields.start(params.a, params.b, initial.p1, initial.p2, initial.q1,
+                                initial.q2)
+    if not ok:  # only the reduced representation refuses a point
+        raise ValueError("reduced representation requires q2 > q1")
+    events = _armed(fields.events, _arming(fields.events, y0))
+    return _solve(partial(fields.func, *args), y0, fields.to_array, events, params, config,
+                  _horizon(config))
 
 
 def _horizon(config: IntegrationConfig) -> float:
@@ -1133,10 +1095,11 @@ def integrate_reversed(
     """
     if duration < 0:
         raise ValueError("duration must be nonnegative")
-    forward = _full_field(from_state, params)
-    rhs = lambda *y: [-v for v in forward.rhs(*y)]
-    field = _Field(forward.y0, rhs, forward.to_array, time_sign=-1.0)
-    return _solve(field, params, config, duration)
+    args, y0, _ = _FULL.start(params.a, params.b, from_state.p1, from_state.p2, from_state.q1,
+                              from_state.q2)
+    forward = partial(_FULL.func, *args)
+    return _solve(lambda *y: [-v for v in forward(*y)], y0, _FULL.to_array, (), params,
+                  config, duration, time_sign=-1.0)
 
 
 def terminal_events(
@@ -1165,27 +1128,19 @@ def terminal_events(
         raise ValueError("terminal_events needs one rel_tol, abs_tol and representation "
                          "for all points")
     if len(initials) >= MIN_LANES:
-        events = _REDUCED_EVENTS if representation is Representation.REDUCED else _FULL_EVENTS
-        index, lanes = _lane_points(initials, params, representation, events)
+        fields = _description(representation)
+        index, args, y0 = _lane_points(initials, params, fields)
         t_ends = [_horizon(configs[i]) for i in index]
-        runs = _lane_runs(lanes, t_ends, rtol, atol, events)
-        ends = [run[1][-1] for run in runs if run is not None]
-        states = iter(lanes.to_array(np.array(ends).T).T.tolist() if ends else ())
-        for i, t_end, armed, run in zip(index, t_ends, lanes.armed.T.tolist(), runs):
+        runs = _lane_runs(fields, args, y0, t_ends, rtol, atol)
+        arming = np.array(_arming(fields.events, y0)).T.tolist()
+        for i, t_end, on, run in zip(index, t_ends, arming, runs):
             if run is None:
                 continue
             ts, ys, hit, _, _ = run
-            state = next(states)
-            if hit is None:
-                kind, t = EventKind.HORIZON, t_end
-            else:  # as ``_terminal_record``, on the lane's floats
-                kind, g = [event for event, on in zip(events, armed) if on][hit]
-                if not abs(g(ys[-1])) <= configs[i].event_tol:
-                    continue
-                t = ts[-1]
             try:
-                out[i] = EventRecord(kind, t, PeakonState(*state))
-            except ValueError:  # a state that is not finite
+                out[i] = _terminal_record(_armed(fields.events, on), hit, fields.to_array,
+                                          configs[i].event_tol, t_end, ts, ys)
+            except (IntegrationError, ValueError):  # ``integrate`` runs it again, to raise
                 pass
     for i, record in enumerate(out):
         if record is None:
@@ -1197,28 +1152,19 @@ def terminal_events(
 
 
 def _lane_points(initials: Sequence[PeakonState], params: Sequence[ABParams],
-                 representation: Representation, events: tuple) -> tuple:
-    """The points that can run as lanes, as (their indices, their
-    ``_LaneSet``), built from the points' floats as ``_forward_field`` and
-    ``_field_may_overflow`` build and judge one field.  Left out, for
-    ``integrate`` to reject: a reduced point without q2 > q1, a state read
-    back from the initial vector that is not finite, and a field that may
-    overflow there."""
+                 fields: _FieldDescription) -> tuple:
+    """The points that can run as lanes of ``fields``, as (their indices,
+    the field's parameters (parameter, lane), the initial vectors
+    (component, lane)), built by the ``start`` that ``integrate`` calls on
+    each point's floats.  Left out, for ``integrate`` to reject: a point
+    that ``start`` refuses, a state read back from the initial vector that
+    is not finite, and a field that may overflow there."""
     p1, p2, q1, q2 = np.array([(s.p1, s.p2, s.q1, s.q2) for s in initials]).T
     a, b = np.array([(p.a, p.b) for p in params]).T
     with np.errstate(over="ignore", invalid="ignore"):
-        if representation is Representation.REDUCED:
-            func, to_array, ok = _reduced_rhs, _reduced_to_array, q2 > q1
-            args, y0 = np.array([a, b]), np.array(_reduced_y0(p1, p2, q1, q2))
-        else:
-            func, to_array, ok = _full_rhs, _full_to_array, True
-            args, y0 = np.array([a, b, np.where(q2 >= q1, 1.0, -1.0)]), np.array([p1, p2, q1, q2])
-        state = to_array(y0)
-        # ``_field_may_overflow``'s bound per lane; that guard stays on floats,
-        # where numpy's overhead would cost each ``integrate`` call about 50 us
-        m = _max(_max(1.0, np.abs(state[0])), np.abs(state[1]))
-        c = _max(_max(_max(1.0, np.abs(1.0 - a)), np.abs(1.0 - 3.0 * a)), np.abs(2.0 - b))
-        overflow = ~np.isfinite(64.0 * c * m * m * m * m)
-    ok = ok & np.isfinite(state).all(axis=0) & ~overflow
+        args, y0, ok = fields.start(a, b, p1, p2, q1, q2)
+        y0 = np.array(y0)
+        state = fields.to_array(y0)
+        ok = ok & np.isfinite(state).all(axis=0) & ~_may_overflow(a, b, *state[:2], _max)
     index = np.flatnonzero(ok)
-    return index.tolist(), _LaneSet(func, args[:, index], y0[:, index], to_array, events)
+    return index.tolist(), np.array(args)[:, index], y0[:, index]

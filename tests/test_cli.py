@@ -643,10 +643,24 @@ class TestSweep:
         assert "leapfrog" in manifest["notes"]
 
     def test_every_point_failed_exits_1(self, tmp_path):
-        out = tmp_path / "nan"
-        assert _run("sweep", "--a-grid=nan", "--b-grid=3", "--out", str(out)) == 1
+        """At b = 1e300 the field divides by zero at the first step."""
+        out = tmp_path / "huge"
+        assert _run("sweep", "--a-grid=-1.6", "--b-grid=1e300", "--out", str(out)) == 1
         _, rows = _read_csv(out / "sweep.csv")
         assert len(rows) == 1 and rows[0][8].startswith("error:")
+
+    @pytest.mark.parametrize("grid", [
+        ["--a-grid=0.5,nan", "--b-grid=3"], ["--a-grid=inf", "--b-grid=3"],
+        ["--a-grid=1", "--b-grid=3,-inf"]], ids=["a-nan", "a-inf", "b-inf"])
+    def test_non_finite_grid_value_rejected(self, tmp_path, grid):
+        """Exit 2 with one line before anything is written, whatever the
+        rest of the grid (a NaN beside a finite a used to exit 0, and a lone
+        inf 1), as run-case does for --a nan."""
+        out = tmp_path / "x"
+        code, err = _run_captured(["sweep", *grid, "--out", str(out)])
+        assert code == 2
+        assert err == "error: sweep grid contains a value that is not finite\n"
+        assert not out.exists()
 
     def test_negative_a_without_a_float_design_names_it(self, tmp_path):
         """At a = -1e308 the design's log argument overflows for every c; the
@@ -680,14 +694,14 @@ class TestSweep:
         pytest.param("full", {"c": "1.3"}, id="full-c"),
     ])
     def test_bytes_equal_the_per_point_oracle(self, tmp_path, rep, design):
-        """A grid large enough to run in lockstep, with a NaN node, points
-        without a design (a = 0.395), points whose integration fails at
-        once (b = 1e300) and a small-|a| column that needs many more steps
-        than its neighbours: the table equals, byte for byte, the one the
+        """A grid large enough to run in lockstep, with points without a
+        design (a = 0.395), points whose integration fails at once
+        (b = 1e300) and a small-|a| column that needs many more steps than
+        its neighbours: the table equals, byte for byte, the one the
         point-by-point sweep writes; also where --mu or --c overrides the
         design that the sweep finds once per a and case."""
-        a_grid = "nan,0.3,-1,0.395,1e-9,-0.2,0.7,-1.6"
-        b_grid = "3,nan,-1,0,1e300,4.5,1.2"
+        a_grid = "0.3,-1,0.395,1e-9,-0.2,0.7,-1.6"
+        b_grid = "3,-1,0,1e300,4.5,1.2"
         out = tmp_path / "lanes"
         flags = [f"--{key}={value}" for key, value in design.items()]
         assert _run("sweep", f"--a-grid={a_grid}", f"--b-grid={b_grid}", *flags,
@@ -696,7 +710,9 @@ class TestSweep:
             {"a_grid": a_grid, "b_grid": b_grid, "representation": rep, **design})
         assert len(cfg.a_grid) * len(cfg.b_grid) >= integrator_module.MIN_LANES
         rows = sweep_rows(cfg)
-        assert {row[8] for row in rows} > {"ok", "error: equation parameters must be finite"}
+        statuses = {row[8] for row in rows}
+        assert "ok" in statuses
+        assert any(status.startswith("error: floating-point failure") for status in statuses)
         cli._write_table(tmp_path / "oracle", SWEEP_COLUMNS, list(zip(*rows)), "csv",
                          text=("case", "T_within_bound", "event", "status"))
         assert (out / "sweep.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

@@ -5,6 +5,9 @@ abs_tol 1e-15 with the two-sided field (self-converged to ~2e-13); the
 default-tolerance run of the oriented field must land on it to 1e-12.
 """
 
+from dataclasses import astuple, replace
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -135,6 +138,12 @@ def _all_runs(case_runs, grid_runs):
     ]
 
 
+def _oriented_field(initial, params):
+    """The full field as ``integrate`` binds it at ``initial``."""
+    args, _, _ = integrator_module._FULL.start(params.a, params.b, *astuple(initial))
+    return partial(integrator_module._FULL.func, *args)
+
+
 class TestOrientedField:
     """The full representation integrates the field oriented once at t = 0."""
 
@@ -142,7 +151,7 @@ class TestOrientedField:
         """Up to the terminal event the oriented field is the two-sided field
         bit for bit, so orienting it changes no accepted solution."""
         for name, params, _, initial, traj in _all_runs(case_runs, grid_runs):
-            rhs = integrator_module._full_field(initial, params).rhs
+            rhs = _oriented_field(initial, params)
             for t, y in zip(traj.times[:-1], traj.state_array[:-1]):
                 assert np.array_equal(rhs(*y), full_rhs_array(y, params.a, params.b)), name
 
@@ -158,7 +167,7 @@ class TestOrientedField:
         assert mirrored.terminal_event.time == pytest.approx(usual.terminal_event.time,
                                                              abs=1e-14)
         y = np.array([-1.0, 1.5, 0.1, 0.05])
-        rhs = integrator_module._full_field(PeakonState(*y), params).rhs
+        rhs = _oriented_field(PeakonState(*y), params)
         assert np.array_equal(rhs(*y), full_rhs_array(y, params.a, params.b))
 
     def test_trial_stage_far_past_the_collision(self):
@@ -182,7 +191,8 @@ class TestOrientedField:
             calls.append(1)
             return _full_rhs(*args)
 
-        monkeypatch.setattr(integrator_module, "_full_rhs", counting)
+        monkeypatch.setattr(integrator_module, "_FULL",
+                            replace(integrator_module._FULL, func=counting))
         for name, params, _, initial, traj in _all_runs(case_runs, grid_runs):
             calls.clear()
             run = integrate(initial, params, traj.config)

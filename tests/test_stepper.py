@@ -307,7 +307,7 @@ def test_lane_event_search_equals_locate():
     coeffs[:, 0, :] = slope  # d1; the interpolant is y_old + x d1
     armed = np.array([[True] * 3, [True, True, False], [True] * 3])
     t_old, t_new, h = np.full(3, 1.0), np.full(3, 1.5), np.full(3, 0.5)
-    events = integrator_module._FULL_EVENTS
+    events = integrator_module._FULL.events
     t_event, index, state, found = integrator_module._locate_lanes(
         events, armed, t_old, t_new, h, y_old, y_old + slope, coeffs, 0)
     assert found.all()
@@ -347,12 +347,11 @@ class TestLaneStartingStep:
     @pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
     def test_sweep_grid_points(self, rep):
         points = [p for p in (_design(a, b, rep) for a, b in _sweep_grid(8)[::4]) if p]
-        fields = [integrator_module._forward_field(i, p, rep) for i, p, _ in points]
-        lanes = integrator_module._LaneSet.of_fields(fields, integrator_module._FULL_EVENTS)
-        f0 = np.array(lanes.func(*lanes.args, *lanes.y0))
+        func, args, y0 = _lanes(points)
+        f0 = np.array(func(*args, *y0))
         t_end = np.array([integrator_module._horizon(c) for _, _, c in points])
         t_end[::7] = 1e-9  # the horizon caps h0
-        assert self._check(lanes.func, lanes.args, lanes.y0, f0, t_end).all()
+        assert self._check(func, args, y0, f0, t_end).all()
 
     def test_failing_lanes_are_not_started(self):
         """Lane 1 has d1 = 0 and d2 = NaN, where the scalar code divides by
@@ -434,26 +433,38 @@ def _scalar(initial, params, config):
         return exc
 
 
+def _lanes(points):
+    """(initial, params, config) points of one representation as lanes:
+    the field and its (parameter, lane) and (component, lane) arrays, from
+    the builder that ``terminal_events`` uses.  Every point must run."""
+    fields = integrator_module._description(points[0][2].representation)
+    index, args, y0 = integrator_module._lane_points(
+        [i for i, _, _ in points], [p for _, p, _ in points], fields)
+    assert index == list(range(len(points)))
+    return fields.func, args, y0
+
+
 def _assert_lanes_repeat_scalar(points):
     """Run (initial, params, config) points of one representation and one
     set of tolerances as lanes until every lane has retired, and compare
     each lane with the scalar run of its point."""
     config = points[0][2]
-    fields = [integrator_module._forward_field(i, p, config.representation)
-              for i, p, _ in points]
+    fields = integrator_module._description(config.representation)
+    _, args, y0 = _lanes(points)
     t_ends = [integrator_module._horizon(c) for _, _, c in points]
-    events = (integrator_module._REDUCED_EVENTS if config.representation
-              is Representation.REDUCED else integrator_module._FULL_EVENTS)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(integrator_module, "LANE_HANDOFF", 1)  # every lane runs to its end
-        runs = integrator_module._lane_runs(fields, t_ends, config.rel_tol, config.abs_tol,
-                                            events)
+        runs = integrator_module._lane_runs(fields, args, y0, t_ends, config.rel_tol,
+                                            config.abs_tol)
+    arming = np.array(integrator_module._arming(fields.events, y0)).T.tolist()
     kinds = set()
-    for (initial, params, cfg), field, t_end, run in zip(points, fields, t_ends, runs):
+    for (initial, params, cfg), on, t_end, run in zip(points, arming, t_ends, runs):
         traj = integrate(initial, params, cfg)
         assert run is not None, (initial, params)
         ts, ys, hit, steps, rejected = run
-        record = integrator_module._terminal_record(field, cfg, t_end, ts, ys, hit)
+        record = integrator_module._terminal_record(
+            integrator_module._armed(fields.events, on), hit, fields.to_array, cfg.event_tol,
+            t_end, ts, ys)
         assert _bits(record) == _bits(traj.terminal_event), (initial, params)
         assert (steps, rejected) == (traj.steps, traj.rejected), (initial, params)
         kinds.add(record.kind)
@@ -543,6 +554,64 @@ def test_failing_lanes_raise_what_integrate_raises(monkeypatch):
     assert len(reruns) == 4  # only the failing points ran on their own
 
 
+#: (p1, p2, q1, q2, a, b) points at the edges of the field's start and its
+#: overflow guard, with the verdicts (ok, may overflow) of the full and the
+#: reduced representation
+START_EDGES = [
+    ((1.5, -1.0, 0.3, 0.3, 1 / 3, 3.0), (True, False), (False, False)),  # q1 == q2: sigma = +1
+    ((-1.0, 1.5, 0.1, 0.0, -1.0, 0.0), (True, False), (False, False)),  # sigma = -1
+    ((1.5, -1.0, 0.0, 0.1, 1 / 3, 3.0), (True, False), (True, False)),
+    # the guard's edge: the own momenta pass, the ones rebuilt from (h, w) do not
+    ((2.8948022309329046e+76, -2.8948022309328946e+76, 0.0, 0.5, 1 / 3, 6.0),
+     (True, False), (True, True)),
+    # momenta that do not read back finite from (h, w)
+    ((1e308, -1e308, 0.0, 1.0, 1 / 3, 3.0), (True, True), (True, True)),
+]
+
+
+@pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
+def test_one_builder_on_floats_and_on_arrays(rep):
+    """The field's ``start``, its event arming and the overflow guard give
+    each lane the bits they give the point's floats, where ``integrate``
+    calls them: args, y0, armed events, ok and the overflow verdict, on the
+    seeded 32 x 32 grid and at the edge points.  ``_lane_points`` keeps
+    exactly the points that are ok, read back finite and do not overflow."""
+    fields = integrator_module._description(rep)
+    designs = [p for p in (_design(a, b, rep) for a, b in _sweep_grid(8)) if p]
+    grid = [(*astuple(initial), params.a, params.b) for initial, params, _ in designs]
+    points = grid + [point for point, _, _ in START_EDGES]
+
+    def built(p1, p2, q1, q2, a, b, maximum):
+        args, y0, ok = fields.start(a, b, p1, p2, q1, q2)
+        state = fields.to_array(np.array(y0))
+        over = integrator_module._may_overflow(a, b, state[0], state[1], maximum)
+        return args, y0, integrator_module._arming(fields.events, y0), ok, over, state
+
+    with np.errstate(over="ignore", invalid="ignore"):  # the state read back is numpy's
+        lanes = built(*np.array(points).T, integrator_module._max)
+        floats = [built(*point, max) for point in points]
+    hexes = lambda values: [float.hex(float(v)) for v in values]
+    verdicts, runnable = [], []
+    for j, (point, (args, y0, arming, ok, over, state)) in enumerate(zip(points, floats)):
+        assert hexes(args) == hexes(v[j] for v in lanes[0]), point
+        assert hexes(y0) == hexes(v[j] for v in lanes[1]), point
+        assert arming == [bool(on[j]) for on in lanes[2]], point
+        assert ok == bool(np.broadcast_to(lanes[3], len(points))[j]), point
+        assert over == bool(lanes[4][j]), point
+        verdicts.append((ok, over))
+        runnable.append(ok and np.isfinite(state).all() and not over)
+    full = rep is Representation.FULL
+    assert verdicts[len(grid):] == [want[0] if full else want[1] for _, *want in START_EDGES]
+    if full:  # the orientation sigma of each edge point
+        assert [args[2] for args, *_ in floats[len(grid):]] == [1.0, -1.0, 1.0, 1.0, 1.0]
+    p1, p2, q1, q2, a, b = zip(*points)
+    index, args, y0 = integrator_module._lane_points(
+        list(map(PeakonState, p1, p2, q1, q2)), list(map(ABParams, a, b)), fields)
+    assert index == np.flatnonzero(runnable).tolist()
+    assert hexes(args.ravel()) == hexes(np.array(lanes[0])[:, index].ravel())
+    assert hexes(y0.ravel()) == hexes(np.array(lanes[1])[:, index].ravel())
+
+
 def test_overflow_guard_reads_the_state_integrate_reads(monkeypatch):
     """A reduced point at the edge of the overflow guard: its own momenta
     pass the guard, the ones rebuilt from (h, w) are an ulp larger and do
@@ -550,8 +619,7 @@ def test_overflow_guard_reads_the_state_integrate_reads(monkeypatch):
     the point becomes a lane."""
     params = ABParams(1 / 3, 6.0)
     edge = PeakonState(2.8948022309329046e+76, -2.8948022309328946e+76, 0.0, 0.5)
-    assert not integrator_module._field_may_overflow(
-        integrator_module._full_field(edge, params), params)
+    assert not integrator_module._may_overflow(params.a, params.b, edge.p1, edge.p2)
     cfg = IntegrationConfig(representation=Representation.REDUCED)
     with pytest.raises(IntegrationError, match="may overflow") as raised:
         integrate(edge, params, cfg)
@@ -560,9 +628,9 @@ def test_overflow_guard_reads_the_state_integrate_reads(monkeypatch):
     lane_points = []
     lane_runs = integrator_module._lane_runs
 
-    def recording(fields, *args):
-        lane_points.extend(fields)
-        return lane_runs(fields, *args)
+    def recording(fields, args, y0, *rest):
+        lane_points.extend(y0.T.tolist())
+        return lane_runs(fields, args, y0, *rest)
 
     monkeypatch.setattr(integrator_module, "MIN_LANES", 4)
     monkeypatch.setattr(integrator_module, "_lane_runs", recording)
