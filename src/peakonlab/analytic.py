@@ -166,14 +166,17 @@ def _potential(ctx: InvariantContext, q: float) -> float:
         raise ValueError("separation q is NaN")
     if q == ctx.mu:
         return 0.0
-    val, err = quad(
-        _weighted_density(ctx),
-        ctx.mu,
-        q,
-        epsabs=_QUAD_ABS_TOL,
-        epsrel=_QUAD_ABS_TOL,
-        limit=200,
-    )
+    try:
+        val, err = quad(
+            _weighted_density(ctx),
+            ctx.mu,
+            q,
+            epsabs=_QUAD_ABS_TOL,
+            epsrel=_QUAD_ABS_TOL,
+            limit=200,
+        )
+    except OverflowError:  # a node's density overflows a float
+        val = math.inf
     if not math.isfinite(val):  # far below mu, where e^{-2q} or z(q) overflows a float
         raise ValueError(f"F1 is not finite at separation q = {q:g}")
     if err > 100 * _QUAD_ABS_TOL * max(1.0, abs(val)):

@@ -1,26 +1,36 @@
-"""Command-line front end: canned runs, the collapse certificate and sweeps.
+"""peakonlab: a two-peakon collision laboratory for the cubic (a, b) family.
 
-Subcommands
------------
-run-case  integrate a preset or custom configuration and export the time
-          series (t, q1, q2, p1, p2, q, h, w, z, z_closed_form and any
-          requested H^s distances), the event table and a manifest.
-certify   run a case to its terminal event, build the limiting profile,
-          check the three certificate ingredients (finite stopping time,
-          bounded momenta, H^s distances decreasing below threshold) plus
-          a time-reversal round trip, and write a report.
-sweep     run a grid of (a, b) points and tabulate case, separation,
-          rate bound and event outcome per point.
+usage: peakonlab run-case|certify|sweep [--flag value | --flag=value] ...
 
-All file outputs are written atomically; a run's manifest.json contains
-every resolved parameter and can be fed back through --config to
-reproduce the run exactly.
+run-case  integrate one configuration; export its time series (t, q1, q2, p1,
+          p2, q, h, w, z, z_closed_form and any H^s distances), the event table
+          and a manifest
+certify   run a case to its terminal event; check finite stopping time, bounded
+          momenta, H^s distances to the limiting profile decreasing below
+          threshold and a time-reversal round trip; write a report
+sweep     tabulate case, separation, rate bound and event outcome per point of
+          an (a, b) grid
+
+Every flag is a configuration key, "_" written "-", and takes the next token as
+its value, even one that begins with "-"; "none" unsets an optional float.
+--config FILE       key = value file or a manifest.json; flags override it
+--case NAME         case1..case4, forq, novikov-reduced or custom
+--a, --b            equation parameters a and b
+--alpha, --delta    peakon magnitude scale (default 1) and asymmetry (default 0.5)
+--mu, --c           initial peak separation override; separation design constant
+                    in (1, 2)
+--rel-tol, --abs-tol, --event-tol, --max-time, --representation (full or reduced)
+--s                 Sobolev index (repeatable; the key s_values)
+--sample-count N, --format (csv or json), --out DIR (default runs)
+--a-grid, --b-grid  sweep only: comma-separated a and b values
+-h, --help; --version
+
+File outputs are written atomically; a run's manifest.json holds every resolved
+parameter and, fed back through --config, reproduces the run.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import os
@@ -101,31 +111,28 @@ class ExperimentConfig:
     a_grid: tuple = (1.0 / 3.0, -1.0 / 3.0, 1.0, -1.0)
     b_grid: tuple = (0.0, 1.0, 3.0, 4.0)
 
-    _FLOAT_OPT = ("a", "b", "mu", "c", "max_time")
-    _FLOAT = ("alpha", "delta", "rel_tol", "abs_tol", "event_tol")
-    _TUPLE = ("s_values", "a_grid", "b_grid")
-    _INT = ("sample_count",)
-
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
+        """The configuration of a mapping from field names ("-" may stand for
+        "_") to values: strings from flags or a key = value file, numbers and
+        lists from a JSON file, each converted by its field's annotation."""
         cfg = cls()
-        names = {f.name for f in fields(cls)}
+        types = {f.name: f.type for f in fields(cls)}  # annotations, as strings
         for key, raw in mapping.items():
             name = key.replace("-", "_")
-            if name not in names:
+            if name not in types:
                 raise ValueError(f"unknown configuration key: {key}")
             if raw is None:
                 continue  # an unset optional stays at its default
-            if name in cls._TUPLE:
-                if isinstance(raw, str):
-                    raw = [v for v in raw.replace(",", " ").split() if v]
-                value = tuple(float(v) for v in raw)
-            elif name in cls._FLOAT_OPT:
-                value = None if raw in (None, "", "none") else float(raw)
-            elif name in cls._FLOAT:
-                value = float(raw)
-            elif name in cls._INT:
-                value = int(raw)
+            kind = types[name]
+            if kind == "Optional[float]" and raw in ("", "none"):
+                value = None
+            elif kind == "tuple":
+                items = (raw.replace(",", " ").split() if isinstance(raw, str)
+                         else _convert(list, name, raw))
+                value = tuple(_convert(float, name, v) for v in items)
+            elif kind in ("float", "Optional[float]", "int"):
+                value = _convert(int if kind == "int" else float, name, raw)
             else:
                 value = str(raw)
             setattr(cfg, name, value)
@@ -135,10 +142,31 @@ class ExperimentConfig:
             raise ValueError(f"unknown representation {cfg.representation!r}")
         if cfg.sample_count < 0:
             raise ValueError(f"sample count must be non-negative, got {cfg.sample_count}")
+        for s in cfg.s_values:  # an index the H^s distances reject, before any run
+            _check_index(s)
         return cfg
 
     def to_manifest(self) -> dict:
         return {"tool": "peakonlab", "version": __version__, **asdict(self)}
+
+
+def _flag(name: str) -> str:
+    """The command-line flag of a configuration field."""
+    return "--s" if name == "s_values" else "--" + name.replace("_", "-")
+
+
+COMMANDS = ("run-case", "certify", "sweep")
+#: flag -> configuration key; sweep alone takes --a-grid and --b-grid
+FLAGS = {"--config": "config", **{_flag(f.name): f.name for f in fields(ExperimentConfig)}}
+
+
+def _convert(kind: type, name: str, raw):
+    """``kind(raw)``, or the one-line error that names the field's flag."""
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"argument {_flag(name)}: invalid {kind.__name__} value: "
+                         f"{raw!r}") from None
 
 
 @dataclass
@@ -299,17 +327,9 @@ def _z_or_nan(ctx: InvariantContext, q: float) -> float:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _check_sobolev_indices(s_values) -> None:
-    """Reject, before any run, an index at which H^s distances cannot be
-    computed."""
-    for s in s_values:
-        _check_index(s)
-
-
 def run_case(cfg: ExperimentConfig) -> int:
     """Integrate one configuration and export trajectory, events, manifest."""
     run = _resolve(cfg)
-    _check_sobolev_indices(cfg.s_values)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -357,7 +377,6 @@ def run_case(cfg: ExperimentConfig) -> int:
 def certify_nonuniqueness(cfg: ExperimentConfig) -> int:
     """Check the collapse-certificate ingredients for one case and report."""
     s_values = cfg.s_values or (0.5, 1.0, 1.4)
-    _check_sobolev_indices(s_values)
     run = _resolve(cfg, require_case=True)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -497,15 +516,11 @@ def _sweep_runs(cfg: ExperimentConfig, points: Sequence[tuple]) -> list:
 def sweep(cfg: ExperimentConfig) -> int:
     """Run the (a, b) grid and tabulate collision outcomes per point."""
     if not all(map(math.isfinite, (*cfg.a_grid, *cfg.b_grid))):
-        print("error: sweep grid contains a value that is not finite", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("sweep grid contains a value that is not finite")
     if any(a == 0.0 for a in cfg.a_grid):
-        print("error: sweep grid contains a = 0 (no construction there)", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("sweep grid contains a = 0 (no construction there)")
     if any(b == 2.0 for b in cfg.b_grid):
-        print("error: sweep grid contains b = 2 (degenerate, momenta frozen)",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("sweep grid contains b = 2 (degenerate, momenta frozen)")
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     points = [(a, b) for a in cfg.a_grid for b in cfg.b_grid]
@@ -553,111 +568,49 @@ def _load_config_file(path: str) -> dict:
     return mapping
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="FILE", help="key = value file or a manifest.json")
-    p.add_argument("--case", help="case1..case4, forq, novikov-reduced or custom")
-    p.add_argument("--a", type=float, help="equation parameter a")
-    p.add_argument("--b", type=float, help="equation parameter b")
-    p.add_argument("--alpha", type=float, help="peakon magnitude scale (default 1)")
-    p.add_argument("--delta", type=float, help="magnitude asymmetry (default 0.5)")
-    p.add_argument("--mu", type=float, help="initial peak separation override")
-    p.add_argument("--c", type=float, help="separation design constant in (1, 2)")
-    p.add_argument("--s", type=float, action="append", dest="s_values",
-                   help="Sobolev index (repeatable)")
-    p.add_argument("--rel-tol", type=float, dest="rel_tol")
-    p.add_argument("--abs-tol", type=float, dest="abs_tol")
-    p.add_argument("--event-tol", type=float, dest="event_tol")
-    p.add_argument("--max-time", type=float, dest="max_time")
-    p.add_argument("--representation", choices=["full", "reduced"])
-    p.add_argument("--sample-count", type=int, dest="sample_count")
-    p.add_argument("--out", help="output directory (default runs)")
-    p.add_argument("--format", choices=["csv", "json"])
-
-
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors raise ValueError, so that main
-    reports them in one line like every other configuration error."""
-
-    def error(self, message: str):
-        raise ValueError(message)
-
-
-@functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="peakonlab",
-        description="two-peakon collision laboratory for the cubic (a, b) family",
-    )
-    parser.add_argument("--version", action="version", version=f"peakonlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run-case", "integrate one configuration and export its time series"),
-        ("certify", "assemble the nonuniqueness certificate for a case"),
-        ("sweep", "tabulate collision outcomes over an (a, b) grid"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        if name == "sweep":
-            p.add_argument("--a-grid", dest="a_grid", help="comma-separated a values")
-            p.add_argument("--b-grid", dest="b_grid", help="comma-separated b values")
-    return parser
-
-
-def _is_negative_number(token: str) -> bool:
-    """True for "-1e-9", "-inf" or "-1,0.5": a value, though it starts with "-"."""
-    if not token.startswith("-"):
-        return False
-    try:
-        [float(v) for v in token.replace(",", " ").split()]
-    except ValueError:
-        return False
-    return True
-
-
-def _attach_negative_values(argv: Sequence[str]) -> list:
-    """Spell "--a -1e-9" as "--a=-1e-9".
-
-    argparse takes a token that starts with "-" for an option unless it is
-    a plain negative number such as -1 or -.5; exponents, inf, nan and
-    comma-separated lists are not, so it would report a missing value.
-    Every long option but --help and --version takes a value.
-    """
-    out = []
-    for token in argv:
-        if (out and out[-1].startswith("--") and "=" not in out[-1]
-                and _is_negative_number(token)):
-            out[-1] = f"{out[-1]}={token}"
-        else:
-            out.append(token)
-    return out
-
-
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    mapping = {}
-    if args.config:
-        mapping.update(_load_config_file(args.config))
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
+def _parse(argv: Sequence[str]) -> tuple:
+    """(command, mapping) of ``COMMAND --flag value ...``: each flag maps to
+    its key in ``FLAGS``, with the next token as its value, whatever it
+    begins with, or the text after "=" in ``--flag=value``; the values of --s
+    are listed, and the file of --config is kept under "config"."""
+    command, mapping = None, {}
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help", "--version"):
+            print(f"peakonlab {__version__}" if token == "--version" else (__doc__ or "").rstrip())
+            raise SystemExit(EXIT_OK)
+        if command is None:
+            if token not in COMMANDS:
+                raise ValueError(f"argument command: invalid choice: {token!r} "
+                                 f"(choose from {', '.join(map(repr, COMMANDS))})")
+            command = token
             continue
-        mapping[key] = value
-    return ExperimentConfig.from_mapping(mapping)
+        flag, joined, value = token.partition("=")
+        name = FLAGS.get(flag)
+        if name is None or (name in ("a_grid", "b_grid") and command != "sweep"):
+            raise ValueError(f"unrecognized arguments: {token}")
+        if not joined:
+            value = next(tokens, None)
+            if value is None:
+                raise ValueError(f"argument {flag}: expected one argument")
+        if name == "s_values":
+            mapping.setdefault(name, []).append(value)
+        else:
+            mapping[name] = value
+    if command is None:
+        raise ValueError("the following arguments are required: command")
+    return command, mapping
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(_attach_negative_values(argv))
-        cfg = _config_from_args(args)
+        command, flags = _parse(argv)
+        mapping = _load_config_file(flags.pop("config")) if "config" in flags else {}
+        cfg = ExperimentConfig.from_mapping({**mapping, **flags})
+        run = {"run-case": run_case, "certify": certify_nonuniqueness, "sweep": sweep}
+        return run[command](cfg)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        if args.command == "run-case":
-            return run_case(cfg)
-        if args.command == "certify":
-            return certify_nonuniqueness(cfg)
-        return sweep(cfg)
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IntegrationError as exc:

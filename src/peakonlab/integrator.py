@@ -93,9 +93,7 @@ floating-point failure, a non-finite dense output, an event residual above
 scalar stepper: one lane costs over ten times a scalar run (the fixed numpy
 cost of each attempt).  Measured on seeded sweep grids, lockstep is slower
 than one scalar run after another below 32 points, about even at 32 and
-faster from 40 on (``MIN_LANES``); and once only a few lanes are left,
-running them again from t = 0 on the scalar stepper is cheaper than more
-lockstep attempts (``LANE_HANDOFF``).
+faster from 40 on (``MIN_LANES``).
 """
 
 from __future__ import annotations
@@ -284,13 +282,6 @@ MAX_STEPS = 10_000
 #: 32 points 16.6 / 23.1 ms against 19.1 / 22.8 ms, 40 points 22.7 / 27.9 ms
 #: against 30.0 / 34.2 ms
 MIN_LANES = 32
-#: lockstep ends when fewer lanes than this are still running, and those
-#: points run again on the scalar stepper: at 64 points this takes 19-24 ms
-#: against 23-27 ms for stepping every lane to its end (at 1,000 points the
-#: two are within the noise).  Re-timed with the batched starting step and
-#: root search: at 64 points (full) 33.9 ms at 4, 31.7 ms at 8, 37.2 ms at
-#: 16 and 38.6 ms at 1, the reduced field and 1,000 points within the noise
-LANE_HANDOFF = 4
 #: the lanes' event root search hands its last brackets to the scalar search
 #: when fewer than this are still narrowing: on the seed-1 and seed-29 bench
 #: grids the search took 6.8-6.9 ms (full) and 9.6-10.2 ms (reduced) at 8,
@@ -709,17 +700,16 @@ def _lane_runs(fields: "_FieldDescription", args, y0, t_ends: Sequence[float], r
     (component, lane), as ``_lane_points`` builds them.  Every lane keeps
     its own t, step size, rejection flag and step counts, and retires at its
     event or horizon.  The starting steps are found for all lanes at once
-    (``_initial_steps``).  Lockstep stops when fewer than ``LANE_HANDOFF``
-    lanes are left.  The dense output and the root search of the event
+    (``_initial_steps``).  The dense output and the root search of the event
     steps are done together once the stepping has stopped
     (``_locate_lanes``); the last few brackets of the search, and the lanes
     whose search fails, go through the scalar ``_locate``.
 
     Per lane returns (ts, ys, index of the event in the lane's armed events
     or None, accepted steps, rejected steps), with the last two times and
-    states in ts and ys (one at the horizon); or None for a lane left
-    running, and where the scalar stepper raises.  The rejected steps are
-    counted for the tests, which compare both counts with the scalar run's.
+    states in ts and ys (one at the horizon); or None where the scalar
+    stepper raises.  The rejected steps are counted for the tests, which
+    compare both counts with the scalar run's.
     """
     n = y0.shape[-1]
     out = [None] * n
@@ -747,7 +737,7 @@ def _lane_runs(fields: "_FieldDescription", args, y0, t_ends: Sequence[float], r
         live.keep(started)
         pool = []  # per batch of event steps: lane, t_old, t_new, h, y_old, y_new, stages,
         #            accepted and rejected steps
-        while live.lane.size >= LANE_HANDOFF:
+        while live.lane.size:
             ok = (live.min_step <= live.h_abs) & (live.h_abs < math.inf)
             if not ok.all():  # the step size fell below the spacing of t
                 live.keep(ok)
@@ -1113,9 +1103,8 @@ def terminal_events(
     The configs must share their tolerances and representation (a sweep's
     do); horizons and event tolerances may differ.  With at least
     ``MIN_LANES`` points, they run in lockstep on the lane stepper (see the
-    module docstring) until fewer than ``LANE_HANDOFF`` are running; each
-    lane repeats the scalar run bit for bit.  Fewer points, the last few
-    runs and every run the lanes cannot finish go through ``integrate``
+    module docstring); each lane repeats the scalar run bit for bit.  Fewer
+    points and every run the lanes cannot finish go through ``integrate``
     itself, so a failing point raises exactly what it raises alone.
     """
     out = [None] * len(initials)

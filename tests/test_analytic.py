@@ -262,9 +262,9 @@ class TestFloatIntegrand:
     @pytest.mark.filterwarnings("ignore")
     def test_overflowing_nodes_end_as_the_oracle_does(self):
         """Far below mu exp(-rho) overflows a float; those nodes follow
-        numpy's rules.  Where the oracle's value is finite F1 gives it, where
-        it is inf or nan F1 (and F2, h_sq, w_sq) raises ValueError, and where
-        the oracle raises OverflowError so does F1."""
+        numpy's rules.  Where the oracle's value is finite F1 gives it; where
+        it is inf or nan, or the oracle raises OverflowError, F1 (and F2,
+        h_sq, w_sq) raises ValueError."""
         def outcome(fn, ctx, q):
             try:
                 return fn(ctx, q)
@@ -275,9 +275,7 @@ class TestFloatIntegrand:
             ctx = _ctx(a, b, CASE1_STATE)
             for q in (-5.0, -400.0, -800.0, -math.inf):
                 got, want = outcome(F1, ctx, q), outcome(potential_quadrature, ctx, q)
-                if isinstance(want, str):
-                    assert got == want, (a, b, q)
-                elif not math.isfinite(want):
+                if isinstance(want, str) or not math.isfinite(want):
                     for fn in (F1, F2, h_sq, w_sq):
                         assert outcome(fn, ctx, q) == "ValueError", (fn, a, b, q)
                 else:

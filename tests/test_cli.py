@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -484,34 +485,16 @@ class TestFailurePaths:
 
 
 class TestParser:
-    """One parser per process; negative values; one-line usage errors."""
+    """Flags as configuration keys; negative values; one-line usage errors."""
 
-    def test_successive_calls_share_one_parser(self, tmp_path, monkeypatch):
-        """Two run-case calls parse with the same parser, and the appended
-        --s of the first does not leak into the second."""
-        parser = cli._build_parser()
-        used = []
-        parse_args = cli._Parser.parse_args
-
-        def spy(self, *args, **kwargs):
-            used.append(self)
-            return parse_args(self, *args, **kwargs)
-
-        monkeypatch.setattr(cli._Parser, "parse_args", spy)
+    def test_successive_calls_share_no_state(self, tmp_path):
+        """The --s of the first run-case call does not leak into the second."""
         for s in ("0.5", "1.0"):
             out = tmp_path / s
             assert _run("run-case", "--case", "case1", "--s", s, "--sample-count", "10",
                         "--out", str(out)) == 0
             header, _ = _read_csv(out / "trajectory.csv")
             assert [h for h in header if h.startswith("dist_")] == [f"dist_s{float(s):g}"]
-        assert used == [parser, parser]
-
-    def test_import_builds_no_parser(self):
-        code = ("import peakonlab.cli as cli; "
-                "print(cli._build_parser.cache_info().currsize)")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
-        assert out.stdout.strip() == "0"
 
     @pytest.mark.parametrize("argv, code", [
         (["run-case", "--case", "custom", "--a", "-1e-9", "--b", "3"], 0),
@@ -549,6 +532,57 @@ class TestParser:
             main([flag])
         assert exc.value.code == 0
         assert "peakonlab" in capsys.readouterr().out
+
+    def test_help_names_every_flag(self, capsys):
+        """The help text cannot drift from the configuration fields."""
+        with pytest.raises(SystemExit):
+            main(["run-case", "--help"])
+        text = capsys.readouterr().out
+        assert [f for f in cli.FLAGS if not re.search(rf"{f}(?![\w-])", text)] == []
+
+    @pytest.mark.parametrize("argv, token", [
+        (["run-case", "--a-grid", "1"], "--a-grid"),
+        (["certify", "--b-grid=3"], "--b-grid=3"),
+        (["run-case", "--sample", "10"], "--sample"),
+    ], ids=["grid-outside-sweep", "joined-grid", "abbreviation"])
+    def test_flag_outside_the_table_is_unrecognized(self, tmp_path, argv, token):
+        """The grids are sweep's alone, and a flag is never abbreviated."""
+        out = tmp_path / "x"
+        code, err = _run_captured([*argv, "--out", str(out)])
+        assert (code, err) == (2, f"error: unrecognized arguments: {token}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"s_values": 5}, "argument --s: invalid list value: 5"),
+        ({"s_values": [0.5, "x"]}, "argument --s: invalid float value: 'x'"),
+        ({"a": [1]}, "argument --a: invalid float value: [1]"),
+        ({"mu": {"x": 1}}, "argument --mu: invalid float value: {'x': 1}"),
+        ({"sample_count": "ten"}, "argument --sample-count: invalid int value: 'ten'"),
+        ({"sample_count": 1e400}, "argument --sample-count: invalid int value: inf"),
+    ], ids=["number-for-list", "string-in-list", "list", "dict", "string", "infinity"])
+    def test_wrongly_typed_config_value_is_one_line(self, tmp_path, entry, message):
+        """A JSON value of the wrong type ended in a TypeError traceback."""
+        path, out = tmp_path / "run.json", tmp_path / "x"
+        path.write_text(json.dumps({"case": "case1", **entry}))
+        code, err = _run_captured(["run-case", "--config", str(path), "--out", str(out)])
+        assert (code, err) == (2, f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run-case", "certify", "sweep"])
+    def test_unusable_out_is_one_line(self, tmp_path, monkeypatch, command):
+        """An output directory under a regular file ended in a
+        NotADirectoryError traceback, exit 1; it is refused before any run."""
+        def refuse(*args):
+            raise AssertionError("integrated")
+
+        monkeypatch.setattr(cli, "integrate", refuse)
+        monkeypatch.setattr(cli, "terminal_events", refuse)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, err = _run_captured([command, "--out", str(blocker / "x")])
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Not a directory" in err
 
 
 class TestTableWriter:

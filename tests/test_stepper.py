@@ -452,10 +452,8 @@ def _assert_lanes_repeat_scalar(points):
     fields = integrator_module._description(config.representation)
     _, args, y0 = _lanes(points)
     t_ends = [integrator_module._horizon(c) for _, _, c in points]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(integrator_module, "LANE_HANDOFF", 1)  # every lane runs to its end
-        runs = integrator_module._lane_runs(fields, args, y0, t_ends, config.rel_tol,
-                                            config.abs_tol)
+    runs = integrator_module._lane_runs(fields, args, y0, t_ends, config.rel_tol,
+                                        config.abs_tol)
     arming = np.array(integrator_module._arming(fields.events, y0)).T.tolist()
     kinds = set()
     for (initial, params, cfg), on, t_end, run in zip(points, arming, t_ends, runs):
@@ -538,7 +536,6 @@ def test_failing_lanes_raise_what_integrate_raises(monkeypatch):
     monkeypatch.setattr(integrator_module, "MAX_STEPS", 60)  # the creeping run needs more
     monkeypatch.setattr(integrator_module, "_interpolate", nan_for_marked_step)
     monkeypatch.setattr(integrator_module, "MIN_LANES", 4)
-    monkeypatch.setattr(integrator_module, "LANE_HANDOFF", 1)  # every lane runs to its end
     ends = [_scalar(*p) for p in points]
     errors = [str(end) for end in ends if isinstance(end, Exception)]
     for phrase, error in zip(["may overflow", "not finite", "more than 60 steps",
