@@ -63,7 +63,6 @@ from .params import (
     CaseSpec,
     case_epsilon,
     case_spec_for,
-    classify,
     collision_time_bound,
     make_initial_profile,
 )
@@ -161,8 +160,12 @@ FLAGS = {"--config": "config", **{_flag(f.name): f.name for f in fields(Experime
 
 
 def _convert(kind: type, name: str, raw):
-    """``kind(raw)``, or the one-line error that names the field's flag."""
+    """``kind(raw)``, or the one-line error that names the field's flag; a JSON
+    true or false is no number, and an int field takes whole numbers only."""
     try:
+        if isinstance(raw, bool) or (kind is int and isinstance(raw, float)
+                                     and not raw.is_integer()):
+            raise ValueError
         return kind(raw)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"argument {_flag(name)}: invalid {kind.__name__} value: "
@@ -263,8 +266,9 @@ def _write_table(path: Path, columns: Sequence[str], data: Sequence, fmt: str,
         payload = {"columns": list(columns), "data": [list(row) for row in zip(*cells)]}
         _write_atomic(path.with_suffix(".json"), json.dumps(payload, indent=1) + "\n")
     else:
-        data = [list(map(_csv_field, col)) if name in text else col
-                for name, col in zip(columns, data)]
+        # a text column holds a handful of distinct cells: quote each once
+        data = [list(map({v: _csv_field(v) for v in set(col)}.__getitem__, col))
+                if name in text else col for name, col in zip(columns, data)]
         row = ",".join(specs) + "\n"
         lines = [",".join(map(_csv_field, columns)) + "\n"]
         lines += [row % cells for cells in zip(*data)]
@@ -476,41 +480,24 @@ def certify_nonuniqueness(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _sweep_row(a: float, b: float, run: ResolvedRun, end) -> list:
-    """One sweep table row: the point's terminal event, or the error that
-    resolving or integrating it raised."""
-    if isinstance(end, Exception):
-        return [a, b, "-", math.nan, math.nan, math.nan, "no", "-", f"error: {end}"]
-    ok_bound = end.kind is not EventKind.HORIZON and end.time <= run.time_bound
-    return [
-        a, b, run.spec.case_id.value, run.spec.mu, run.epsilon,
-        end.time, "yes" if ok_bound else "no", end.kind.value, "ok",
-    ]
-
-
-def _sweep_runs(cfg: ExperimentConfig, points: Sequence[tuple]) -> list:
-    """Per grid point (a, b), what ``_resolve(replace(cfg, case="custom",
-    a=a, b=b), require_case=True)`` returns, or the error it raises.
-
-    Of a point's resolution only its params depend on b itself; the rest
-    depends on a and the point's case (the side of b = 2), so each (a, case)
-    is resolved once per call, at its first point.
-    """
-    by_case = {}
-    runs = []
-    for a, b in points:
-        params = ABParams(a=a, b=b)  # ``sweep`` admits finite a != 0 and b != 2 only
-        key = (a, classify(params))
-        if key not in by_case:
-            try:
-                by_case[key] = _resolve(replace(cfg, case="custom", a=a, b=b), require_case=True)
-            except Exception as exc:  # the same for every b of this case
-                by_case[key] = exc.with_traceback(None)
-        run = by_case[key]
-        runs.append(run if isinstance(run, Exception) else ResolvedRun(
-            run.label, params, run.initial, run.spec, run.integration, run.epsilon,
-            run.time_bound))
-    return runs
+def _sweep_nodes(cfg: ExperimentConfig) -> list:
+    """Per node 2 i + (b > 2) of the grid's i-th a: ``_resolve`` of the custom
+    case at a and the first b on that side of b = 2, or the error it raises;
+    None for a side without a b.  Only a point's params depend on b itself,
+    the rest on a and its case (the side of b = 2), so the points of a node
+    share it, and each distinct (a, side) is resolved once."""
+    first = {b > 2.0: b for b in reversed(cfg.b_grid)}
+    resolved, nodes = {}, []
+    for a in cfg.a_grid:
+        for above in (False, True):
+            if above in first and (a, above) not in resolved:
+                try:
+                    resolved[a, above] = _resolve(
+                        replace(cfg, case="custom", a=a, b=first[above]), require_case=True)
+                except Exception as exc:  # the same for every b of this node
+                    resolved[a, above] = exc.with_traceback(None)
+            nodes.append(resolved.get((a, above)))
+    return nodes
 
 
 def sweep(cfg: ExperimentConfig) -> int:
@@ -523,23 +510,39 @@ def sweep(cfg: ExperimentConfig) -> int:
         raise ValueError("sweep grid contains b = 2 (degenerate, momenta frozen)")
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    points = [(a, b) for a in cfg.a_grid for b in cfg.b_grid]
-    runs = _sweep_runs(cfg, points)
-    resolved = [run for run in runs if isinstance(run, ResolvedRun)]
-    ends = iter(terminal_events([run.initial for run in resolved],
-                                [run.params for run in resolved],
-                                [run.integration for run in resolved]))
-    rows = [_sweep_row(a, b, run, run if isinstance(run, Exception) else next(ends))
-            for (a, b), run in zip(points, runs)]
-    columns = ["a", "b", "case", "mu", "epsilon", "T", "T_within_bound", "event", "status"]
-    _write_table(outdir / "sweep", columns, list(zip(*rows)), cfg.format,
+    nodes = _sweep_nodes(cfg)
+    runs = [node if isinstance(node, ResolvedRun) else None for node in nodes]
+    # per node: mu, epsilon, the initial state, the horizon and the rate bound
+    values = np.array([[run.spec.mu, run.epsilon, *run.initial.as_array(),
+                        run.integration.max_time, run.time_bound] if run else [math.nan] * 8
+                       for run in runs]).reshape(-1, 8)
+    node = (2 * np.arange(len(cfg.a_grid))[:, None] + (np.array(cfg.b_grid) > 2.0)).ravel()
+    a, b = np.repeat(cfg.a_grid, len(cfg.b_grid)), np.tile(cfg.b_grid, len(cfg.a_grid))
+    mu, epsilon, p1, p2, q1, q2, horizon, bound = values[node].T
+    T, ends = np.full(node.size, math.nan), np.array(nodes, dtype=object)[node]
+    j = np.flatnonzero(~np.isnan(horizon))  # the points whose node resolved
+    if j.size:
+        T[j], ends[j] = terminal_events(a[j], b[j], p1[j], p2[j], q1[j], q2[j], horizon[j],
+                                        next(filter(None, runs)).integration)
+    ends = ends.tolist()  # an event kind, or the error of the point's resolution or run
+    ok = [isinstance(end, EventKind) for end in ends]
+    within = np.array([end is not EventKind.HORIZON for end in ends], dtype=bool) & (T <= bound)
+    cases = [run.spec.case_id.value if run else "-" for run in runs]
+    columns = {
+        "a": a, "b": b, "case": [cases[k] if good else "-" for k, good in zip(node.tolist(), ok)],
+        "mu": np.where(ok, mu, math.nan), "epsilon": np.where(ok, epsilon, math.nan), "T": T,
+        "T_within_bound": np.where(within, "yes", "no").tolist(),
+        "event": [end.value if good else "-" for end, good in zip(ends, ok)],
+        "status": ["ok" if good else f"error: {end}" for end, good in zip(ends, ok)],
+    }
+    _write_table(outdir / "sweep", list(columns), list(columns.values()), cfg.format,
                  text=("case", "T_within_bound", "event", "status"))
-    _write_manifest(outdir, cfg, {"points": len(rows)})
-    bad = [row for row in rows if row[-1] != "ok"]
-    print(f"sweep: {len(rows)} points, {len(bad)} failures; wrote {outdir}/")
-    for row in bad:
-        print(f"  (a={row[0]:g}, b={row[1]:g}): {row[-1]}")
-    return EXIT_FAILURE if rows and len(bad) == len(rows) else EXIT_OK
+    _write_manifest(outdir, cfg, {"points": len(node)})
+    bad = [i for i, good in enumerate(ok) if not good]
+    print(f"sweep: {len(node)} points, {len(bad)} failures; wrote {outdir}/")
+    for i in bad:
+        print(f"  (a={a[i]:g}, b={b[i]:g}): {columns['status'][i]}")
+    return EXIT_FAILURE if bad and len(bad) == len(node) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,14 @@ themselves and carry the invariant structure used by the analytic module.
 position q1, is p1 = (w-h)/2, p2 = (h+w)/2, q2 = q1 + q.
 
 Each field is written once (``_full_rhs``, ``_reduced_rhs``), as a function
-of the state components that the integrator's steppers call directly: on
-plain floats for one run, or on numpy arrays holding one run per element for
-a batch of runs in lockstep; ``full_rhs_array`` and ``reduced_rhs_array``
-wrap them for numpy vectors.
+of its coefficients, (1 - a, 1 - 3a, (2 - b) sigma, sigma) or
+(1 - a, 1 - 3a, 2 - b), formed once per run, and of the state components;
+the integrator's steppers call it on floats for one run, or on numpy arrays
+holding one run per element for runs in lockstep.  ``full_rhs_array`` and
+``reduced_rhs_array`` wrap them for numpy vectors.  The full field reads
+the peaks' distance as sigma (q2 - q1): at a fixed sigma = +1 or -1 it is
+the analytic continuation of one side of the collision, and at
+sigma = sgn(q2 - q1), 0 where the peaks coincide, the two-sided field.
 """
 
 from __future__ import annotations
@@ -84,29 +88,28 @@ def _exp(x):
         return np.array([_exp(v) for v in x.tolist()])
 
 
-def _full_rhs(a: float, b: float, orientation: Optional[float],
-              p1: float, p2: float, q1: float, q2: float) -> tuple:
+def _full_rhs(c1, c3, m0, sigma, p1, p2, q1, q2) -> tuple:
     """Float-level form of ``full_rhs_array``: the time derivative
-    (dp1, dp2, dq1, dq2) at the state (p1, p2, q1, q2).  With an
-    ``orientation``, every argument may also be an array over runs.
+    (dp1, dp2, dq1, dq2) at the state (p1, p2, q1, q2), given the
+    coefficients (1 - a, 1 - 3a, (2 - b) sigma, sigma) of
+    ``_full_coefficients``.  Every argument may also be an array over runs.
 
-    The parameters come first so that the integrator can bind them once
+    The coefficients come first so that the integrator can bind them once
     with ``functools.partial`` and call the field on the unpacked state.
     """
-    if orientation is None:
-        d = abs(q1 - q2)
-        s = math.copysign(1.0, q2 - q1) if q2 != q1 else 0.0
-    else:
-        d = orientation * (q2 - q1)
-        s = orientation
-    e1 = _exp(-d)  # inf on an oriented trial stage far past the collision
+    e1 = _exp(-(sigma * (q2 - q1)))  # inf on an oriented trial stage far past the collision
     e2 = e1 * e1
     pp = p1 * p2
-    dq1 = (1.0 - a) * p1 * p1 + 2.0 * pp * e1 + (1.0 - 3.0 * a) * p2 * p2 * e2
-    dq2 = (1.0 - a) * p2 * p2 + 2.0 * pp * e1 + (1.0 - 3.0 * a) * p1 * p1 * e2
-    dp1 = (2.0 - b) * s * pp * e1 * (p1 + p2 * e1)
-    dp2 = -(2.0 - b) * s * pp * e1 * (p1 * e1 + p2)
-    return dp1, dp2, dq1, dq2
+    cross = 2.0 * pp * e1
+    m = m0 * pp * e1
+    dq1 = c1 * p1 * p1 + cross + c3 * p2 * p2 * e2
+    dq2 = c1 * p2 * p2 + cross + c3 * p1 * p1 * e2
+    return m * (p1 + p2 * e1), -(m * (p1 * e1 + p2)), dq1, dq2
+
+
+def _full_coefficients(a, b, sigma) -> tuple:
+    """``_full_rhs``'s coefficients, on floats or on arrays over runs."""
+    return 1.0 - a, 1.0 - 3.0 * a, (2.0 - b) * sigma, sigma
 
 
 def full_rhs_array(
@@ -114,25 +117,26 @@ def full_rhs_array(
 ) -> np.ndarray:
     """Time derivative of [p1, p2, q1, q2].
 
-    The field contains |q1 - q2| and sgn(q2 - q1).  Without ``orientation``
-    it is the two-sided field, with the convention sgn(0) = 0 that makes it
-    total at the coincidence point q1 = q2; this is the form for evaluating
-    the field at a given state.  With ``orientation`` = sigma (+1 or -1) it
-    is the analytic continuation of the side where sgn(q2 - q1) = sigma:
-    |q1 - q2| becomes sigma (q2 - q1) and sgn(q2 - q1) becomes sigma.  On
-    that side the two forms agree bit for bit; beyond the coincidence point
-    the oriented one stays smooth instead of kinking.  The integrator fixes
+    Without ``orientation``, sigma = sgn(q2 - q1) with sgn(0) = 0: this is
+    the two-sided field, in which sigma (q2 - q1) = |q1 - q2|, total at the
+    coincidence point q1 = q2; it is the form for evaluating the field at a
+    given state.  With ``orientation`` = sigma (+1 or -1) fixed, it is the
+    analytic continuation of the side where sgn(q2 - q1) = sigma.  On that
+    side the two forms agree bit for bit; beyond the coincidence point the
+    oriented one stays smooth instead of kinking.  The integrator fixes
     sigma from the initial state and stops at the collision event, so it
     integrates the oriented form (see ``integrator``), through ``_full_rhs``.
     """
-    # float arithmetic: same values, faster than numpy scalars
-    return np.array(_full_rhs(a, b, orientation, *y.tolist()))
+    p1, p2, q1, q2 = y.tolist()  # float arithmetic: same values, faster than numpy scalars
+    if orientation is None:
+        orientation = math.copysign(1.0, q2 - q1) if q2 != q1 else 0.0
+    return np.array(_full_rhs(*_full_coefficients(a, b, orientation), p1, p2, q1, q2))
 
 
-def _reduced_rhs(a: float, b: float, q: float, h: float, w: float, z: float,
-                 q1: float = 0.0) -> tuple:
+def _reduced_rhs(c1, c3, c2, q, h, w, z, q1=0.0) -> tuple:
     """Float-level form of ``reduced_rhs_array`` with the position q1
-    carried along: (dq, dh, dw, dz, dq1) at (q, h, w, z, q1).  Every
+    carried along: (dq, dh, dw, dz, dq1) at (q, h, w, z, q1), given the
+    coefficients (1 - a, 1 - 3a, 2 - b) of ``_reduced_coefficients``.  Every
     argument may also be an array over runs.
 
     q1' is the full field's dq1 in reduced coordinates, with
@@ -140,13 +144,19 @@ def _reduced_rhs(a: float, b: float, q: float, h: float, w: float, z: float,
     """
     e1 = _exp(-q)
     e2 = e1 * e1
-    dq = h * w * ((1.0 - a) - (1.0 - 3.0 * a) * e2)
-    dh = -(2.0 - b) * w * z * (1.0 + e1) * e1
-    dw = -(2.0 - b) * h * z * (1.0 - e1) * e1
-    dz = (2.0 - b) * h * w * z * e2
+    n2 = -c2
+    dq = h * w * (c1 - c3 * e2)
+    dh = n2 * w * z * (1.0 + e1) * e1
+    dw = n2 * h * z * (1.0 - e1) * e1
+    dz = c2 * h * w * z * e2
     p1, p2 = 0.5 * (w - h), 0.5 * (h + w)
-    dq1 = (1.0 - a) * p1 * p1 + 2.0 * p1 * p2 * e1 + (1.0 - 3.0 * a) * p2 * p2 * e2
+    dq1 = c1 * p1 * p1 + 2.0 * p1 * p2 * e1 + c3 * p2 * p2 * e2
     return dq, dh, dw, dz, dq1
+
+
+def _reduced_coefficients(a, b) -> tuple:
+    """``_reduced_rhs``'s coefficients, on floats or on arrays over runs."""
+    return 1.0 - a, 1.0 - 3.0 * a, 2.0 - b
 
 
 def reduced_rhs_array(y: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -157,7 +167,7 @@ def reduced_rhs_array(y: np.ndarray, a: float, b: float) -> np.ndarray:
         w' = -(2-b) h z (1 - e^{-q}) e^{-q}
         z' =  (2-b) h w z e^{-2q}
     """
-    return np.array(_reduced_rhs(a, b, *y.tolist())[:4])
+    return np.array(_reduced_rhs(*_reduced_coefficients(a, b), *y.tolist())[:4])
 
 
 def to_reduced(state: PeakonState) -> ReducedState:

@@ -48,15 +48,17 @@ fixed once, and |q1 - q2| and sgn(q2 - q1) become sigma (q2 - q1) and
 sigma.  Up to the terminal event sigma (q2 - q1) >= 0, so the field agrees
 with the two-sided one there bit for bit and the solution is unchanged;
 only trial stages past the collision see a different field, and a smooth
-one.  The reduced field is smooth through q = 0 already.
+one.  The reduced field is smooth through q = 0 already.  Both fields take
+their coefficients, (1 - a, 1 - 3a, (2 - b) sigma, sigma) and
+(1 - a, 1 - 3a, 2 - b), which ``start`` forms once per run (see
+``dynamics``).
 
 Each representation is described once (``_FieldDescription``): its field,
 the map back to [p1, p2, q1, q2], its candidate events, and a ``start``
-that gives the field's parameters (sigma among them), the initial vector
+that gives the field's coefficients (sigma among them), the initial vector
 and whether the point can run, in arithmetic and comparisons that act the
 same on floats and on arrays over lanes.  One run calls it on floats, the
-lane stepper on arrays; the overflow guard (``_may_overflow``) and the
-terminal record with its residual check (``_terminal_record``) are shared
+lane stepper on arrays; the overflow guard (``_may_overflow``) is shared
 the same way.  Forward and time-reversed runs go through one solve path.
 Floating-point overflow in trial stages of an overflowing input is left to
 the step controller (the step is rejected, or the solve fails with
@@ -83,13 +85,18 @@ at once, their branches as masks: one Illinois iteration over every
 crossed event of every lane, each bracket reading only the state
 components its event reads.  Its last few brackets (``ROOT_HANDOFF``), and
 every lane on which the scalar search would raise, go through the scalar
-``_locate``.  The lanes are built by one call of the description's
-``start`` on arrays over the points (``_lane_points``), with no record per
-point.  A lane the stepper cannot finish (a starting step the scalar code
-cannot take, a step below the spacing of t, the step budget, a
-floating-point failure, a non-finite dense output, an event residual above
-``event_tol``, or an initial field that may overflow) is run again through
-``integrate``, so its error is the scalar run's.  A single run stays on the
+``_locate``.  The points arrive as columns (one value per point of a, b,
+p1, p2, q1, q2 and the horizon) and leave as columns (time, event kind):
+the lanes are built by one call of the description's ``start`` on those
+arrays (``_lane_points``), ``_lane_runs`` returns end times, event numbers
+and end states as arrays, and the scalar terminal record's checks (event
+residual |g(T)| within ``event_tol``, a finite end state) are array
+expressions, so no object is made per point.  A lane the stepper cannot
+finish (a starting step the scalar code cannot take, a step below the
+spacing of t, the step budget, a floating-point failure, a non-finite
+dense output or end state, an event residual above ``event_tol``, or an
+initial field that may overflow) is run again through ``integrate``, so
+its error is the scalar run's.  A single run stays on the
 scalar stepper: one lane costs over ten times a scalar run (the fixed numpy
 cost of each attempt).  Measured on seeded sweep grids, lockstep is slower
 than one scalar run after another below 32 points, about even at 32 and
@@ -100,14 +107,15 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import PeakonState, _full_rhs, _reduced_rhs, full_rhs_array
+from .dynamics import (PeakonState, _full_coefficients, _full_rhs, _reduced_coefficients,
+                       _reduced_rhs, full_rhs_array)
 from .params import ABParams
 
 DEFAULT_HORIZON = 100.0
@@ -570,8 +578,8 @@ def _locate_lanes(events: tuple, armed, t_old, t_new, h, y_old, y_new, coeffs,
     bracket of ``_roots``, which reads only the components its event reads;
     the earliest root wins, ties to the lower event.
 
-    Returns (t_event, index of the event among the lane's armed events,
-    state there as (component, lane), found); where found is False, the
+    Returns (t_event, number of the event in ``events``, state there as
+    (component, lane), found); where found is False, the
     root search of one of the lane's events raises or was handed off, and
     the other values are meaningless.
     """
@@ -596,8 +604,7 @@ def _locate_lanes(events: tuple, armed, t_old, t_new, h, y_old, y_new, coeffs,
     ok[lane[~found]] = False
     t_event = roots[first]
     state = _DenseState((t_event - t_old) / h, coeffs, y_old)
-    index = np.cumsum(armed, axis=0)[event[first], np.arange(h.size)] - 1
-    return t_event, index, np.array([state[j] for j in range(len(y_old))]), ok
+    return t_event, event[first], np.array([state[j] for j in range(len(y_old))]), ok
 
 
 class _Dop853:
@@ -681,7 +688,7 @@ class _Dop853:
 
 class _Lanes:
     """Per-lane arrays of the lanes still running, the lane on the last axis
-    (states, stages, parameters and event values are 2-D: component, lane)."""
+    (states, stages, coefficients and event values are 2-D: component, lane)."""
 
     def __init__(self, **arrays):
         self.__dict__.update(arrays)
@@ -691,30 +698,30 @@ class _Lanes:
             setattr(self, name, value[..., mask])
 
 
-def _lane_runs(fields: "_FieldDescription", args, y0, t_ends: Sequence[float], rtol: float,
-               atol: float) -> list:
+def _lane_runs(fields: "_FieldDescription", args, y0, t_end, rtol: float,
+               atol: float) -> tuple:
     """``_Dop853.solve`` for every lane at once.
 
     The lanes are points of the representation ``fields``, with the field's
-    parameters ``args`` (parameter, lane) and initial vectors ``y0``
-    (component, lane), as ``_lane_points`` builds them.  Every lane keeps
-    its own t, step size, rejection flag and step counts, and retires at its
-    event or horizon.  The starting steps are found for all lanes at once
-    (``_initial_steps``).  The dense output and the root search of the event
-    steps are done together once the stepping has stopped
-    (``_locate_lanes``); the last few brackets of the search, and the lanes
-    whose search fails, go through the scalar ``_locate``.
+    coefficients ``args`` (coefficient, lane), initial vectors ``y0``
+    (component, lane) and horizons ``t_end``, as ``_lane_points`` builds
+    them.  Every lane keeps its own t, step size, rejection flag and step
+    counts, and retires at its event or horizon.  The starting steps are
+    found for all lanes at once (``_initial_steps``).  The dense output and
+    the root search of the event steps are done together once the stepping
+    has stopped (``_locate_lanes``); the last few brackets of the search,
+    and the lanes whose search fails, go through the scalar ``_locate``.
 
-    Per lane returns (ts, ys, index of the event in the lane's armed events
-    or None, accepted steps, rejected steps), with the last two times and
-    states in ts and ys (one at the horizon); or None where the scalar
-    stepper raises.  The rejected steps are counted for the tests, which
-    compare both counts with the scalar run's.
+    Returns arrays over lanes (t, event, y, steps, rejected, ok): the end
+    time, the number in ``fields.events`` of the event that fired (-1 at the
+    horizon), the end state (component, lane), and the accepted and rejected
+    steps; ok is False where the scalar stepper raises, and the other values
+    are meaningless there.  The rejected steps are counted for the tests,
+    which compare both counts with the scalar run's.
     """
     n = y0.shape[-1]
-    out = [None] * n
-    if not n:
-        return out
+    t_out, y_out = np.full(n, math.nan), np.full(y0.shape, math.nan)
+    event_out, steps_out, rejected_out, ok_out = (np.full(n, v) for v in (-1, 0, 0, False))
     func, events = fields.func, fields.events
     armed = np.array(_arming(events, y0))
 
@@ -723,7 +730,10 @@ def _lane_runs(fields: "_FieldDescription", args, y0, t_ends: Sequence[float], r
         so that the step arithmetic runs once over all components."""
         return lambda y: [np.array(func(*args, *y))]
 
-    t_end = np.array(t_ends, dtype=float)
+    def finish(lane, t, event, y, steps, rejected) -> None:
+        t_out[lane], event_out[lane], y_out[:, lane] = t, event, y
+        steps_out[lane], rejected_out[lane], ok_out[lane] = steps, rejected, True
+
     with np.errstate(all="ignore"):
         k1 = np.array(func(*args, *y0))
         h_abs, started = _initial_steps(partial(func, *args), y0, k1, t_end, rtol, atol)
@@ -775,9 +785,9 @@ def _lane_runs(fields: "_FieldDescription", args, y0, t_ends: Sequence[float], r
                 pool.append((live.lane[hit], t[hit], t_new[hit], h[hit], y[:, hit],
                              y_new[:, hit], np.array([k[:, hit] for k in (k1, *ks, k13)]),
                              live.steps[hit], live.rejections[hit]))
-            for i in np.flatnonzero(horizon).tolist():
-                out[live.lane[i]] = ([float(live.t[i])], [live.y[:, i].tolist()], None,
-                                     int(live.steps[i]), int(live.rejections[i]))
+            if horizon.any():
+                finish(live.lane[horizon], live.t[horizon], -1, live.y[:, horizon],
+                       live.steps[horizon], live.rejections[horizon])
             moved = accept & ~hit
             live.min_step = np.where(moved, 10.0 * (np.nextafter(live.t, math.inf) - live.t),
                                      live.min_step)
@@ -791,23 +801,22 @@ def _lane_runs(fields: "_FieldDescription", args, y0, t_ends: Sequence[float], r
                 np.concatenate(col, axis=-1) for col in zip(*pool))
             coeffs, = _dense_coeffs(whole(args[:, lane]), h, [y_old], [y_new], ks[:, None])
             coeffs, armed = np.stack(coeffs, axis=1), armed[:, lane]
-            t_event, index, y_event, found = _locate_lanes(
+            t_event, event, y_event, found = _locate_lanes(
                 events, armed, t_old, t_new, h, y_old, y_new, coeffs, ROOT_HANDOFF)
-            columns = zip(lane.tolist(), t_old.tolist(), t_event.tolist(), y_old.T.tolist(),
-                          y_event.T.tolist(), index.tolist(), steps.tolist(),
-                          rejections.tolist(), found.tolist())
-            for j, (i, t_a, t_b, y_a, y_b, hit, n_steps, n_rejected, ok) in enumerate(columns):
-                if not ok:  # the scalar search decides, on the lane's floats
-                    fns = [g for _, g in _armed(events, armed[:, j])]
-                    y_end = y_new[:, j].tolist()
-                    try:
-                        t_b, hit, y_b = _locate(fns, [g(y_a) for g in fns],
-                                                [g(y_end) for g in fns], t_a, float(t_new[j]),
-                                                float(h[j]), y_a, coeffs[:, :, j].tolist())
-                    except (ValueError, OverflowError, ZeroDivisionError):
-                        continue
-                out[i] = ([t_a, t_b], [y_a, y_b], hit, n_steps, n_rejected)
-    return out
+            finish(lane[found], t_event[found], event[found], y_event[:, found], steps[found],
+                   rejections[found])
+            for j in np.flatnonzero(~found).tolist():  # the scalar search, on the lane's floats
+                numbers = np.flatnonzero(armed[:, j])
+                fns = [events[e][1] for e in numbers.tolist()]
+                y_a, y_b = y_old[:, j].tolist(), y_new[:, j].tolist()
+                try:
+                    t_b, hit, y_end = _locate(fns, [g(y_a) for g in fns], [g(y_b) for g in fns],
+                                              float(t_old[j]), float(t_new[j]), float(h[j]),
+                                              y_a, coeffs[:, :, j].tolist())
+                except (ValueError, OverflowError, ZeroDivisionError):
+                    continue
+                finish(lane[j], t_b, numbers[hit], y_end, steps[j], rejections[j])
+    return t_out, event_out, y_out, steps_out, rejected_out, ok_out
 
 
 # ---------------------------------------------------------------------------
@@ -933,7 +942,7 @@ class _FieldDescription:
     the field ``func(*args, *y)``, the map ``to_array`` of its vectors to
     [p1, p2, q1, q2] rows, its candidate terminal events (kind, g(y)), and
     ``start(a, b, p1, p2, q1, q2) -> (args, y0, ok)``: the field's
-    parameters and initial vector at a point, and whether the
+    coefficients and initial vector at a point, and whether the
     representation can run it.  ``start`` and the event functions use only
     arithmetic and comparisons, so they give the same bits on floats (one
     run) and on arrays over lanes (``_lane_points``)."""
@@ -947,14 +956,14 @@ class _FieldDescription:
 def _full_start(a, b, p1, p2, q1, q2) -> tuple:
     """The full field, oriented once by the initial peak order: sigma = +1
     where q2 >= q1 (the peaks coinciding too), else -1 (see the module
-    docstring).  Every point can run."""
-    return (a, b, 2.0 * (q2 >= q1) - 1.0), [p1, p2, q1, q2], True
+    docstring), with its coefficients formed once.  Every point can run."""
+    return _full_coefficients(a, b, 2.0 * (q2 >= q1) - 1.0), [p1, p2, q1, q2], True
 
 
 def _reduced_start(a, b, p1, p2, q1, q2) -> tuple:
     """The reduced field on (q, h, w, z), with q1 carried as a fifth
     component; it needs q2 > q1."""
-    return (a, b), [q2 - q1, p2 - p1, p1 + p2, p1 * p2, q1], q2 > q1
+    return _reduced_coefficients(a, b), [q2 - q1, p2 - p1, p1 + p2, p1 * p2, q1], q2 > q1
 
 
 _FULL = _FieldDescription(_full_rhs, np.asarray, (
@@ -978,11 +987,6 @@ def _arming(events: tuple, y0) -> list:
     arrays over lanes): the collision always, a momentum event only where
     p_i(0) != 0."""
     return [(kind is EventKind.COLLISION) | (g(y0) != 0.0) for kind, g in events]
-
-
-def _armed(events: tuple, arming) -> list:
-    """The events that one point's ``_arming`` arms."""
-    return [event for event, on in zip(events, arming) if on]
 
 
 def _may_overflow(a, b, p1, p2, maximum: Callable = max):
@@ -1009,8 +1013,9 @@ def _solve(rhs: Callable, y0: list, to_array: Callable, events: Sequence, params
 
     The trajectory ends exactly at the located event time, or at t_end with
     a HORIZON record.  Step-size failure, a non-finite dense output at an
-    event, or an event residual above ``event_tol`` raises IntegrationError
-    with the last good state.
+    event, or an event residual |g(T)| above ``event_tol`` raises
+    IntegrationError with the last good state, and a non-finite end state
+    ValueError.
     """
     initial = _state(to_array, y0)
     if t_end == 0.0:  # nothing to integrate: the constant trajectory
@@ -1024,25 +1029,14 @@ def _solve(rhs: Callable, y0: list, to_array: Callable, events: Sequence, params
         ts, ys, hit = stepper.solve(y0, t_end, [g for _, g in events])
     except _StepFailure as exc:
         raise IntegrationError(str(exc), exc.t, _state(to_array, exc.y)) from None
-    record = _terminal_record(events, hit, to_array, config.event_tol, t_end, ts, ys)
-    return Trajectory(params, config, ts, ys, [record], stepper, to_array, time_sign)
-
-
-def _terminal_record(events: Sequence, hit: Optional[int], to_array: Callable,
-                     event_tol: float, t_end: float, ts, ys) -> EventRecord:
-    """The record of a run that ended at times ``ts`` in states ``ys`` (the
-    last two at least) with event ``hit`` of its armed ``events``, or at the
-    horizon.  Raises IntegrationError if the event residual |g(T)| exceeds
-    ``event_tol``, and ValueError if the end state is not finite."""
-    if hit is None:
-        return EventRecord(EventKind.HORIZON, t_end, _state(to_array, ys[-1]))
-    kind, g = events[hit]
-    residual = abs(g(ys[-1]))
-    if not residual <= event_tol:
+    kind, g = events[hit] if hit is not None else (EventKind.HORIZON, None)
+    residual = abs(g(ys[-1])) if g else 0.0
+    if not residual <= config.event_tol:
         raise IntegrationError(
             f"{kind.value} event located only to |g| = {residual:.3g} > event_tol "
-            f"{event_tol:g}", ts[-2], _state(to_array, ys[-2]))
-    return EventRecord(kind, ts[-1], _state(to_array, ys[-1]))
+            f"{config.event_tol:g}", ts[-2], _state(to_array, ys[-2]))
+    record = EventRecord(kind, ts[-1] if g else t_end, _state(to_array, ys[-1]))
+    return Trajectory(params, config, ts, ys, [record], stepper, to_array, time_sign)
 
 
 def integrate(
@@ -1061,7 +1055,7 @@ def integrate(
                                 initial.q2)
     if not ok:  # only the reduced representation refuses a point
         raise ValueError("reduced representation requires q2 > q1")
-    events = _armed(fields.events, _arming(fields.events, y0))
+    events = [event for event, on in zip(fields.events, _arming(fields.events, y0)) if on]
     return _solve(partial(fields.func, *args), y0, fields.to_array, events, params, config,
                   _horizon(config))
 
@@ -1092,68 +1086,60 @@ def integrate_reversed(
                   config, duration, time_sign=-1.0)
 
 
-def terminal_events(
-    initials: Sequence[PeakonState],
-    params: Sequence[ABParams],
-    configs: Sequence[IntegrationConfig],
-) -> list:
-    """For each point, what ``integrate(initial, params, config)`` ends with:
-    its terminal event record, or the exception it raises.
+def terminal_events(a, b, p1, p2, q1, q2, horizon, config: IntegrationConfig) -> tuple:
+    """For each point, given as columns (one value per point), what
+    ``integrate(PeakonState(p1, p2, q1, q2), ABParams(a, b),
+    replace(config, max_time=horizon))`` ends with.
 
-    The configs must share their tolerances and representation (a sweep's
-    do); horizons and event tolerances may differ.  With at least
-    ``MIN_LANES`` points, they run in lockstep on the lane stepper (see the
-    module docstring); each lane repeats the scalar run bit for bit.  Fewer
-    points and every run the lanes cannot finish go through ``integrate``
-    itself, so a failing point raises exactly what it raises alone.
+    Returns columns (times, kinds): the terminal event's time and kind, or
+    NaN and the exception that the call raises.  ``config`` gives every
+    point its tolerances and representation; its own max_time is not read.
+    With at least ``MIN_LANES`` points, they run in lockstep on the lane
+    stepper (see the module docstring); each lane repeats the scalar run bit
+    for bit.  Fewer points and every point the lanes cannot finish go
+    through ``integrate`` itself, so a failing point raises exactly what it
+    raises alone.
     """
-    out = [None] * len(initials)
-    if not configs:
-        return out
-    rtol, atol, representation = (configs[0].rel_tol, configs[0].abs_tol,
-                                  configs[0].representation)
-    if any((c.rel_tol, c.abs_tol, c.representation) != (rtol, atol, representation)
-           for c in configs):
-        raise ValueError("terminal_events needs one rel_tol, abs_tol and representation "
-                         "for all points")
-    if len(initials) >= MIN_LANES:
-        fields = _description(representation)
-        index, args, y0 = _lane_points(initials, params, fields)
-        t_ends = [_horizon(configs[i]) for i in index]
-        runs = _lane_runs(fields, args, y0, t_ends, rtol, atol)
-        arming = np.array(_arming(fields.events, y0)).T.tolist()
-        for i, t_end, on, run in zip(index, t_ends, arming, runs):
-            if run is None:
-                continue
-            ts, ys, hit, _, _ = run
-            try:
-                out[i] = _terminal_record(_armed(fields.events, on), hit, fields.to_array,
-                                          configs[i].event_tol, t_end, ts, ys)
-            except (IntegrationError, ValueError):  # ``integrate`` runs it again, to raise
-                pass
-    for i, record in enumerate(out):
-        if record is None:
-            try:
-                out[i] = integrate(initials[i], params[i], configs[i]).terminal_event
-            except Exception as exc:  # the point's own failure, returned as its result
-                out[i] = exc.with_traceback(None)  # keeps no frame alive
-    return out
+    columns = [np.asarray(c, dtype=float) for c in (a, b, p1, p2, q1, q2, horizon)]
+    n = columns[0].size
+    times, kinds = np.full(n, math.nan), np.full(n, None, dtype=object)
+    if n >= MIN_LANES:
+        fields = _description(config.representation)
+        index, args, y0, t_end = _lane_points(fields, *columns)
+        t, event, y, _, _, ok = _lane_runs(fields, args, y0, t_end, config.rel_tol,
+                                           config.abs_tol)
+        with np.errstate(invalid="ignore"):  # what the scalar terminal record refuses
+            ok &= np.isfinite(fields.to_array(y)).all(axis=0)
+            for number, (_, g) in enumerate(fields.events):
+                fired = event == number
+                ok[fired] &= np.abs(g(y[:, fired])) <= config.event_tol
+        # the horizon's event number, -1, reads the last name
+        names = np.array([kind for kind, _ in fields.events] + [EventKind.HORIZON], dtype=object)
+        times[index[ok]], kinds[index[ok]] = t[ok], names[event[ok]]
+    for i in np.flatnonzero(np.isnan(times)).tolist():  # the points no lane finished
+        a_i, b_i, *state, t_end_i = (float(c[i]) for c in columns)
+        try:
+            end = integrate(PeakonState(*state), ABParams(a_i, b_i),
+                            replace(config, max_time=t_end_i)).terminal_event
+            times[i], kinds[i] = end.time, end.kind
+        except Exception as exc:  # the point's own failure, returned as its result
+            kinds[i] = exc.with_traceback(None)  # keeps no frame alive
+    return times, kinds.tolist()
 
 
-def _lane_points(initials: Sequence[PeakonState], params: Sequence[ABParams],
-                 fields: _FieldDescription) -> tuple:
+def _lane_points(fields: _FieldDescription, a, b, p1, p2, q1, q2, horizon) -> tuple:
     """The points that can run as lanes of ``fields``, as (their indices,
-    the field's parameters (parameter, lane), the initial vectors
-    (component, lane)), built by the ``start`` that ``integrate`` calls on
-    each point's floats.  Left out, for ``integrate`` to reject: a point
-    that ``start`` refuses, a state read back from the initial vector that
-    is not finite, and a field that may overflow there."""
-    p1, p2, q1, q2 = np.array([(s.p1, s.p2, s.q1, s.q2) for s in initials]).T
-    a, b = np.array([(p.a, p.b) for p in params]).T
+    the field's coefficients (coefficient, lane), the initial vectors
+    (component, lane), the horizons), built by the ``start`` that
+    ``integrate`` calls on each point's floats.  Left out, for ``integrate``
+    to reject: a point that ``start`` refuses, parameters, a horizon or a
+    state read back from the initial vector that ``integrate`` would not
+    take, and a field that may overflow there."""
     with np.errstate(over="ignore", invalid="ignore"):
         args, y0, ok = fields.start(a, b, p1, p2, q1, q2)
         y0 = np.array(y0)
         state = fields.to_array(y0)
-        ok = ok & np.isfinite(state).all(axis=0) & ~_may_overflow(a, b, *state[:2], _max)
+        ok = (ok & np.isfinite(state).all(axis=0) & np.isfinite(a) & np.isfinite(b)
+              & (horizon > 0.0) & ~_may_overflow(a, b, *state[:2], _max))
     index = np.flatnonzero(ok)
-    return index.tolist(), np.array(args)[:, index], y0[:, index]
+    return index, np.array(args)[:, index], y0[:, index], horizon[index]

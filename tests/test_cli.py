@@ -559,9 +559,16 @@ class TestParser:
         ({"mu": {"x": 1}}, "argument --mu: invalid float value: {'x': 1}"),
         ({"sample_count": "ten"}, "argument --sample-count: invalid int value: 'ten'"),
         ({"sample_count": 1e400}, "argument --sample-count: invalid int value: inf"),
-    ], ids=["number-for-list", "string-in-list", "list", "dict", "string", "infinity"])
+        ({"sample_count": 2.7}, "argument --sample-count: invalid int value: 2.7"),
+        ({"sample_count": True}, "argument --sample-count: invalid int value: True"),
+        ({"alpha": True}, "argument --alpha: invalid float value: True"),
+        ({"s_values": [0.5, False]}, "argument --s: invalid float value: False"),
+    ], ids=["number-for-list", "string-in-list", "list", "dict", "string", "infinity",
+            "fraction", "boolean-count", "boolean", "boolean-in-list"])
     def test_wrongly_typed_config_value_is_one_line(self, tmp_path, entry, message):
-        """A JSON value of the wrong type ended in a TypeError traceback."""
+        """A JSON value of the wrong type ended in a TypeError traceback; a
+        boolean for a number and a fraction for the sample count were
+        silently read as 1.0 and truncated."""
         path, out = tmp_path / "run.json", tmp_path / "x"
         path.write_text(json.dumps({"case": "case1", **entry}))
         code, err = _run_captured(["run-case", "--config", str(path), "--out", str(out)])

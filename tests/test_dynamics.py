@@ -1,5 +1,8 @@
 """Field evaluations and the full/reduced change of variables.
 
+The fields in coefficient form are checked bit for bit against the
+two-branch fields they replaced (``field_oracle``), on floats and on arrays.
+
 The reduced system is cross-checked against the full one through the
 product-rule image of the change of variables: q' = q2' - q1',
 h' = p2' - p1', w' = p1' + p2', z' = p1' p2 + p1 p2'.  That mapping is
@@ -13,7 +16,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from peakonlab import ABParams, PeakonState, ReducedState, to_reduced
-from peakonlab.dynamics import full_rhs_array, reduced_rhs_array
+from peakonlab.dynamics import (_full_coefficients, _full_rhs, _reduced_coefficients,
+                                _reduced_rhs, full_rhs_array, reduced_rhs_array)
+
+import field_oracle
 
 RNG = np.random.default_rng(0)
 
@@ -175,3 +181,88 @@ class TestChangeOfVariables:
     def test_state_requires_finite_fields(self):
         with pytest.raises(ValueError):
             PeakonState(math.nan, 0.0, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the fields in coefficient form against the two-branch fields they replaced
+
+
+def _same_bits(got, want) -> bool:
+    """Equal values, NaN in the same places and zeros of the same sign, on
+    floats or arrays (a NaN's own sign bit is not compared)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    return bool(np.array_equal(got, want, equal_nan=True)
+                and np.array_equal(np.signbit(got)[~nan], np.signbit(want)[~nan]))
+
+
+def _edge_states():
+    """(a, b, p1, p2, q1, q2) rows: seeded random states and a, b anywhere;
+    coincident peaks (-0.0 against 0.0 too); a state far past the collision,
+    where e^{-sigma (q2 - q1)} overflows to inf and inf * 0 is NaN; b = 2,
+    a = 1/3 and zero momenta of both signs, where products are signed zeros."""
+    rng = np.random.default_rng(15)
+    rows = [list(row) for row in np.column_stack([
+        rng.uniform(-2, 2, 200), rng.uniform(-1, 5, 200), rng.uniform(-3, 3, (200, 2)),
+        rng.uniform(-2, 2, (200, 2))])]
+    for a, b in [(1 / 3, 3.0), (-1.0, 2.0), (1 / 3, 2.0), (0.7, -0.5)]:
+        rows += [
+            [a, b, 1.5, -1.0, 0.3, 0.3], [a, b, -0.0, 1.0, -0.0, 0.0],
+            [a, b, 1.0, -1.0, 0.0, -800.0], [a, b, 0.0, -1.0, 800.0, 0.0],
+            [a, b, 0.0, 0.0, 0.0, -800.0], [a, b, 1.5, -0.0, 0.0, 0.1],
+            [a, b, -0.0, 2.0, 0.2, 0.1], [a, b, 1e200, -1e200, 0.0, 0.5],
+        ]
+    return np.array(rows)
+
+
+class TestFieldsAgainstTheOracle:
+    """``_full_rhs`` and ``_reduced_rhs`` take their coefficients precomputed;
+    every component has the bits of ``field_oracle``'s two-branch form."""
+
+    ROWS = _edge_states()
+
+    @pytest.mark.parametrize("sigma", [1.0, -1.0])
+    def test_oriented_full_field(self, sigma):
+        a, b, p1, p2, q1, q2 = self.ROWS.T
+        with np.errstate(all="ignore"):
+            lanes = _full_rhs(*_full_coefficients(a, b, np.full(a.size, sigma)), p1, p2, q1, q2)
+            for row, *got in zip(self.ROWS.tolist(), *lanes):
+                want = field_oracle.full_rhs(row[0], row[1], sigma, *row[2:])
+                assert _same_bits(got, want), row
+                assert _same_bits(_full_rhs(*_full_coefficients(row[0], row[1], sigma),
+                                            *row[2:]), want), row
+                assert _same_bits(full_rhs_array(np.array(row[2:]), row[0], row[1], sigma),
+                                  want), row
+
+    def test_two_sided_full_field(self):
+        """sigma = sgn(q2 - q1), and 0 where the peaks coincide."""
+        a, b, p1, p2, q1, q2 = self.ROWS.T
+        assert (q1 == q2).sum() >= 8
+        with np.errstate(all="ignore"):
+            lanes = _full_rhs(*_full_coefficients(a, b, np.sign(q2 - q1)), p1, p2, q1, q2)
+            for row, *got in zip(self.ROWS.tolist(), *lanes):
+                want = field_oracle.full_rhs(row[0], row[1], None, *row[2:])
+                assert _same_bits(got, want), row
+                assert _same_bits(full_rhs_array(np.array(row[2:]), row[0], row[1]), want), row
+
+    def test_reduced_field(self):
+        a, b, p1, p2, q1, q2 = self.ROWS.T
+        with np.errstate(all="ignore"):
+            y = [q2 - q1, p2 - p1, p1 + p2, p1 * p2, q1]
+            lanes = _reduced_rhs(*_reduced_coefficients(a, b), *y)
+            for j, (row, *got) in enumerate(zip(self.ROWS.tolist(), *lanes)):
+                state = [float(v[j]) for v in y]
+                want = field_oracle.reduced_rhs(row[0], row[1], *state)
+                assert _same_bits(got, want), row
+                assert _same_bits(_reduced_rhs(*_reduced_coefficients(row[0], row[1]), *state),
+                                  want), row
+                assert _same_bits(reduced_rhs_array(np.array(state[:4]), row[0], row[1]),
+                                  field_oracle.reduced_rhs(row[0], row[1], *state[:4])[:4]), row
+
+    def test_the_edges_produce_nan_inf_and_signed_zeros(self):
+        """The edge rows reach what the comparison must see."""
+        with np.errstate(all="ignore"):
+            values = np.array([field_oracle.full_rhs(row[0], row[1], 1.0, *row[2:])
+                               for row in self.ROWS.tolist()])
+        assert np.isnan(values).any() and np.isinf(values).any()
+        assert (np.signbit(values) & (values == 0.0)).any()

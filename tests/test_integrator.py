@@ -24,7 +24,7 @@ from peakonlab import (
     to_reduced,
 )
 import peakonlab.integrator as integrator_module
-from peakonlab.dynamics import _full_rhs, full_rhs_array
+from peakonlab.dynamics import full_rhs_array
 
 from conftest import CASE_PRESETS, locate_collision, run_point
 
@@ -186,10 +186,11 @@ class TestOrientedField:
         count is of the float-level field the stepper calls, and equals the
         stepper's own count."""
         calls = []
+        field = integrator_module._FULL.func
 
         def counting(*args):
             calls.append(1)
-            return _full_rhs(*args)
+            return field(*args)
 
         monkeypatch.setattr(integrator_module, "_FULL",
                             replace(integrator_module._FULL, func=counting))

@@ -27,6 +27,7 @@ import pytest
 from peakonlab import (
     ABParams,
     EventKind,
+    EventRecord,
     IntegrationConfig,
     IntegrationError,
     PeakonState,
@@ -317,6 +318,8 @@ def test_lane_event_search_equals_locate():
         y0, y1 = y_old[:, j].tolist(), (y_old + slope)[:, j].tolist()
         want = integrator_module._locate(fns, [g(y0) for g in fns], [g(y1) for g in fns],
                                          1.0, 1.5, 0.5, y0, coeffs[:, :, j].tolist())
+        # ``_locate`` numbers the lane's armed events, ``_locate_lanes`` all events
+        want = (want[0], int(np.flatnonzero(armed[:, j])[want[1]]), want[2])
         got = (float(t_event[j]), int(index[j]), state[:, j].tolist())
         assert got == want
         assert list(map(float.hex, [got[0], *got[2]])) == list(map(float.hex, [want[0], *want[2]]))
@@ -347,9 +350,8 @@ class TestLaneStartingStep:
     @pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
     def test_sweep_grid_points(self, rep):
         points = [p for p in (_design(a, b, rep) for a, b in _sweep_grid(8)[::4]) if p]
-        func, args, y0 = _lanes(points)
+        func, args, y0, t_end = _lanes(points)
         f0 = np.array(func(*args, *y0))
-        t_end = np.array([integrator_module._horizon(c) for _, _, c in points])
         t_end[::7] = 1e-9  # the horizon caps h0
         assert self._check(func, args, y0, f0, t_end).all()
 
@@ -418,12 +420,12 @@ def _bits(record):
     return (record.kind, *map(float.hex, (record.time, *astuple(record.state))))
 
 
-def _outcome(run):
-    """What a run ended with, comparable exactly: a record's bits, or the
-    type and text of the exception it raised."""
-    if isinstance(run, Exception):
-        return type(run), str(run)
-    return _bits(run)
+def _outcome(kind, time):
+    """What a run ended with, comparable exactly: its event kind and the bits
+    of its time, or the type and text of the exception it raised."""
+    if isinstance(kind, Exception):
+        return type(kind), str(kind)
+    return kind, float.hex(time)
 
 
 def _scalar(initial, params, config):
@@ -433,38 +435,63 @@ def _scalar(initial, params, config):
         return exc
 
 
+def _scalar_outcome(point):
+    """``_outcome`` of ``integrate`` at an (initial, params, config) point."""
+    end = _scalar(*point)
+    if isinstance(end, Exception):
+        return _outcome(end, math.nan)
+    return _outcome(end.terminal_event.kind, end.terminal_event.time)
+
+
+def _columns(points):
+    """(initial, params, config) points as the columns (a, b, p1, p2, q1, q2,
+    horizon) that ``terminal_events`` takes."""
+    rows = [(params.a, params.b, *astuple(initial), integrator_module._horizon(config))
+            for initial, params, config in points]
+    return [np.array(col, dtype=float) for col in (zip(*rows) if rows else [()] * 7)]
+
+
+def _column_outcomes(points):
+    """``_outcome`` per point of one ``terminal_events`` call on the points,
+    whose configs differ in their horizons at most."""
+    times, kinds = terminal_events(*_columns(points), points[0][2])
+    return [_outcome(kind, time) for kind, time in zip(kinds, times.tolist())]
+
+
 def _lanes(points):
     """(initial, params, config) points of one representation as lanes:
-    the field and its (parameter, lane) and (component, lane) arrays, from
-    the builder that ``terminal_events`` uses.  Every point must run."""
+    the field and its (coefficient, lane) and (component, lane) arrays and
+    the horizons, from the builder that ``terminal_events`` uses.  Every
+    point must run."""
     fields = integrator_module._description(points[0][2].representation)
-    index, args, y0 = integrator_module._lane_points(
-        [i for i, _, _ in points], [p for _, p, _ in points], fields)
-    assert index == list(range(len(points)))
-    return fields.func, args, y0
+    index, args, y0, t_end = integrator_module._lane_points(fields, *_columns(points))
+    assert index.tolist() == list(range(len(points)))
+    return fields.func, args, y0, t_end
 
 
 def _assert_lanes_repeat_scalar(points):
     """Run (initial, params, config) points of one representation and one
     set of tolerances as lanes until every lane has retired, and compare
-    each lane with the scalar run of its point."""
+    each lane with the scalar run of its point: event kind, time and end
+    state bit for bit, the event residual within event_tol, and the numbers
+    of accepted and rejected steps."""
     config = points[0][2]
     fields = integrator_module._description(config.representation)
-    _, args, y0 = _lanes(points)
-    t_ends = [integrator_module._horizon(c) for _, _, c in points]
-    runs = integrator_module._lane_runs(fields, args, y0, t_ends, config.rel_tol,
-                                        config.abs_tol)
-    arming = np.array(integrator_module._arming(fields.events, y0)).T.tolist()
+    _, args, y0, t_end = _lanes(points)
+    t, event, y, steps, rejected, ok = integrator_module._lane_runs(
+        fields, args, y0, t_end, config.rel_tol, config.abs_tol)
     kinds = set()
-    for (initial, params, cfg), on, t_end, run in zip(points, arming, t_ends, runs):
+    for j, (initial, params, cfg) in enumerate(points):
         traj = integrate(initial, params, cfg)
-        assert run is not None, (initial, params)
-        ts, ys, hit, steps, rejected = run
-        record = integrator_module._terminal_record(
-            integrator_module._armed(fields.events, on), hit, fields.to_array, cfg.event_tol,
-            t_end, ts, ys)
+        assert ok[j], (initial, params)
+        if event[j] < 0:
+            kind = EventKind.HORIZON
+        else:
+            kind, g = fields.events[event[j]]
+            assert abs(g(y[:, j])) <= cfg.event_tol, (initial, params)
+        record = EventRecord(kind, float(t[j]), PeakonState.from_array(fields.to_array(y[:, j])))
         assert _bits(record) == _bits(traj.terminal_event), (initial, params)
-        assert (steps, rejected) == (traj.steps, traj.rejected), (initial, params)
+        assert (steps[j], rejected[j]) == (traj.steps, traj.rejected), (initial, params)
         kinds.add(record.kind)
     return kinds
 
@@ -484,9 +511,65 @@ class TestLanesRepeatTheScalarRun:
         """``terminal_events`` on a grid large enough to run in lockstep."""
         points = [p for p in (_design(a, b, rep) for a, b in _sweep_grid(9)[::16]) if p]
         assert len(points) >= integrator_module.MIN_LANES
-        got = terminal_events(*zip(*points))
-        want = [integrate(*point).terminal_event for point in points]
-        assert list(map(_bits, got)) == list(map(_bits, want))
+        assert _column_outcomes(points) == list(map(_scalar_outcome, points))
+
+
+def _bench_grid(seed: int):
+    """The benchmark's seeded 32 x 32 sweep grid (a-major): |a| log-spaced
+    around 0.395 on both sides of 0, b in [-1, 1.8] and [2.2, 5], jittered
+    by at most 3% (a) or 0.04 (b)."""
+    rng = random.Random(seed)
+    ratio = (2.0 / 0.05) ** (1 / 15)
+    mags = [0.395 * ratio ** (k - 8) for k in range(16)]
+    a_vals = [v * (1.0 + rng.uniform(-0.03, 0.03)) for v in sorted([-m for m in mags] + mags)]
+    b_vals = [v + rng.uniform(-0.04, 0.04)
+              for v in [-1.0 + 2.8 * k / 15 for k in range(16)]
+              + [2.2 + 2.8 * k / 15 for k in range(16)]]
+    return [(a, b) for a in a_vals for b in b_vals]
+
+
+#: the command line's failure grid: no design at a = 0.395, a field that may
+#: overflow or a step that fails at b = 1e300, and a slow column at a = 1e-9
+FAILURE_GRID = [(a, b) for a in (0.3, -1.0, 0.395, 1e-9, -0.2, 0.7, -1.6)
+                for b in (3.0, -1.0, 0.0, 1e300, 4.5, 1.2)]
+
+
+def _resolved_points(grid, **settings):
+    """(initial, params, config) of every grid point that the command line
+    resolves on its own (``cli._resolve``), with the given settings."""
+    from peakonlab.cli import ExperimentConfig, _resolve
+
+    cfg = ExperimentConfig(**settings)
+    points = []
+    for a, b in grid:
+        try:
+            run = _resolve(replace(cfg, case="custom", a=a, b=b), require_case=True)
+        except ValueError:
+            continue
+        points.append((run.initial, run.params, run.integration))
+    return points
+
+
+@pytest.mark.parametrize("grid, settings, failures", [
+    pytest.param(_bench_grid(1), {}, 0, id="bench-seed-1"),
+    pytest.param(_bench_grid(7), {}, 0, id="bench-seed-7"),
+    pytest.param(_bench_grid(29), {}, 0, id="bench-seed-29"),
+    pytest.param(FAILURE_GRID, {"alpha": 1e76}, 7, id="alpha-1e76-full"),
+    pytest.param(FAILURE_GRID, {"alpha": 1e76, "representation": "reduced"}, 36,
+                 id="alpha-1e76-reduced"),
+    pytest.param(FAILURE_GRID, {}, 6, id="b-1e300"),
+    pytest.param([(-1.6, 1e300)], {}, 1, id="a--1.6-b-1e300-alone"),
+])
+def test_column_call_equals_integrate_point_by_point(grid, settings, failures):
+    """The column ``terminal_events`` on the points a sweep integrates: each
+    point's time and event kind, or its error's type and text, are those of
+    ``integrate`` at that point."""
+    points = _resolved_points(grid, **settings)
+    want = list(map(_scalar_outcome, points))
+    assert _column_outcomes(points) == want
+    assert sum(isinstance(kind, type) for kind, _ in want) == failures
+    if len(grid) > 1:
+        assert len(points) >= integrator_module.MIN_LANES
 
 
 def test_lanes_cover_every_ending():
@@ -537,6 +620,7 @@ def test_failing_lanes_raise_what_integrate_raises(monkeypatch):
     monkeypatch.setattr(integrator_module, "_interpolate", nan_for_marked_step)
     monkeypatch.setattr(integrator_module, "MIN_LANES", 4)
     ends = [_scalar(*p) for p in points]
+    want = list(map(_scalar_outcome, points))
     errors = [str(end) for end in ends if isinstance(end, Exception)]
     for phrase, error in zip(["may overflow", "not finite", "more than 60 steps",
                               "requires q2 > q1"], errors, strict=True):
@@ -545,9 +629,7 @@ def test_failing_lanes_raise_what_integrate_raises(monkeypatch):
     scalar_integrate = integrator_module.integrate
     monkeypatch.setattr(integrator_module, "integrate",
                         lambda *p: reruns.append(p) or scalar_integrate(*p))
-    got = terminal_events(*zip(*points))
-    assert list(map(_outcome, got)) == [
-        _outcome(end if isinstance(end, Exception) else end.terminal_event) for end in ends]
+    assert _column_outcomes(points) == want
     assert len(reruns) == 4  # only the failing points ran on their own
 
 
@@ -599,12 +681,12 @@ def test_one_builder_on_floats_and_on_arrays(rep):
         runnable.append(ok and np.isfinite(state).all() and not over)
     full = rep is Representation.FULL
     assert verdicts[len(grid):] == [want[0] if full else want[1] for _, *want in START_EDGES]
-    if full:  # the orientation sigma of each edge point
-        assert [args[2] for args, *_ in floats[len(grid):]] == [1.0, -1.0, 1.0, 1.0, 1.0]
-    p1, p2, q1, q2, a, b = zip(*points)
-    index, args, y0 = integrator_module._lane_points(
-        list(map(PeakonState, p1, p2, q1, q2)), list(map(ABParams, a, b)), fields)
-    assert index == np.flatnonzero(runnable).tolist()
+    if full:  # the orientation sigma of each edge point, the last coefficient
+        assert [args[3] for args, *_ in floats[len(grid):]] == [1.0, -1.0, 1.0, 1.0, 1.0]
+    p1, p2, q1, q2, a, b = np.array(points).T
+    index, args, y0, _ = integrator_module._lane_points(fields, a, b, p1, p2, q1, q2,
+                                                        np.full(len(points), 100.0))
+    assert index.tolist() == np.flatnonzero(runnable).tolist()
     assert hexes(args.ravel()) == hexes(np.array(lanes[0])[:, index].ravel())
     assert hexes(y0.ravel()) == hexes(np.array(lanes[1])[:, index].ravel())
 
@@ -631,11 +713,10 @@ def test_overflow_guard_reads_the_state_integrate_reads(monkeypatch):
 
     monkeypatch.setattr(integrator_module, "MIN_LANES", 4)
     monkeypatch.setattr(integrator_module, "_lane_runs", recording)
-    got = terminal_events(*zip(*points))
-    assert _outcome(got[0]) == (IntegrationError, str(raised.value))
+    got = _column_outcomes(points)
+    assert got[0] == (IntegrationError, str(raised.value))
     assert len(lane_points) == len(points) - 1  # every point but the edge one
-    assert list(map(_bits, got[1:])) == [_bits(integrate(*p).terminal_event)
-                                         for p in points[1:]]
+    assert got[1:] == list(map(_scalar_outcome, points[1:]))
 
 
 def test_unreadable_reduced_point_fails_alone():
@@ -647,22 +728,39 @@ def test_unreadable_reduced_point_fails_alone():
               *(p for p in (_design(a, b, cfg.representation) for a, b in _sweep_grid(9)[::16])
                 if p)]
     assert len(points) >= integrator_module.MIN_LANES
-    got = terminal_events(*zip(*points))
-    assert _outcome(got[0]) == (ValueError, "state component p1 must be finite")
-    assert list(map(_bits, got[1:])) == [_bits(integrate(*p).terminal_event)
-                                         for p in points[1:]]
+    got = _column_outcomes(points)
+    assert got[0] == (ValueError, "state component p1 must be finite")
+    assert got[1:] == list(map(_scalar_outcome, points[1:]))
+
+
+def test_batch_without_a_runnable_point():
+    """A lockstep-sized batch in which the lane builder keeps no point (every
+    reduced point has its peaks in reverse order): no lane runs, and every
+    point carries the error ``integrate`` raises."""
+    cfg = IntegrationConfig(representation=Representation.REDUCED)
+    points = [(PeakonState(1.5, -1.0, 0.1 + 0.01 * k, 0.0), ABParams(1 / 3, 3.0), cfg)
+              for k in range(integrator_module.MIN_LANES)]
+    assert integrator_module._lane_points(
+        integrator_module._REDUCED, *_columns(points))[0].size == 0
+    assert _column_outcomes(points) == [(ValueError, "reduced representation requires q2 > q1")
+                                        ] * len(points)
 
 
 def test_points_must_share_tolerances_and_representation():
+    """One config gives every point its tolerances and representation, and
+    the horizon column its own horizon; the config's max_time is not read."""
     point = _design(*CASE_PRESETS["case1"], Representation.FULL)
+    short = (*point[:2], replace(point[2], max_time=1e-3))
     for change in ({"rel_tol": 1e-10}, {"abs_tol": 1e-12},
                    {"representation": Representation.REDUCED}):
-        other = (*point[:2], replace(point[2], **change))
-        with pytest.raises(ValueError, match="one rel_tol, abs_tol and representation"):
-            terminal_events(*zip(point, other))
-    ends = terminal_events(*zip(point, (*point[:2], replace(point[2], max_time=1e-3))))
-    assert [end.kind for end in ends] == [EventKind.COLLISION, EventKind.HORIZON]
-    assert terminal_events([], [], []) == []
+        config = replace(point[2], **change)
+        times, kinds = terminal_events(*_columns([point, short]), replace(config, max_time=7.0))
+        want = [_scalar_outcome((*p[:2], replace(config, max_time=p[2].max_time)))
+                for p in (point, short)]
+        assert [_outcome(k, t) for k, t in zip(kinds, times.tolist())] == want
+        assert kinds == [EventKind.COLLISION, EventKind.HORIZON]
+    times, kinds = terminal_events(*_columns([]), point[2])
+    assert times.size == 0 and kinds == []
 
 
 def test_small_batches_and_single_runs_stay_scalar(monkeypatch, tmp_path):
@@ -676,8 +774,7 @@ def test_small_batches_and_single_runs_stay_scalar(monkeypatch, tmp_path):
     monkeypatch.setattr(integrator_module, "_lane_runs", no_lanes)
     points = [_design(a, b, Representation.FULL) for a in GRID_A for b in GRID_B]
     assert len(points) < integrator_module.MIN_LANES
-    got = terminal_events(*zip(*points))
-    assert list(map(_bits, got)) == [_bits(integrate(*p).terminal_event) for p in points]
+    assert _column_outcomes(points) == list(map(_scalar_outcome, points))
     assert main(["run-case", "--sample-count", "5", "--out", str(tmp_path / "r")]) == 0
     assert main(["certify", "--s", "0.5", "--out", str(tmp_path / "c")]) == 0
     assert main(["sweep", "--out", str(tmp_path / "s")]) == 0
