@@ -500,6 +500,12 @@ def _sweep_nodes(cfg: ExperimentConfig) -> list:
     return nodes
 
 
+def _cells(values, index) -> list:
+    """The cells of the floats ``values[index]``, each value formatted once."""
+    text = ["%.17g" % v for v in values]
+    return [text[i] for i in index.tolist()]
+
+
 def sweep(cfg: ExperimentConfig) -> int:
     """Run the (a, b) grid and tabulate collision outcomes per point."""
     if not all(map(math.isfinite, (*cfg.a_grid, *cfg.b_grid))):
@@ -518,7 +524,7 @@ def sweep(cfg: ExperimentConfig) -> int:
                        for run in runs]).reshape(-1, 8)
     node = (2 * np.arange(len(cfg.a_grid))[:, None] + (np.array(cfg.b_grid) > 2.0)).ravel()
     a, b = np.repeat(cfg.a_grid, len(cfg.b_grid)), np.tile(cfg.b_grid, len(cfg.a_grid))
-    mu, epsilon, p1, p2, q1, q2, horizon, bound = values[node].T
+    p1, p2, q1, q2, horizon, bound = values[node, 2:].T
     T, ends = np.full(node.size, math.nan), np.array(nodes, dtype=object)[node]
     j = np.flatnonzero(~np.isnan(horizon))  # the points whose node resolved
     if j.size:
@@ -528,15 +534,20 @@ def sweep(cfg: ExperimentConfig) -> int:
     ok = [isinstance(end, EventKind) for end in ends]
     within = np.array([end is not EventKind.HORIZON for end in ends], dtype=bool) & (T <= bound)
     cases = [run.spec.case_id.value if run else "-" for run in runs]
+    # the grid repeats a, b, mu and epsilon; index -1 is NaN, at a failed point
+    a_at, b_at = np.divmod(np.arange(node.size), len(cfg.b_grid))
+    at = np.where(ok, node, -1)
     columns = {
-        "a": a, "b": b, "case": [cases[k] if good else "-" for k, good in zip(node.tolist(), ok)],
-        "mu": np.where(ok, mu, math.nan), "epsilon": np.where(ok, epsilon, math.nan), "T": T,
+        "a": _cells(cfg.a_grid, a_at), "b": _cells(cfg.b_grid, b_at),
+        "case": [cases[k] if good else "-" for k, good in zip(node.tolist(), ok)],
+        "mu": _cells([*values[:, 0].tolist(), math.nan], at),
+        "epsilon": _cells([*values[:, 1].tolist(), math.nan], at), "T": T,
         "T_within_bound": np.where(within, "yes", "no").tolist(),
         "event": [end.value if good else "-" for end, good in zip(ends, ok)],
         "status": ["ok" if good else f"error: {end}" for end, good in zip(ends, ok)],
     }
     _write_table(outdir / "sweep", list(columns), list(columns.values()), cfg.format,
-                 text=("case", "T_within_bound", "event", "status"))
+                 text=("a", "b", "case", "mu", "epsilon", "T_within_bound", "event", "status"))
     _write_manifest(outdir, cfg, {"points": len(node)})
     bad = [i for i, good in enumerate(ok) if not good]
     print(f"sweep: {len(node)} points, {len(bad)} failures; wrote {outdir}/")

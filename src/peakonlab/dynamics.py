@@ -71,21 +71,21 @@ class ReducedState:
 
 def _exp(x):
     """e^x as ``math.exp`` gives it, with inf where that overflows; on an
-    array, element by element.
-
-    numpy's ``exp`` differs from ``math.exp`` in the last bit on a few
-    percent of inputs, and a run integrated as one element of an array must
-    repeat the same run on floats bit for bit.
-    """
+    array, the same bits element by element, so that a run integrated as one
+    element of an array repeats the run on floats.  numpy's real ``exp`` is
+    its own SIMD kernel, a last bit off on a few percent of inputs; its
+    complex ``exp`` calls the C library's ``exp`` (times cos 0 = 1), but
+    rescales above 709, so those elements (and NaN) take ``math.exp``."""
     if not isinstance(x, np.ndarray):
         try:
             return math.exp(x)
         except OverflowError:  # a trial stage far past the collision
             return math.inf
-    try:
-        return np.fromiter(map(math.exp, x.tolist()), float, x.size)
-    except OverflowError:
-        return np.array([_exp(v) for v in x.tolist()])
+    out = np.exp(x.astype(complex)).real
+    big = ~(x <= 709.0)
+    if big.any():
+        out[big] = [_exp(v) for v in x[big].tolist()]
+    return out
 
 
 def _full_rhs(c1, c3, m0, sigma, p1, p2, q1, q2) -> tuple:

@@ -74,29 +74,31 @@ repeats the scalar run of its point bit for bit.  The stage arithmetic,
 the error sums, the dense output and the interpolant are the same
 elementwise code on floats and on arrays, and IEEE addition, subtraction,
 multiplication, division and square root round the same in numpy as in
-Python.  ``exp`` and ``pow`` do not: numpy's differ from ``math.exp`` and
-from the ``**`` of floats in the last bit on a few percent of inputs.  So
-the fields' exponential goes through ``math.exp`` element by element
-(``dynamics._exp``), and so do the controller's err^(-1/8), the starting
-step's hypot and its ^(1/8); Python's ``min``/``max`` become comparisons
-that keep their NaN behaviour.  The starting step (``_initial_steps``) and
-the event's root search (``_locate_lanes``, ``_roots``) run over all lanes
-at once, their branches as masks: one Illinois iteration over every
-crossed event of every lane, each bracket reading only the state
-components its event reads.  Its last few brackets (``ROOT_HANDOFF``), and
-every lane on which the scalar search would raise, go through the scalar
-``_locate``.  The points arrive as columns (one value per point of a, b,
-p1, p2, q1, q2 and the horizon) and leave as columns (time, event kind):
-the lanes are built by one call of the description's ``start`` on those
-arrays (``_lane_points``), ``_lane_runs`` returns end times, event numbers
-and end states as arrays, and the scalar terminal record's checks (event
-residual |g(T)| within ``event_tol``, a finite end state) are array
-expressions, so no object is made per point.  A lane the stepper cannot
-finish (a starting step the scalar code cannot take, a step below the
-spacing of t, the step budget, a floating-point failure, a non-finite
-dense output or end state, an event residual above ``event_tol``, or an
-initial field that may overflow) is run again through ``integrate``, so
-its error is the scalar run's.  A single run stays on the
+Python.  numpy's own ``exp`` and ``power`` do not: they differ from
+``math.exp`` and from the ``**`` of floats in the last bit on a few percent
+of inputs.  numpy's complex ``exp`` and its ``float_power`` call the C
+library's ``exp`` and ``pow``, as Python does, so the fields' exponential
+(``dynamics._exp``), the controller's err^(-1/8) and the starting step's
+^(1/8) go through those over whole lanes.  Only the starting step's hypot
+goes through ``math.hypot`` element by element, and Python's ``min`` and
+``max`` become comparisons that keep their NaN behaviour.  The starting
+step (``_initial_steps``) and the event's root search (``_locate_lanes``,
+``_roots``) run over all lanes at once, their branches as masks: one
+Illinois iteration over every crossed event of every lane, each bracket
+reading only the state components its event reads.  Its last few brackets
+(``ROOT_HANDOFF``), and every lane on which the scalar search would raise,
+go through the scalar ``_locate``.  The points arrive as columns (one value
+per point of a, b, p1, p2, q1, q2 and the horizon) and leave as columns
+(time, event kind): the lanes are built by one call of the description's
+``start`` on those arrays (``_lane_points``), ``_lane_runs`` returns end
+times, event numbers and end states as arrays, and the scalar terminal
+record's checks (event residual |g(T)| within ``event_tol``, a finite end
+state) are array expressions, so no object is made per point.  A lane the
+stepper cannot finish (a starting step the scalar code cannot take, a step
+below the spacing of t, the step budget, a floating-point failure, a
+non-finite dense output or end state, an event residual above
+``event_tol``, or an initial field that may overflow) is run again through
+``integrate``, so its error is the scalar run's.  A single run stays on the
 scalar stepper: one lane costs over ten times a scalar run (the fixed numpy
 cost of each attempt).  Measured on seeded sweep grids, lockstep is slower
 than one scalar run after another below 32 points, about even at 32 and
@@ -345,7 +347,8 @@ def _initial_step(f: Callable, y, f0, t_end: float, rtol: float, atol: float) ->
 
 def _rms_lanes(xs, scale) -> np.ndarray:
     """``_rms`` per lane of (component, lane) arrays; ``math.hypot`` element by
-    element, as numpy's hypot may round differently."""
+    element: Python's hypot of several arguments is its own algorithm, which
+    numpy does not have."""
     return (np.fromiter(map(math.hypot, *(xs / scale).tolist()), float, xs.shape[-1])
             / len(scale) ** 0.5)
 
@@ -363,9 +366,8 @@ def _initial_steps(f: Callable, y, f0, t_end, rtol: float, atol: float) -> tuple
     d2 = _rms_lanes(f1 - f0, scale) / h0
     flat = (d1 <= 1e-15) & (d2 <= 1e-15)
     d_max = _max(d1, d2)
-    # the ** of floats, element by element, as for the step-size factor
-    root8 = np.fromiter((v ** (1.0 / 8.0) for v in (0.01 / d_max).tolist()), float, y.shape[-1])
-    h1 = np.where(flat, _max(1e-6, h0 * 1e-3), root8)
+    # the C library's pow, which the ** of floats calls (see the step-size factor)
+    h1 = np.where(flat, _max(1e-6, h0 * 1e-3), np.float_power(0.01 / d_max, 1.0 / 8.0))
     h = _min(_min(100 * h0, h1), t_end)
     return h, (h0 != 0.0) & (flat | (d_max != 0.0)) & np.isfinite(h)
 
@@ -728,6 +730,7 @@ def _lane_runs(fields: "_FieldDescription", args, y0, t_end, rtol: float,
     def whole(args):
         """The field on a (component, lane) array, taken as one component,
         so that the step arithmetic runs once over all components."""
+        args = tuple(args)
         return lambda y: [np.array(func(*args, *y))]
 
     def finish(lane, t, event, y, steps, rejected) -> None:
@@ -758,10 +761,14 @@ def _lane_runs(fields: "_FieldDescription", args, y0, t_end, rtol: float,
             h = t_new - t
             *ks, y_new = (k for k, in _stages(f, [y], [k1], h))
             scale = atol + _max(np.abs(y), np.abs(y_new)) * rtol
-            e5, e3 = _error_sums((k1, *ks), scale)
+            # one pass over all components; the rows' squares are then added
+            # in component order from 0, as the scalar loop adds them
+            e5, e3 = (sum(s) for s in _error_sums([[k] for k in (k1, *ks)], [scale]))
             err = np.where(e5 != 0.0, h * e5 / np.sqrt((e5 + 0.01 * e3) * len(y)), 0.0)
-            # the ** of floats, element by element: numpy's power differs in the last bit
-            grow = SAFETY * np.array([e ** ERROR_EXPONENT if e else 0.0 for e in err.tolist()])
+            # the C library's pow, which the ** of floats calls (numpy's power
+            # differs in the last bit); inf at err = 0, never read: that step
+            # takes MAX_FACTOR and is accepted
+            grow = SAFETY * np.float_power(err, ERROR_EXPONENT)
             accept = err < 1.0
             factor = np.where(err == 0.0, MAX_FACTOR, _min(MAX_FACTOR, grow))
             factor = np.where(live.rejected & ~(factor < 1.0), 1.0, factor)

@@ -173,12 +173,15 @@ def case_spec_for(
     0 < a < 1/3 no c is admissible and the small fixed separation is used,
     which still bounds L_a below by 2a > a on the swept interval.
     Explicit ``mu`` overrides are validated against the design equation
-    when a < 0, where the collision-rate bound relies on it.
+    when a < 0, where the collision-rate bound relies on it.  A given ``c``
+    must lie in (1, 2) at every a, also where the design does not use it.
     """
     case = classify(params)
     if case is CaseID.B2_DEGENERATE:
         raise ValueError("b = 2: momenta are frozen and no case profile exists")
     a = params.a
+    if c is not None and not 1 < c < 2:
+        raise ValueError(f"c must lie in (1, 2), got {c}")
 
     if abs(1.0 - 3.0 * a) < _THIRD_TOL:
         return CaseSpec(case, alpha, delta, mu if mu is not None else DEFAULT_SMALL_MU, None)

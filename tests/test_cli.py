@@ -315,6 +315,25 @@ class TestFailurePaths:
         assert code == 1
         assert err.count("\n") == 1 and "more than 10000 steps" in err
 
+    @pytest.mark.parametrize("case", ["case1", "case2"])
+    @pytest.mark.parametrize("c", ["5", "-3"])
+    def test_c_out_of_range_rejected_at_a_third(self, tmp_path, case, c):
+        """At a = 1/3 the design takes no c, but a given one is still checked
+        against (1, 2), as at every other a."""
+        code, err = _run_captured(["run-case", "--case", case, "--c", c,
+                                   "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert err == f"error: c must lie in (1, 2), got {float(c)}\n"
+
+    def test_valid_c_unused_at_a_third(self, tmp_path):
+        """A valid c leaves the a = 1/3 run as it is without one."""
+        files = ("trajectory.csv", "events.csv")
+        for name, flags in (("plain", []), ("c", ["--c", "1.5"])):
+            assert _run("run-case", "--case", "case1", *flags, "--sample-count", "20",
+                        "--out", str(tmp_path / name)) == 0
+        for file in files:
+            assert (tmp_path / "c" / file).read_bytes() == (tmp_path / "plain" / file).read_bytes()
+
     def test_rel_tol_below_the_floor_is_a_config_error(self, tmp_path):
         """The stepper cannot meet a relative tolerance below 100 machine
         epsilons; asking for one is rejected instead of silently raised."""
@@ -728,25 +747,28 @@ class TestSweep:
         assert _run("sweep", "--a-grid", "1", "--b-grid", "2",
                     "--out", str(tmp_path / "x")) == 2
 
-    @pytest.mark.parametrize("rep, design", [
-        pytest.param("full", {}, id="full"),
-        pytest.param("reduced", {}, id="reduced"),
-        pytest.param("full", {"mu": "0.05"}, id="full-mu"),
-        pytest.param("full", {"c": "1.3"}, id="full-c"),
+    @pytest.mark.parametrize("rep, design, fmt", [
+        pytest.param("full", {}, "csv", id="full"),
+        pytest.param("reduced", {}, "csv", id="reduced"),
+        pytest.param("full", {"mu": "0.05"}, "csv", id="full-mu"),
+        pytest.param("full", {"c": "1.3"}, "csv", id="full-c"),
+        pytest.param("full", {}, "json", id="full-json"),
+        pytest.param("reduced", {}, "json", id="reduced-json"),
     ])
-    def test_bytes_equal_the_per_point_oracle(self, tmp_path, rep, design):
+    def test_bytes_equal_the_per_point_oracle(self, tmp_path, rep, design, fmt):
         """A grid large enough to run in lockstep, with points without a
         design (a = 0.395), points whose integration fails at once
-        (b = 1e300) and a small-|a| column that needs many more steps than
-        its neighbours: the table equals, byte for byte, the one the
-        point-by-point sweep writes; also where --mu or --c overrides the
-        design that the sweep finds once per a and case."""
-        a_grid = "0.3,-1,0.395,1e-9,-0.2,0.7,-1.6"
-        b_grid = "3,-1,0,1e300,4.5,1.2"
+        (b = 1e300), a small-|a| column that needs many more steps than its
+        neighbours, a repeated a and b = -0: the table equals, byte for
+        byte, the one the point-by-point sweep writes, whose cells
+        ``_write_table`` formats from floats; also where --mu or --c
+        overrides the design that the sweep finds once per a and case."""
+        a_grid = "0.3,-1,0.395,1e-9,-0.2,0.7,-1.6,-1"
+        b_grid = "3,-1,0,1e300,4.5,1.2,-0.0"
         out = tmp_path / "lanes"
         flags = [f"--{key}={value}" for key, value in design.items()]
         assert _run("sweep", f"--a-grid={a_grid}", f"--b-grid={b_grid}", *flags,
-                    "--representation", rep, "--out", str(out)) == 0
+                    "--representation", rep, "--format", fmt, "--out", str(out)) == 0
         cfg = cli.ExperimentConfig.from_mapping(
             {"a_grid": a_grid, "b_grid": b_grid, "representation": rep, **design})
         assert len(cfg.a_grid) * len(cfg.b_grid) >= integrator_module.MIN_LANES
@@ -754,9 +776,11 @@ class TestSweep:
         statuses = {row[8] for row in rows}
         assert "ok" in statuses
         assert any(status.startswith("error: floating-point failure") for status in statuses)
-        cli._write_table(tmp_path / "oracle", SWEEP_COLUMNS, list(zip(*rows)), "csv",
+        cli._write_table(tmp_path / "oracle", SWEEP_COLUMNS, list(zip(*rows)), fmt,
                          text=("case", "T_within_bound", "event", "status"))
-        assert (out / "sweep.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        written = (out / f"sweep.{fmt}").read_bytes()
+        assert written == (tmp_path / f"oracle.{fmt}").read_bytes()
+        assert (b",-0," if fmt == "csv" else b'"-0"') in written
 
 
 def test_import_loads_no_scipy():

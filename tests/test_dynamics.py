@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from peakonlab import ABParams, PeakonState, ReducedState, to_reduced
-from peakonlab.dynamics import (_full_coefficients, _full_rhs, _reduced_coefficients,
+from peakonlab.dynamics import (_exp, _full_coefficients, _full_rhs, _reduced_coefficients,
                                 _reduced_rhs, full_rhs_array, reduced_rhs_array)
 
 import field_oracle
@@ -266,3 +266,23 @@ class TestFieldsAgainstTheOracle:
                                for row in self.ROWS.tolist()])
         assert np.isnan(values).any() and np.isinf(values).any()
         assert (np.signbit(values) & (values == 0.0)).any()
+
+
+def test_exp_on_an_array_has_the_bits_of_math_exp():
+    """``_exp`` of an array equals ``_exp`` element by element, bit for bit:
+    over [-750, 712], in (709, 709.8] where the C library's complex exp
+    rescales and the array path falls back to ``math.exp``, near -740 where
+    the results are subnormal, and at +-0, +-inf and NaN.  The sweep grids
+    never reach the fallback, so this is its only check; and if numpy ever
+    computes its complex exp itself, this is where it shows."""
+    rng = np.random.default_rng(16)
+    x = np.concatenate([rng.uniform(-750.0, 712.0, 200_000), rng.uniform(709.0, 709.8, 100_000),
+                        rng.uniform(-745.2, -735.0, 20_000),
+                        [0.0, -0.0, math.inf, -math.inf, math.nan, 709.0, 709.0 + 1e-13,
+                         709.782712893384, 709.7827128933841]])
+    with np.errstate(all="ignore"):
+        got = _exp(x)
+    want = np.array([_exp(v) for v in x.tolist()])
+    assert (want == 0.0).any() and np.isinf(want).any()
+    assert ((want > 0.0) & (want < np.finfo(float).tiny)).sum() > 1000
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
