@@ -3,11 +3,18 @@
 Along any reduced trajectory the momentum product is an explicit function
 of the separation,
 
-    z(q) = z0 * (L_a(q) / L_a(mu)) ** ((2-b) / (2(1-3a))),
+    z(q) = z0 * (L_a(q) / L_a(mu)) ** ((2-b) / (2(1-3a))).
 
-with a removable singularity at a = 1/3 where the exponential limit form
-applies.  Substituting z(q) into the h and w equations turns them into
-exact differentials, so that
+The exponent's pole at a = 1/3 is removable.  Writing the ratio as 1 + r,
+with D = e^{-2q} - e^{-2mu} = e^{-2mu} expm1(2(mu-q)) and
+r = -(1-3a) D / L_a(mu), gives one form for every a != 0,
+
+    z(q) = z0 * exp(-(2-b) D / (2 L_a(mu)) * log1p(r)/r),
+
+where log1p(r)/r is 1 at r = 0: a = 1/3 needs no second branch, and both
+sides of it keep full accuracy (the power form loses about eps/|1 - 3a|).
+Substituting z(q) into the h and w equations turns them into exact
+differentials, so that
 
     h(t)^2 = h0^2 + 2*F1(q(t)),   w(t)^2 = w0^2 + 2*F2(q(t)),
 
@@ -15,25 +22,24 @@ where F1, F2 are integrals in the separation variable of the density
 f(q) weighted by (1 + e^{-q}) and (1 - e^{-q}).  Since h^2 + 4z = w^2 is
 conserved, F2 = F1 + 2(z(q) - z0), so only F1 needs a quadrature.  These
 identities hold as long as the separation stays in the range where L_a
-keeps a fixed sign, and they bound the momenta up to the collision.
+keeps a fixed sign (r > -1), and they bound the momenta up to the collision.
 
 The quadrature's integrand is a float-level copy of ``f_density``'s
-formula (``math.exp`` and the float ``**``), since numpy's cost on a single
-float would outweigh the arithmetic at each of its nodes.  ``f_density`` and
+formula (``math`` calls), since numpy's cost on a single float would
+outweigh the arithmetic at each of its nodes.  ``f_density`` and
 ``z_closed_form`` keep their array form for every other caller.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .dynamics import PeakonState, to_reduced
-from .params import _THIRD_TOL, ABParams, l_a
+from .params import ABParams, l_a
 
 _QUAD_ABS_TOL = 1e-12
 _RANGE_ERROR = "separation left the sign-definite range of L_a"
@@ -63,42 +69,48 @@ class InvariantContext:
         return cls(params=params, mu=red.q, z0=red.z, h0=red.h, w0=red.w)
 
 
-def _scalar_pow(base, exponent: float):
-    """base ** exponent, evaluated with the scalar pow for every element.
+def _z_constants(ctx: InvariantContext) -> tuple:
+    """(e^{-2mu}, -(1-3a)/L_a(mu), -(2-b)/(2 L_a(mu))): with D as in the
+    module docstring, r is the second times D, and ln(z/z0) the third times
+    D log1p(r)/r."""
+    a, b = ctx.params.a, ctx.params.b
+    if a == 0:
+        raise ValueError("a must be nonzero")
+    e_mu = math.exp(-2.0 * ctx.mu)
+    l_mu = (1.0 - a) - (1.0 - 3.0 * a) * e_mu
+    if l_mu == 0:
+        raise ValueError(_RANGE_ERROR)
+    return e_mu, -(1.0 - 3.0 * a) / l_mu, -(2.0 - b) / (2.0 * l_mu)
 
-    numpy's ``**`` on arrays uses a vectorised pow that can round the last
-    bit differently; going through math.pow elementwise keeps
-    z_closed_form(ctx, q)[i] identical to z_closed_form(ctx, q[i]).
-    """
-    if np.ndim(base) == 0:
-        return base**exponent
-    return np.frompyfunc(math.pow, 2, 1)(base, exponent).astype(float)
+
+def _z_parts(ctx: InvariantContext, q: np.ndarray) -> tuple:
+    """(z, outside) on the float array q: z(q), and the mask of separations
+    outside the range where L_a(q)/L_a(mu) = 1 + r stays positive, where z
+    is nan."""
+    if ctx.params.b == 2.0:
+        # zero exponent: constant product, valid for every separation and a
+        return np.full_like(q, ctx.z0), np.zeros(q.shape, dtype=bool)
+    e_mu, s, rate = _z_constants(ctx)
+    d = e_mu * np.expm1(2.0 * (ctx.mu - q))
+    r = s * d
+    outside = r <= -1.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # r <= -1 and r = 0, masked
+        g = np.where(r == 0.0, 1.0, np.log1p(r) / r)
+    return np.where(outside, math.nan, ctx.z0 * np.exp(rate * d * g)), outside
 
 
 def z_closed_form(ctx: InvariantContext, q):
     """Momentum product as an explicit function of the separation.
 
     Equals z0 at q = mu and is constant when b = 2, for any a.  Accepts
-    scalars or arrays.  Raises ValueError at a = 0 otherwise, and outside
-    the range where L_a(q)/L_a(mu) stays positive, since the derivation
-    integrates d(ln|z|) there.  Array and scalar calls agree bit for bit.
+    scalars or arrays, both through the same numpy expression, which serves
+    every a != 0, a = 1/3 included.  Raises ValueError at a = 0 otherwise,
+    and outside the range where L_a(q)/L_a(mu) stays positive, since the
+    derivation integrates d(ln|z|) there.
     """
-    a, b = ctx.params.a, ctx.params.b
-    q = np.asarray(q, dtype=float)
-    if b == 2.0:
-        # zero exponent: constant product, valid for every separation and a
-        val = np.full_like(q, ctx.z0)
-    elif a == 0:
-        raise ValueError("a must be nonzero")
-    elif abs(1.0 - 3.0 * a) < _THIRD_TOL:
-        val = ctx.z0 * np.exp(
-            -(3.0 * (2.0 - b) / 4.0) * (np.exp(-2.0 * q) - np.exp(-2.0 * ctx.mu))
-        )
-    else:
-        ratio = l_a(a, q) / l_a(a, ctx.mu)
-        if np.any(ratio <= 0):
-            raise ValueError(_RANGE_ERROR)
-        val = ctx.z0 * _scalar_pow(ratio, (2.0 - b) / (2.0 * (1.0 - 3.0 * a)))
+    val, outside = _z_parts(ctx, np.asarray(q, dtype=float))
+    if outside.any():
+        raise ValueError(_RANGE_ERROR)
     return float(val) if val.ndim == 0 else val
 
 
@@ -120,39 +132,29 @@ def f_density(ctx: InvariantContext, q):
 def _weighted_density(ctx: InvariantContext) -> Callable[[float], float]:
     """rho -> (1 + e^{-rho}) f(rho), the integrand of F1, on Python floats.
 
-    ``f_density``'s formula with ``math.exp`` and the float ``**``: numpy's
-    handling of a single float would cost more than the arithmetic.  The
-    values agree with ``f_density``'s to roundoff, and the same ValueError
-    is raised outside the sign-definite range.  Where a float overflows,
-    numpy's rules decide, as they did before: that point is evaluated
-    through ``f_density``.
+    ``f_density``'s formula with the constants and the expression of
+    ``z_closed_form``, in ``math`` calls: numpy's handling of a single float
+    would cost more than the arithmetic.  The values agree with
+    ``f_density``'s to roundoff, and the same ValueError is raised outside
+    the sign-definite range.  Where a float overflows, numpy's rules
+    decide: that point is evaluated through ``f_density``.
     """
     a, b = ctx.params.a, ctx.params.b
     if b == 2.0:  # the weight stays, so a node past its overflow fails as before
         return lambda rho: (1.0 + math.exp(-rho)) * 0.0
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    c, d = 1.0 - a, 1.0 - 3.0 * a
-    head, z0 = -(2.0 - b), ctx.z0
-    e_mu = math.exp(-2.0 * ctx.mu)
-    if abs(d) < _THIRD_TOL:
-        rate = -(3.0 * (2.0 - b) / 4.0)
-
-        def z_of(e2):
-            return z0 * math.exp(rate * (e2 - e_mu))
-    else:
-        l_mu, k = c - d * e_mu, (2.0 - b) / (2.0 * d)
-
-        def z_of(e2):
-            ratio = (c - d * e2) / l_mu
-            if ratio <= 0:
-                raise ValueError(_RANGE_ERROR)
-            return z0 * ratio**k
+    e_mu, s, rate = _z_constants(ctx)
+    c, d3 = 1.0 - a, 1.0 - 3.0 * a
+    head, z0, mu = -(2.0 - b), ctx.z0, ctx.mu
 
     def integrand(rho: float) -> float:
         try:
+            d = e_mu * math.expm1(2.0 * (mu - rho))
+            r = s * d
+            if r <= -1.0:
+                raise ValueError(_RANGE_ERROR)
+            z = z0 * math.exp(rate * d * (math.log1p(r) / r if r else 1.0))
             e, e2 = math.exp(-rho), math.exp(-2.0 * rho)
-            return (1.0 + e) * (head * e * z_of(e2) / (c - d * e2))
+            return (1.0 + e) * (head * e * z / (c - d3 * e2))
         except OverflowError:
             return (1.0 + math.exp(-rho)) * f_density(ctx, rho)
 
@@ -180,10 +182,8 @@ def _potential(ctx: InvariantContext, q: float) -> float:
     if not math.isfinite(val):  # far below mu, where e^{-2q} or z(q) overflows a float
         raise ValueError(f"F1 is not finite at separation q = {q:g}")
     if err > 100 * _QUAD_ABS_TOL * max(1.0, abs(val)):
-        warnings.warn(
-            f"potential quadrature did not converge: estimated error {err:.3e}",
-            stacklevel=3,
-        )
+        raise ValueError(f"F1 quadrature did not converge at separation q = {q:g}: "
+                         f"estimated error {err:.3e}")
     return val
 
 

@@ -18,7 +18,7 @@ its value, even one that begins with "-"; "none" unsets an optional float.
 --a, --b            equation parameters a and b
 --alpha, --delta    peakon magnitude scale (default 1) and asymmetry (default 0.5)
 --mu, --c           initial peak separation override; separation design constant
-                    in (1, 2)
+                    in (1, 2); not both, since mu determines c
 --rel-tol, --abs-tol, --event-tol, --max-time, --representation (full or reduced)
 --s                 Sobolev index (repeatable; the key s_values)
 --sample-count N, --format (csv or json), --out DIR (default runs)
@@ -43,7 +43,7 @@ from typing import Collection, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .analytic import InvariantContext, z_closed_form
+from .analytic import InvariantContext, _z_parts
 from .dynamics import PeakonState
 from .integrator import (
     DEFAULT_HORIZON,
@@ -139,6 +139,8 @@ class ExperimentConfig:
             raise ValueError(f"format must be csv or json, got {cfg.format!r}")
         if cfg.representation not in (None, "full", "reduced"):
             raise ValueError(f"unknown representation {cfg.representation!r}")
+        if cfg.mu is not None and cfg.c is not None:  # mu sets c through L_a(mu) = c a
+            raise ValueError("--mu and --c cannot be given together: mu determines c")
         if cfg.sample_count < 0:
             raise ValueError(f"sample count must be non-negative, got {cfg.sample_count}")
         for s in cfg.s_values:  # an index the H^s distances reject, before any run
@@ -312,20 +314,11 @@ def _resolved_extra(run: ResolvedRun) -> dict:
 
 
 def _z_column(ctx: Optional[InvariantContext], q: np.ndarray) -> np.ndarray:
-    """Closed-form momentum product per row; nan where it is not defined."""
+    """Closed-form momentum product per row; nan where it is not defined
+    (an exploratory run may leave the sign-definite range of L_a)."""
     if ctx is None:
         return np.full_like(q, math.nan)
-    try:
-        return z_closed_form(ctx, q)
-    except ValueError:  # an exploratory run left the sign-definite range somewhere
-        return np.array([_z_or_nan(ctx, v) for v in q])
-
-
-def _z_or_nan(ctx: InvariantContext, q: float) -> float:
-    try:
-        return z_closed_form(ctx, q)
-    except ValueError:
-        return math.nan
+    return _z_parts(ctx, q)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -173,8 +173,10 @@ def case_spec_for(
     0 < a < 1/3 no c is admissible and the small fixed separation is used,
     which still bounds L_a below by 2a > a on the swept interval.
     Explicit ``mu`` overrides are validated against the design equation
-    when a < 0, where the collision-rate bound relies on it.  A given ``c``
-    must lie in (1, 2) at every a, also where the design does not use it.
+    when a < 0, where the collision-rate bound relies on it; a given ``mu``
+    determines c, and a ``c`` given with it is not used (the command line
+    refuses the pair).  A given ``c`` must lie in (1, 2) at every a, also
+    where the design does not use it.
     """
     case = classify(params)
     if case is CaseID.B2_DEGENERATE:

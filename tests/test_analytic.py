@@ -3,16 +3,20 @@
 The trajectory itself is the oracle throughout: z(t) integrated at tight
 tolerance must track z_closed_form(q(t)); the density must reproduce
 h h' and w w' pointwise; the potentials must close the h^2 and w^2
-identities.  The frozen a = 1/3 value below comes from the limit formula
-z0 * exp(-(3(2-b)/4)(e^{-2q} - e^{-2mu})) evaluated by hand and was
-confirmed by integrating the reduced system at rel_tol 1e-13.
+identities.  Near a = 1/3, where the power form of z loses accuracy,
+z and F1 are checked against mpmath at 50 digits.  The frozen a = 1/3
+value below is the limit formula z0 * exp(-(3(2-b)/4)(e^{-2q} - e^{-2mu})),
+which the one form of z_closed_form reduces to at a = 1/3; it was evaluated
+by hand and confirmed by integrating the reduced system at rel_tol 1e-13.
 """
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from analytic_oracle import potential_quadrature
+from analytic_oracle import potential_quadrature, z_two_branch
 
 from peakonlab import (
     ABParams,
@@ -28,7 +32,6 @@ from peakonlab import (
 )
 from peakonlab.analytic import _weighted_density
 from peakonlab.dynamics import reduced_rhs_array
-from peakonlab.params import _THIRD_TOL
 
 # limit-branch value at a=1/3, b=3, z0=1, mu=0.1, q=0
 Z_LIMIT_FORQ_B3 = 1.1456268279374306
@@ -39,6 +42,35 @@ def _ctx(a, b, state):
 
 
 CASE1_STATE = PeakonState(1.5, -1.0, 0.0, 0.1)
+
+#: |1 - 3a| where the power form of z lost up to 3.8e-8 relative (at 1.5e-9),
+#: and 0, where a limit form took over; each is taken on both sides
+THIRD_OFFSETS = (0.0, 1e-12, 1.5e-9, 3e-9, 3e-8, 1e-6, 1e-3)
+
+
+def _near_third(offset):
+    """a with 1 - 3a = offset, up to the rounding of a."""
+    return (1.0 - offset) / 3.0
+
+
+def _mp_reduced(ctx):
+    """(z, weighted density) of ctx as mpmath functions of the separation,
+    at the working precision, from the exact floats a, b, mu and z0."""
+    a, b, mu, z0 = map(mpmath.mpf, (ctx.params.a, ctx.params.b, ctx.mu, ctx.z0))
+    d = 1 - 3 * a
+
+    def l_a(x):
+        return (1 - a) - d * mpmath.exp(-2 * x)
+
+    def z(x):
+        if d == 0:
+            return z0 * mpmath.exp(-(3 * (2 - b) / 4) * (mpmath.exp(-2 * x) - mpmath.exp(-2 * mu)))
+        return z0 * (l_a(x) / l_a(mu)) ** ((2 - b) / (2 * d))
+
+    def weighted_density(x):
+        return (1 + mpmath.exp(-x)) * (-(2 - b)) * mpmath.exp(-x) * z(x) / l_a(x)
+
+    return z, weighted_density
 
 
 def _f2_quadrature(ctx, q):
@@ -88,13 +120,47 @@ class TestZClosedForm:
         np.testing.assert_allclose(z_end, Z_LIMIT_FORQ_B3, rtol=1e-11)
 
     def test_branch_continuity_at_one_third(self):
-        """The exponent singularity at a = 1/3 is removable."""
+        """The exponent singularity at a = 1/3 is removable: z moves by
+        O(|1 - 3a|) from its value at a = 1/3."""
         limit_ctx = InvariantContext(ABParams(1 / 3, 3.0), 0.1, -1.5, -2.5, 0.5)
         for sign in (+1, -1):
             a = 1 / 3 + sign * 1e-6
             near_ctx = InvariantContext(ABParams(a, 3.0), 0.1, -1.5, -2.5, 0.5)
             for q in (0.0, 0.03, 0.09):
                 assert abs(z_closed_form(near_ctx, q) - z_closed_form(limit_ctx, q)) <= 1e-4
+
+    @pytest.mark.parametrize("a", sorted({_near_third(sign * off) for off in THIRD_OFFSETS
+                                          for sign in (1, -1)}) + [0.8, 0.1, -1.0, -0.3, 2.0])
+    @pytest.mark.parametrize("b", [1.0, 3.0])
+    def test_against_mpmath(self, a, b):
+        """Within 1e-15 relative of z at 50 digits on both sides of a = 1/3
+        and at a = 1/3 itself, and at generic a; scalar and array calls
+        agree bit for bit."""
+        ctx = _ctx(a, b, CASE1_STATE)
+        qs = [0.0, 0.03, 0.09, 0.5] if a > 0 else [0.0, 0.03, 0.09]
+        with mpmath.workdps(50):
+            z_mp = _mp_reduced(ctx)[0]
+            want = [z_mp(mpmath.mpf(q)) for q in qs]
+        got = z_closed_form(ctx, np.array(qs))
+        assert got.tolist() == [z_closed_form(ctx, q) for q in qs]
+        for q, value, ref in zip(qs, got, want):
+            assert abs(value - ref) <= 1e-15 * abs(ref), (a, b, q)
+
+    def test_two_branch_form_fails_the_mpmath_bound(self):
+        """The earlier power form, kept as an oracle, is off by more than
+        1e-9 relative at 1 - 3a = 1.5e-9, so the bound above has teeth."""
+        ctx = _ctx(_near_third(1.5e-9), 1.0, CASE1_STATE)
+        with mpmath.workdps(50):
+            ref = _mp_reduced(ctx)[0](mpmath.mpf(0.03))
+        assert abs(z_two_branch(ctx, 0.03) - ref) > 1e-9 * abs(ref)
+
+    def test_initial_separation_at_the_zero_of_l_a(self):
+        """a = -1, mu = ln(2)/2: L_a(mu) is 0 in floats too, and z, f and F1
+        raise the range error instead of dividing by it."""
+        ctx = _ctx(-1.0, 3.0, PeakonState(1.0, 1.5, 0.0, math.log(2.0) / 2.0))
+        for fn in (z_closed_form, f_density, F1):
+            with pytest.raises(ValueError, match="sign-definite range"):
+                fn(ctx, 0.1)
 
     def test_tracks_integrated_z(self, grid_runs):
         for (a, b), (params, spec, initial, traj) in grid_runs.items():
@@ -228,9 +294,11 @@ class TestFloatIntegrand:
     def _contexts(case_runs):
         contexts = [InvariantContext.from_initial(params, initial)
                     for params, _, initial, _ in case_runs.values()]
-        # |1 - 3a| < _THIRD_TOL takes the exponential branch; b = 2 gives zero
-        return contexts + [_ctx(1 / 3 + 0.25 * _THIRD_TOL, 3.0, CASE1_STATE),
-                           _ctx(1 / 3 - 0.25 * _THIRD_TOL, 1.0, CASE1_STATE),
+        # a = 1/3 and just beside it, where the power form lost accuracy;
+        # b = 2 gives zero
+        return contexts + [_ctx(_near_third(-2.5e-10), 3.0, CASE1_STATE),
+                           _ctx(_near_third(2.5e-10), 1.0, CASE1_STATE),
+                           _ctx(_near_third(1.5e-9), 1.0, CASE1_STATE),
                            _ctx(-0.5, 2.0, CASE1_STATE)]
 
     def test_f1_agrees_with_the_numpy_quadrature(self, case_runs):
@@ -280,6 +348,30 @@ class TestFloatIntegrand:
                         assert outcome(fn, ctx, q) == "ValueError", (fn, a, b, q)
                 else:
                     assert got == pytest.approx(want, rel=1e-14), (a, b, q)
+
+    @pytest.mark.parametrize("offset", [1.5e-9, -1.5e-9, 3e-9, -3e-9])
+    @pytest.mark.parametrize("b", [1.0, 3.0])
+    def test_f1_near_one_third_against_mpmath(self, offset, b):
+        """Beside a = 1/3 the quadrature converges without a warning and
+        matches an mpmath quadrature of the exact density to 1e-14."""
+        ctx = _ctx(_near_third(offset), b, CASE1_STATE)
+        with mpmath.workdps(40):
+            density = _mp_reduced(ctx)[1]
+            want = [mpmath.quad(density, [mpmath.mpf(ctx.mu), mpmath.mpf(q)])
+                    for q in (0.0, 0.03, 0.5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [F1(ctx, q) for q in (0.0, 0.03, 0.5)]
+        for value, ref in zip(got, want):
+            assert abs(value - ref) <= 1e-14 * max(1.0, abs(ref)), (offset, b)
+
+    def test_unconverged_quadrature_raises(self, monkeypatch):
+        """An error estimate above the tolerance is an error, not a warning."""
+        ctx = _ctx(1 / 3, 3.0, CASE1_STATE)
+        monkeypatch.setattr("scipy.integrate.quad", lambda *args, **kwargs: (0.3, 1e-3))
+        for fn in (F1, F2, h_sq, w_sq):
+            with pytest.raises(ValueError, match="did not converge"):
+                fn(ctx, 0.05)
 
     def test_nan_separation_raises(self):
         """quad over [mu, nan] would return 0, so h_sq(nan) would be h0^2."""

@@ -192,13 +192,44 @@ class TestRunCase:
 
     def test_z_column_marks_only_rows_outside_the_sign_definite_range(self):
         """L_a for a = -1 changes sign at q = ln(2)/2; rows beyond it get nan,
-        the others their scalar closed-form value."""
-        ctx = InvariantContext.from_initial(ABParams(-1.0, 3.0), PeakonState(1.0, 1.5, 0.0, 0.1))
-        q = np.array([0.0, 0.05, 0.1, 0.5])
-        column = _z_column(ctx, q)
-        assert column[:3].tolist() == [z_closed_form(ctx, v) for v in q[:3]]
-        assert math.isnan(column[3])
-        assert np.isnan(_z_column(None, q)).all()
+        every other row its scalar closed-form value, bit for bit, also on
+        both sides of a = 1/3."""
+        def z_or_nan(ctx, q):
+            try:
+                return z_closed_form(ctx, q)
+            except ValueError:
+                return math.nan
+
+        near = np.linspace(-0.1, 0.2, 31)
+        for a, b, q, outside in [(-1.0, 3.0, np.array([0.0, 0.05, 0.1, 0.5, 0.2, 0.34, 0.35]), 2),
+                                 (1 / 3, 1.0, near, 0),
+                                 ((1 - 1.5e-9) / 3, 1.0, near, 0),
+                                 ((1 + 1.5e-9) / 3, 3.0, near, 0)]:
+            ctx = InvariantContext.from_initial(ABParams(a, b), PeakonState(1.0, 1.5, 0.0, 0.1))
+            column = _z_column(ctx, q)
+            np.testing.assert_array_equal(column, [z_or_nan(ctx, v) for v in q.tolist()])
+            assert np.isnan(column).sum() == outside
+        assert np.isnan(_z_column(None, near)).all()
+
+    @pytest.mark.parametrize("argv", [
+        ["--case", "case1"], ["--case", "case2"], ["--case", "case3"], ["--case", "case4"],
+        ["--case", "custom", "--a", str((1 - 1.5e-9) / 3), "--b", "1"],
+    ])
+    def test_z_column_equals_scalar_calls_on_every_row(self, tmp_path, argv):
+        """The written column is, row by row, the scalar closed form at the
+        written separation."""
+        out = tmp_path / "z"
+        assert _run("run-case", *argv, "--out", str(out)) == 0
+        header, rows = _read_csv(out / "trajectory.csv")
+        table = dict(zip(header, np.array(rows, dtype=float).T))
+        manifest = json.loads((out / "manifest.json").read_text())
+        ctx = InvariantContext.from_initial(
+            ABParams(manifest["resolved_a"], manifest["resolved_b"]),
+            PeakonState(*manifest["initial_state"]),
+        )
+        assert len(rows) > 400
+        assert table["z_closed_form"].tolist() == [
+            z_closed_form(ctx, v) for v in table["q"].tolist()]
 
     def test_mismatched_case_rejected(self, tmp_path):
         # (a, b) = (1/3, 1) classifies as case2, not case1
@@ -397,6 +428,21 @@ class TestFailurePaths:
         cfg.write_text(f"case = case1\n{key} = 1\n")
         code, err = _run_captured(["run-case", "--config", str(cfg), "--out", str(out)])
         assert (code, err) == (2, f"error: unknown configuration key: {key}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("run-case", ["--case", "case3"]),
+        ("certify", ["--case", "case3"]),
+        ("sweep", ["--a-grid=-1", "--b-grid=3"]),
+    ])
+    def test_mu_with_c_is_a_config_error(self, tmp_path, command, flags):
+        """A given mu determines c through L_a(mu) = c a; a c given with it
+        was recorded in the manifest and silently dropped from the run."""
+        out = tmp_path / "x"
+        code, err = _run_captured([command, *flags, "--mu", "0.05", "--c", "1.5",
+                                   "--out", str(out)])
+        assert (code, err) == (2, "error: --mu and --c cannot be given together: "
+                                  "mu determines c\n")
         assert not out.exists()
 
     def test_reversed_initial_order_leaves_z_closed_form_nan(self, tmp_path):
