@@ -81,6 +81,7 @@ PRESET_AB = {
 DISTANCE_THRESHOLD = 1e-3
 REVERSAL_TOL = 1e-6
 APPROACH_EXPONENTS = tuple(range(2, 7))  # sample times T - 10^-k
+_APPROACH_OFFSETS = np.array([10.0**-k for k in APPROACH_EXPONENTS])
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -143,8 +144,14 @@ class ExperimentConfig:
             raise ValueError("--mu and --c cannot be given together: mu determines c")
         if cfg.sample_count < 0:
             raise ValueError(f"sample count must be non-negative, got {cfg.sample_count}")
+        labels = {}  # the distance columns and report keys are named f"{s:g}"
         for s in cfg.s_values:  # an index the H^s distances reject, before any run
             _check_index(s)
+            label = f"{s:g}"
+            if label in labels:
+                raise ValueError(f"argument --s: the indices {labels[label]!r} and {s!r} "
+                                 f"share the label s{label}")
+            labels[label] = s
         return cfg
 
     def to_manifest(self) -> dict:
@@ -284,9 +291,11 @@ def _write_manifest(outdir: Path, cfg: ExperimentConfig, extra: dict) -> None:
 
 
 def _sample_times(t_end: float, count: int) -> np.ndarray:
-    ts = list(np.linspace(0.0, t_end, count))
-    ts += [t_end - 10.0**-k for k in APPROACH_EXPONENTS if 0.0 < t_end - 10.0**-k < t_end]
-    return np.unique(np.array(ts))
+    """``count`` times evenly spaced on [0, t_end] and the approach times
+    t_end - 10^-k inside (0, t_end), sorted, each once."""
+    approach = t_end - _APPROACH_OFFSETS
+    approach = approach[(0.0 < approach) & (approach < t_end)]
+    return np.unique(np.concatenate((np.linspace(0.0, t_end, count), approach)))
 
 
 def _resolved_extra(run: ResolvedRun) -> dict:
@@ -347,11 +356,10 @@ def run_case(cfg: ExperimentConfig) -> int:
     p1, p2, q1, q2 = states.T
     q = q2 - q1
     table = [ts, q1, q2, p1, p2, q, p2 - p1, p1 + p2, p1 * p2, _z_column(ctx, q)]
-    for s in cfg.s_values:
-        table.append(
-            hs_distances(states, collision, s) if collision is not None
-            else np.full_like(ts, math.nan)
-        )
+    if collision is not None:
+        table += list(hs_distances(states, collision, cfg.s_values))
+    else:
+        table += [np.full_like(ts, math.nan)] * len(cfg.s_values)
     _write_table(outdir / "trajectory", columns, table, cfg.format)
 
     ev_rows = [
@@ -404,8 +412,8 @@ def certify_nonuniqueness(cfg: ExperimentConfig) -> int:
             failures.append(f"distance sequence: T = {T:.3g} leaves no approach time "
                             f"T - 10^-k, k = {APPROACH_EXPONENTS[0]}..{APPROACH_EXPONENTS[-1]}")
         approach = traj.sample_array([T - 10.0**-k for k in ks])
-        for s in s_values if ks else ():
-            vals = hs_distances(approach, collision, s).tolist()
+        rows = hs_distances(approach, collision, s_values).tolist() if ks else []
+        for s, vals in zip(s_values, rows):
             distances[f"{s:g}"] = vals
             monotone[f"{s:g}"] = all(b < a for a, b in zip(vals, vals[1:]))
             below[f"{s:g}"] = bool(vals[-1] <= DISTANCE_THRESHOLD)

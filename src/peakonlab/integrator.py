@@ -843,15 +843,18 @@ def _state(to_array: Callable, y) -> PeakonState:
 class Trajectory:
     """Accepted steps, located events and a dense interpolant.
 
-    Immutable once produced, except that the interpolant of each step is
-    built on the first call of ``sample`` or ``sample_array`` (three field
-    evaluations a step, counted in ``nfev``).  ``sample`` evaluates the
-    dense output and is valid on [t0, t_end]; ``sample_array`` does the
-    same for a whole time vector (its rows equal ``sample``'s bit for bit);
-    ``sample_derivative`` returns the exact field at the sampled state,
-    which for a genuine solution equals the curve's time derivative.
-    ``nfev``, ``steps`` and ``rejected`` count field evaluations and
-    accepted and rejected steps.
+    Immutable once produced, except that a step's interpolant is built the
+    first time a sampled time falls in that step (three field evaluations,
+    counted in ``nfev``; the event step's is built by the event search), and
+    that ``sample`` keeps its last time and state.  ``sample`` evaluates
+    the dense output and is valid on [t0, t_end]; ``sample_array`` does the
+    same for a whole time vector (its rows equal ``sample``'s bit for bit,
+    whichever steps were built before); ``sample_derivative`` returns the
+    exact field at the sampled state, which for a genuine solution equals
+    the curve's time derivative.  ``sample`` again at its last time, and
+    ``sample_derivative`` or ``separation`` there, reuse the kept state
+    instead of interpolating again.  ``nfev``, ``steps`` and ``rejected``
+    count field evaluations and accepted and rejected steps.
     """
 
     def __init__(
@@ -873,7 +876,8 @@ class Trajectory:
         self._stepper = stepper  # None for a zero-duration run
         self._to_array = to_array  # raw solver states -> [p1, p2, q1, q2]
         self._time_sign = time_sign
-        self._tables = None  # (t_old, h, y_old, coefficients) per step, once sampled
+        self._tables = None  # per step t_old, h, y_old, coefficients; the steps built
+        self._last = None  # ((t, sign of t), state) of the last ``sample``
 
     @property
     def nfev(self) -> int:
@@ -908,17 +912,24 @@ class Trajectory:
     def terminal_event(self) -> EventRecord:
         return self.events[-1]
 
-    def _interpolant(self):
+    def _segments(self, seg: np.ndarray) -> tuple:
+        """t_old, h, y_old and the coefficients (d1 .. d7 first) of the steps
+        ``seg``, building the interpolant of each of them not yet built."""
         if self._tables is None:
-            stepper = self._stepper
-            coeffs = [stepper.dense(i) for i in range(len(stepper.steps))]
-            t_old, h, y_old, _, _ = zip(*stepper.steps)
-            self._tables = (np.array(t_old), np.array(h), np.array(y_old),
-                            np.moveaxis(np.array(coeffs), -1, 0))
-        return self._tables
+            t_old, h, y_old, _, _ = zip(*self._stepper.steps)
+            coeffs = np.empty((7, len(h), len(y_old[0])))
+            self._tables = np.array(t_old), np.array(h), np.array(y_old), coeffs, set()
+        t_old, h, y_old, coeffs, built = self._tables
+        for i in set(seg.tolist()) - built:
+            coeffs[:, i] = np.array(self._stepper.dense(i)).T
+            built.add(i)
+        return t_old[seg], h[seg], y_old[seg], coeffs[:, seg]
 
     def sample(self, t: float) -> PeakonState:
-        return PeakonState.from_array(self.sample_array([t])[0])
+        key = (t, math.copysign(1.0, t))  # -0.0 kept apart from 0.0
+        if self._last is None or self._last[0] != key:
+            self._last = key, PeakonState.from_array(self.sample_array([t])[0])
+        return self._last[1]
 
     def sample_array(self, ts) -> np.ndarray:
         """States at the given times as an (n, 4) array [p1, p2, q1, q2]."""
@@ -928,10 +939,11 @@ class Trajectory:
             raise ValueError(f"t = {ts[outside][0]} outside [{self.t0}, {self.t_end}]")
         if self._stepper is None:
             return self._to_array(np.repeat(np.array(self._raw), len(ts), axis=0).T).T
-        t_old, h, y_old, coeffs = self._interpolant()
-        seg = np.clip(np.searchsorted(self.times, ts, side="left") - 1, 0, len(h) - 1)
-        x = ((ts - t_old[seg]) / h[seg])[:, None]
-        return self._to_array(_interpolate(x, coeffs[:, seg], y_old[seg]).T).T
+        last = len(self._stepper.steps) - 1
+        seg = np.clip(np.searchsorted(self.times, ts, side="left") - 1, 0, last)
+        t_old, h, y_old, coeffs = self._segments(seg)
+        x = ((ts - t_old) / h)[:, None]
+        return self._to_array(_interpolate(x, coeffs, y_old).T).T
 
     def sample_derivative(self, t: float) -> np.ndarray:
         """d/dt of [p1, p2, q1, q2] along the trajectory at time t."""

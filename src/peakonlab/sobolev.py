@@ -39,7 +39,11 @@ the logarithmic series of DLMF 10.31.1.  At omega >= 1 scipy's kv is
 used; there the two terms differ by at least about 1/(4 nu) of their
 size, so nothing cancels for s > 0, and an index far below 0 (nu up to
 100) gives up a few digits.  Everything is array-valued, so a whole
-column of states costs a few numpy calls.
+column of states costs a few numpy calls, and ``hs_distances`` takes a
+sequence of indices in one pass: the separations, the series/K_nu masks,
+ln y and every power y^p are formed once and shared by all indices, and
+each index's paired terms are one (terms x separations) array.  The rows
+are the single-index results bit for bit.
 """
 
 from __future__ import annotations
@@ -138,11 +142,20 @@ def _lgamma_slope(a: np.ndarray, t: float) -> np.ndarray:
     return psi(a) - np.sum(zeta(j, a) * (-t) ** (j - 1) / j, axis=0)
 
 
-def _pair_series(omega: np.ndarray, nu: float) -> np.ndarray:
+def _series_exponents(nu: float) -> range:
+    """The powers of y that carry the paired terms at nu: y^{n+m}, m from 0
+    (from 1 when n = 0) to _SERIES_TERMS - 1, n the integer nearest nu."""
+    n = int(round(nu))
+    return range(n + (n == 0), n + _SERIES_TERMS)
+
+
+def _pair_series(y: np.ndarray, log_y: np.ndarray, powers: np.ndarray, nu: float) -> np.ndarray:
     """Gamma(nu)/2 - (omega/2)^nu K_nu(omega) for 0 < omega < 1, as a small quantity.
 
-    With x = omega/2, y = x^2 and n the integer nearest nu (eps = nu - n),
-    the ascending series (DLMF 10.27.4, 10.25.2) less its constant term is
+    Takes y = x^2, x = omega/2, log_y = ln y and ``powers``, the rows y ** p
+    for p in ``_series_exponents(nu)``.  With n the integer nearest nu
+    (eps = nu - n), the ascending series (DLMF 10.27.4, 10.25.2) less its
+    constant term is
 
         -1/2 sum_{k>=1} (-1)^k Gamma(nu - k) y^k / k!
         + pi / (2 sin(pi nu)) y^nu sum_{m>=0} y^m / (m! Gamma(m + nu + 1)).
@@ -153,30 +166,70 @@ def _pair_series(omega: np.ndarray, nu: float) -> np.ndarray:
         (-1)^n y^{n+m} / (2 sinc(eps) m! (n+m)!) e^{L} expm1(eps l) / eps,
         l = ln y - S(n+m+1, eps) - S(m+1, -eps),   L = eps S(m+1, -eps),
 
-    with S the log-gamma slope; at eps = 0 this is DLMF 10.31.1.
+    with S the log-gamma slope; at eps = 0 this is DLMF 10.31.1.  The paired
+    terms form one (terms x separations) array, whose rows are added to
+    zeros from the last term down.
     """
     from scipy.special import exprel, gamma, gammaln, rgamma
 
     n = int(round(nu))
     eps = nu - n
-    x = 0.5 * omega
-    y = x * x
-    log_y = 2.0 * np.log(x)
-    total = np.zeros_like(omega)
     m = np.arange(1 if n == 0 else 0, _SERIES_TERMS, dtype=float)
     s_up = _lgamma_slope(n + m + 1.0, eps)
     s_down = _lgamma_slope(m + 1.0, -eps)
+    pi_eps = math.pi * eps
+    sinc = np.sin(pi_eps) / pi_eps if pi_eps else 1.0  # np.sinc(eps)
     weight = (-1) ** n * np.exp(eps * s_down - gammaln(m + 1.0) - gammaln(n + m + 1.0)) / (
-        2.0 * np.sinc(eps)
+        2.0 * sinc
     )
-    for mi, w, c in reversed(list(zip(m, weight, s_up + s_down))):
-        l = log_y - c
-        total += w * y ** (n + mi) * l * exprel(eps * l)
+    l = log_y - (s_up + s_down)[:, None]
+    terms = weight[:, None] * powers * l * exprel(eps * l)
+    total = np.zeros_like(y)
+    for row in terms[::-1]:
+        total += row
     if n == 0:
         total += math.pi / (2.0 * math.sin(math.pi * nu)) * rgamma(nu + 1.0) * y**nu
     k = np.arange(1, n, dtype=float)
-    coeffs = -0.5 * (-1.0) ** k * gamma(nu - k) * rgamma(k + 1.0)
-    return total + np.polynomial.polynomial.polyval(y, np.concatenate(([0.0], coeffs)))
+    coeffs = [0.0, *(-0.5 * (-1.0) ** k * gamma(nu - k) * rgamma(k + 1.0))]
+    poly = coeffs[-1] + y * 0.0  # Horner's rule on the terms k < n, as polyval
+    for c in reversed(coeffs[:-1]):
+        poly = c + poly * y
+    return total + poly
+
+
+def _pair_integrals(omega, indices) -> list:
+    """G(omega) at each of ``indices`` (already checked), elementwise over omega.
+
+    The separations, their masks, ln y and each power y ** p are formed once
+    and shared by all indices; see ``pair_integral``.
+    """
+    from scipy.special import gamma, kv
+
+    omega = np.abs(np.asarray(omega, dtype=float))
+    small = (omega > 0.0) & (omega < _SERIES_OMEGA)
+    large = omega >= _SERIES_OMEGA
+    any_small, any_large = small.any(), large.any()
+    if any_small:
+        x = 0.5 * omega[small]
+        y, log_y = x * x, 2.0 * np.log(x)
+        ranges = [_series_exponents(H_S_LIMIT - s) for s in indices]
+        exponents = sorted(set().union(*ranges))  # each index's range is a run of these
+        powers = np.array([y ** float(p) for p in exponents])
+    if any_large:
+        w = omega[large]
+        half_w = 0.5 * w
+    out = []
+    for j, s in enumerate(indices):
+        nu = H_S_LIMIT - s
+        g = np.zeros_like(omega)
+        if any_small:
+            first = exponents.index(ranges[j][0])
+            g[small] = _pair_series(y, log_y, powers[first:first + len(ranges[j])], nu)
+        if any_large:
+            g[large] = 0.5 * gamma(nu) - half_w ** nu * kv(nu, w)
+        g *= 2.0 * math.sqrt(math.pi) / math.gamma(nu + 0.5)
+        out.append(g)
+    return out
 
 
 def pair_integral(omega, s: float):
@@ -188,40 +241,38 @@ def pair_integral(omega, s: float):
     omega -> 0, and from K_nu above.  Even in omega; G(0) = 0.
     """
     _check_index(s)
-    nu = H_S_LIMIT - s
-    omega = np.abs(np.asarray(omega, dtype=float))
-    g = np.zeros_like(omega)
-    small = (omega > 0.0) & (omega < _SERIES_OMEGA)
-    if small.any():
-        g[small] = _pair_series(omega[small], nu)
-    large = omega >= _SERIES_OMEGA
-    if large.any():
-        from scipy.special import gamma, kv
-
-        w = omega[large]
-        g[large] = 0.5 * gamma(nu) - (0.5 * w) ** nu * kv(nu, w)
-    g *= 2.0 * math.sqrt(math.pi) / math.gamma(nu + 0.5)
+    g, = _pair_integrals(omega, [s])
     return float(g) if g.ndim == 0 else g
 
 
-def hs_distances(states, collision: CollisionFunction, s: float) -> np.ndarray:
+def hs_distances(states, collision: CollisionFunction, s) -> np.ndarray:
     """H^s distances between two-peakon profiles and the collision profile.
 
     ``states`` is an (n, 4) array of [p1, p2, q1, q2] rows (or one such
-    row); returns the n distances.  Each is zero exactly when the profiles
-    coincide as distributions, and carries the accuracy of the closed form
-    (about 1e-15 relative in the squared distance's terms).  Requires
-    s < 3/2.
+    row).  For one index ``s`` this returns the n distances; for a
+    sequence of indices, a (len(s), n) array with one row per index, each
+    row equal bit for bit to that index's own call.  The indices share
+    one pass over the separations (their masks, ln y and the powers of
+    y).  Each distance is zero exactly when the profiles coincide as
+    distributions, and carries the accuracy of the closed form (about
+    1e-15 relative in the squared distance's terms).  Requires s < 3/2.
     """
-    _check_index(s)
-    nu = H_S_LIMIT - s
+    many = np.ndim(s) > 0
+    indices = list(s) if many else [s]
+    for index in indices:
+        _check_index(index)
     p1, p2, q1, q2 = np.asarray(states, dtype=float).reshape(-1, 4).T
     pc, qc = -collision.p_star, collision.q_star
-    g12, g1c, g2c = pair_integral(np.stack([q2 - q1, qc - q1, qc - q2]), s)
-    i0 = 0.5 * math.sqrt(math.pi) * math.gamma(nu) / math.gamma(nu + 0.5)
+    gaps = np.array((q2 - q1, qc - q1, qc - q2))
     total = p1 + p2 + pc
-    sq = total * total * i0 - p1 * p2 * g12 - p1 * pc * g1c - p2 * pc * g2c
-    return np.sqrt(np.maximum(4.0 / math.pi * sq, 0.0))
+    total_sq, a12, a1c, a2c = total * total, p1 * p2, p1 * pc, p2 * pc
+    rows = []
+    for index, (g12, g1c, g2c) in zip(indices, _pair_integrals(gaps, indices)):
+        nu = H_S_LIMIT - index
+        i0 = 0.5 * math.sqrt(math.pi) * math.gamma(nu) / math.gamma(nu + 0.5)
+        sq = total_sq * i0 - a12 * g12 - a1c * g1c - a2c * g2c
+        rows.append(np.sqrt(np.maximum(4.0 / math.pi * sq, 0.0)))
+    return np.array(rows).reshape(len(indices), len(total)) if many else rows[0]
 
 
 def hs_distance(state: PeakonState, collision: CollisionFunction, s: float) -> float:

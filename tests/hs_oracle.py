@@ -1,6 +1,6 @@
 """Independent references for the closed-form H^s distances.
 
-Three oracles, none of which shares code with ``peakonlab.sobolev``:
+Four oracles, none of which shares code with ``peakonlab.sobolev``:
 
 * ``pair_integral_quad`` / ``weight_integral_quad``: adaptive quadrature
   of the defining integrals.  This was the package's own implementation
@@ -13,6 +13,11 @@ Three oracles, none of which shares code with ``peakonlab.sobolev``:
 * ``pair_integral_mp`` / ``hs_distance_mp``: the same Basset form in mpmath,
   with the working precision raised by the digits the cancellation costs,
   so that the result carries at least ORACLE_DPS significant digits.
+* ``pair_integral_per_index`` / ``hs_distances_per_index``: the package's
+  closed form as it stood when each index made its own pass, kept as it
+  was: the separations, masks, ln y and powers of y formed per index, and
+  the paired series summed term by term.  The package's one pass for
+  every index must give these bits exactly.
 """
 
 import math
@@ -20,7 +25,7 @@ import math
 import mpmath
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gamma, kv
+from scipy.special import exprel, gamma, gammaln, kv, psi, rgamma, zeta
 
 #: significant decimal digits the mpmath oracle keeps after cancellation
 ORACLE_DPS = 40
@@ -146,3 +151,75 @@ def hs_distance_mp(state, coll, s: float) -> float:
             for k in range(3):
                 total += amps[j] * amps[k] * _basset(abs(pos[j] - pos[k]), nu)
         return float(mpmath.sqrt(max(4 / mpmath.pi * total, 0)))
+
+
+# ---------------------------------------------------------------------------
+# the closed form, one pass per index
+
+_SERIES_OMEGA = 1.0
+_SERIES_TERMS = 12
+_SLOPE_TERMS = 16
+_SLOPE_TAYLOR = 0.1
+
+
+def _lgamma_slope(a, t):
+    """(ln Gamma(a + t) - ln Gamma(a)) / t, psi(a) at t = 0, Taylor below |t| = 0.1."""
+    if abs(t) >= _SLOPE_TAYLOR:
+        return (gammaln(a + t) - gammaln(a)) / t
+    if t == 0.0:
+        return psi(a)
+    j = np.arange(2, _SLOPE_TERMS + 2, dtype=float)[:, None]
+    return psi(a) - np.sum(zeta(j, a) * (-t) ** (j - 1) / j, axis=0)
+
+
+def pair_series_per_index(omega, nu):
+    """Gamma(nu)/2 - (omega/2)^nu K_nu(omega) for 0 < omega < 1 by the paired
+    ascending series, one term at a time from the last."""
+    n = int(round(nu))
+    eps = nu - n
+    x = 0.5 * omega
+    y = x * x
+    log_y = 2.0 * np.log(x)
+    total = np.zeros_like(omega)
+    m = np.arange(1 if n == 0 else 0, _SERIES_TERMS, dtype=float)
+    s_up = _lgamma_slope(n + m + 1.0, eps)
+    s_down = _lgamma_slope(m + 1.0, -eps)
+    weight = (-1) ** n * np.exp(eps * s_down - gammaln(m + 1.0) - gammaln(n + m + 1.0)) / (
+        2.0 * np.sinc(eps)
+    )
+    for mi, w, c in reversed(list(zip(m, weight, s_up + s_down))):
+        l = log_y - c
+        total += w * y ** (n + mi) * l * exprel(eps * l)
+    if n == 0:
+        total += math.pi / (2.0 * math.sin(math.pi * nu)) * rgamma(nu + 1.0) * y**nu
+    k = np.arange(1, n, dtype=float)
+    coeffs = -0.5 * (-1.0) ** k * gamma(nu - k) * rgamma(k + 1.0)
+    return total + np.polynomial.polynomial.polyval(y, np.concatenate(([0.0], coeffs)))
+
+
+def pair_integral_per_index(omega, s):
+    """G(omega) at one index: the series below omega = 1, scipy's kv above."""
+    nu = 1.5 - s
+    omega = np.abs(np.asarray(omega, dtype=float))
+    g = np.zeros_like(omega)
+    small = (omega > 0.0) & (omega < _SERIES_OMEGA)
+    if small.any():
+        g[small] = pair_series_per_index(omega[small], nu)
+    large = omega >= _SERIES_OMEGA
+    if large.any():
+        w = omega[large]
+        g[large] = 0.5 * gamma(nu) - (0.5 * w) ** nu * kv(nu, w)
+    g *= 2.0 * math.sqrt(math.pi) / math.gamma(nu + 0.5)
+    return float(g) if g.ndim == 0 else g
+
+
+def hs_distances_per_index(states, coll, s):
+    """The n distances of (n, 4) rows [p1, p2, q1, q2] to ``coll`` at one index."""
+    nu = 1.5 - s
+    p1, p2, q1, q2 = np.asarray(states, dtype=float).reshape(-1, 4).T
+    pc, qc = -coll.p_star, coll.q_star
+    g12, g1c, g2c = pair_integral_per_index(np.stack([q2 - q1, qc - q1, qc - q2]), s)
+    i0 = 0.5 * math.sqrt(math.pi) * math.gamma(nu) / math.gamma(nu + 0.5)
+    total = p1 + p2 + pc
+    sq = total * total * i0 - p1 * p2 * g12 - p1 * pc * g1c - p2 * pc * g2c
+    return np.sqrt(np.maximum(4.0 / math.pi * sq, 0.0))

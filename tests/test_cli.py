@@ -254,6 +254,22 @@ class TestCertify:
         assert all(b < a for a, b in zip(dists, dists[1:]))
         assert dists[-1] <= 1e-3
 
+    def test_builds_dense_output_only_for_sampled_steps(self, tmp_path, monkeypatch):
+        """certify samples T - 10^-k and its reversal start; only the steps
+        holding those times get an interpolant, besides the event step's."""
+        runs = []
+        integrate_ = cli.integrate
+        monkeypatch.setattr(cli, "integrate", lambda *args: runs.append(integrate_(*args))
+                            or runs[-1])
+        assert _run("certify", "--case", "case1", "--out", str(tmp_path / "x")) == 1
+        traj, = runs
+        T = traj.t_end
+        ts = [T - 10.0**-k for k in cli.APPROACH_EXPONENTS] + [T - 1e-3]
+        sampled = set(np.searchsorted(traj.times, ts, side="left") - 1) | {traj.steps - 1}
+        attempts = traj.steps + traj.rejected
+        assert traj.nfev == 2 + 11 * attempts + traj.steps + 3 * len(sampled)
+        assert len(sampled) < traj.steps
+
     def test_supercritical_s_rejected(self, tmp_path):
         assert _run("certify", "--case", "case1", "--s", "1.6",
                     "--out", str(tmp_path / "x")) == 2
@@ -489,6 +505,29 @@ class TestFailurePaths:
         out = tmp_path / "x"
         code, err = _run_captured([command, "--case", "case1", f"--s={s}", "--out", str(out)])
         assert (code, err) == (2, f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run-case", "certify"])
+    @pytest.mark.parametrize("first, second, label", [
+        ("1", "1.0", "1.0 and 1.0 share the label s1"),
+        ("0.1234567", "0.1234568", "0.1234567 and 0.1234568 share the label s0.123457"),
+    ], ids=["1-and-1.0", "one-label-at-six-digits"])
+    def test_repeated_sobolev_index_is_a_config_error(self, tmp_path, command, first,
+                                                      second, label):
+        """Two indices with one label wrote the header "...,dist_s1,dist_s1",
+        and certify reported the index twice under a single distances key."""
+        out = tmp_path / "x"
+        code, err = _run_captured([command, "--case", "case3", "--s", first, "--s", "0.5",
+                                   "--s", second, "--out", str(out)])
+        assert (code, err) == (2, f"error: argument --s: the indices {label}\n")
+        assert not out.exists()
+
+    def test_repeated_sobolev_index_in_a_config_file(self, tmp_path):
+        path, out = tmp_path / "run.json", tmp_path / "x"
+        path.write_text(json.dumps({"case": "case1", "s_values": [1.4, 0.5, 1.4]}))
+        code, err = _run_captured(["run-case", "--config", str(path), "--out", str(out)])
+        assert (code, err) == (2, "error: argument --s: the indices 1.4 and 1.4 share "
+                                  "the label s1.4\n")
         assert not out.exists()
 
     @settings(max_examples=60, deadline=None,

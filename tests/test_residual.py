@@ -29,6 +29,9 @@ from peakonlab import (
     residual_report,
 )
 from peakonlab.cli import PRESET_AB
+from peakonlab.integrator import Trajectory
+
+from conftest import CASE_PRESETS, run_point
 
 
 class _ShiftedTrajectory:
@@ -325,6 +328,20 @@ class TestReportSamplesOnce:
                     want = [pde_residual(traj, t, x, params) for x in report.sample_points]
                     assert list(map(float.hex, report.residual_values)) == list(
                         map(float.hex, want)), (name, t, points)
+
+    def test_one_interpolation_per_report(self, monkeypatch):
+        """The report's ``sample`` and ``sample_derivative`` at one time share
+        one interpolation: the trajectory keeps its last sampled state."""
+        calls = []
+        sample_array = Trajectory.sample_array
+        monkeypatch.setattr(Trajectory, "sample_array",
+                            lambda traj, ts: calls.append(ts) or sample_array(traj, ts))
+        for a, b in CASE_PRESETS.values():
+            params, _, _, traj = run_point(a, b)
+            t = 0.5 * traj.t_end
+            calls.clear()
+            report = residual_report(traj, t, params, points=self._points(traj, t))
+            assert report.sample_points and len(calls) == 1
 
     def test_no_kept_point_needs_no_derivative(self, case1_traj):
         params, traj = case1_traj

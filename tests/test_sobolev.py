@@ -9,7 +9,9 @@ omega = 1).  The references it is checked against live in ``hs_oracle``:
   small-|a| regime where the momenta reach about +-120;
 * the adaptive quadrature of the defining integrals that the package
   used before, which relies on no Bessel identity at all;
-* the direct scipy Bessel-K assembly, while distances are not small.
+* the direct scipy Bessel-K assembly, while distances are not small;
+* the closed form as it was with one pass per index, which the one pass
+  for every index must reproduce bit for bit.
 
 The physical-space anchor ||c e^{-|x|}||_{H^1}^2 = 2 c^2 comes from the
 hand integral of u^2 + u_x^2.
@@ -23,7 +25,9 @@ import pytest
 from hs_oracle import (
     bessel_distance,
     hs_distance_mp,
+    hs_distances_per_index,
     pair_integral_mp,
+    pair_integral_per_index,
     pair_integral_quad,
     weight_integral_quad,
 )
@@ -46,7 +50,7 @@ from peakonlab import (
     pair_integral,
 )
 from peakonlab.integrator import EventRecord
-from peakonlab.sobolev import _SERIES_TERMS, _SLOPE_TERMS, _lgamma_slope
+from peakonlab.sobolev import _SERIES_TERMS, _SLOPE_TERMS, _lgamma_slope, _pair_integrals
 
 from conftest import locate_collision
 
@@ -324,6 +328,74 @@ class TestBatchedDistances:
             for row, value in zip(states, hs_distances(states, coll, s)):
                 ref = hs_distance_mp(PeakonState(*row), coll, s)
                 assert abs(value - ref) <= 1e-12 * ref, (s, row, value, ref)
+
+
+#: either side of the integer order nu = 1, s = 1/2 itself, a negative and a
+#: far negative index, and one just below 3/2
+MANY_INDICES = (0.5 + 1e-12, 0.5, 0.5 - 1e-12, -0.5, -3.0, 1.49)
+
+
+def _separations(count: int, rng) -> list:
+    """Separation vectors of ``count`` entries: one below and one above
+    omega = 1 for a single entry, else entries on both sides of it (with a
+    zero and a negative one from three entries on)."""
+    if count == 1:
+        return [np.array([0.37]), np.array([2.5])]
+    omega = np.where(np.arange(count) % 2 == 0, 10.0 ** rng.uniform(-15.0, -1e-3, count),
+                     rng.uniform(1.0, 40.0, count))
+    if count >= 3:
+        omega[1], omega[2] = 0.0, -omega[2]
+    return [omega]
+
+
+class TestOnePassForEveryIndex:
+    """``hs_distances`` over a sequence of indices shares the separations,
+    masks, ln y and powers of y across them; each index's row must equal
+    that index's own pass, as the package made it before, bit for bit."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 15, 1215])
+    def test_pair_integrals_equal_per_index_passes(self, count):
+        rng = np.random.default_rng(count)
+        for omega in _separations(count, rng):
+            rows = _pair_integrals(omega, MANY_INDICES)
+            assert len(rows) == len(MANY_INDICES)
+            for s, row in zip(MANY_INDICES, rows):
+                want = pair_integral_per_index(omega, s)
+                assert row.tobytes() == want.tobytes(), (count, s)
+                assert pair_integral(omega, s).tobytes() == want.tobytes(), (count, s)
+
+    @pytest.mark.parametrize("n", [1, 5, 405])  # 3, 15 and 1,215 separations
+    def test_distance_rows_equal_per_index_and_scalar_calls(self, n):
+        rng = np.random.default_rng(n)
+        q1 = rng.uniform(-1.0, 1.0, n)
+        gaps = 10.0 ** rng.uniform(-16.0, 0.7, n)
+        states = np.column_stack([rng.uniform(-3, 3, n), rng.uniform(-3, 3, n), q1, q1 + gaps])
+        coll = CollisionFunction(0.7, 2.2)
+        omega = np.abs(np.concatenate([gaps, 2.2 - q1, 2.2 - q1 - gaps]))
+        assert (omega < 1.0).any() and (omega > 1.0).any()
+        rows = hs_distances(states, coll, MANY_INDICES)
+        assert rows.shape == (len(MANY_INDICES), n)
+        for s, row in zip(MANY_INDICES, rows):
+            want = hs_distances_per_index(states, coll, s)
+            assert row.tobytes() == want.tobytes(), s
+            assert hs_distances(states, coll, s).tobytes() == want.tobytes(), s
+            scalar = [hs_distance(PeakonState(*state), coll, s) for state in states]
+            assert row.tolist() == scalar, s
+
+    def test_sequence_shapes(self):
+        state = PeakonState(1.2, -0.3, 0.0, 0.7)
+        coll = CollisionFunction(0.9, 0.1)
+        assert hs_distances(state.as_array(), coll, [1.0]).shape == (1, 1)
+        assert hs_distances(np.empty((0, 4)), coll, (0.5, 1.0)).shape == (2, 0)
+        assert hs_distances(np.zeros((3, 4)), coll, ()).shape == (0, 3)
+        assert hs_distances(np.zeros((3, 4)), coll, np.array([0.5, 1.0])).shape == (2, 3)
+
+    def test_every_index_checked(self):
+        state = np.array([[1.5, -1.0, 0.0, 0.1]])
+        with pytest.raises(ValueError, match="outside the admissible range"):
+            hs_distances(state, CollisionFunction(0.5, 0.0), [0.5, 1.5])
+        with pytest.raises(ValueError, match="is not a finite Sobolev index"):
+            hs_distances(state, CollisionFunction(0.5, 0.0), [math.nan, 0.5])
 
 
 class TestDivergenceProbe:

@@ -186,6 +186,18 @@ class TestCounters:
             traj.sample(traj.t_end)
             assert traj.nfev == 2 + 11 * attempts + 4 * traj.steps
 
+    def test_sampling_builds_only_the_sampled_steps(self):
+        """Each step's interpolant is built the first time a sampled time
+        falls in it, once; the event step's comes from the event search."""
+        params, _, initial, base = run_point(*CASE_PRESETS["case1"])
+        traj = integrate(initial, params, base.config)
+        start = traj.nfev
+        assert traj.steps >= 4
+        traj.sample(0.5 * (traj.times[1] + traj.times[2]))
+        traj.sample_array([traj.times[2], traj.times[1], traj.t_end])
+        traj.sample_array([traj.times[1], traj.times[0]])
+        assert traj.nfev == start + 3 * 2  # steps 0 and 1; the last is the event step
+
     def test_horizon_run_builds_no_dense_output(self):
         traj = integrate(PeakonState(1.0, 0.0, 0.0, 20.0), ABParams(1 / 3, 3.0),
                          IntegrationConfig(max_time=3.0))
@@ -196,6 +208,41 @@ class TestCounters:
         back = integrate_reversed(PeakonState(1.5, -1.0, 0.0, 0.1), ABParams(1 / 3, 3.0),
                                   IntegrationConfig(), 0.0)
         assert (back.nfev, back.steps, back.rejected) == (0, 0, 0)
+
+
+class TestSamplingOrder:
+    """Dense output is built per sampled step and ``sample`` keeps its last
+    state; neither may change a sampled bit."""
+
+    @pytest.mark.parametrize("case", sorted(CASE_PRESETS))
+    def test_any_subset_equals_a_full_build(self, case):
+        params, _, initial, base = run_point(*CASE_PRESETS[case])
+        full = integrate(initial, params, base.config)
+        mid = 0.5 * (full.times[:-1] + full.times[1:])
+        ts = np.concatenate([full.times, mid, np.linspace(0.0, full.t_end, 41)])
+        want = full.sample_array(ts)  # builds every step
+        rng = np.random.default_rng(len(case))
+        for _ in range(4):
+            traj = integrate(initial, params, base.config)
+            order = rng.permutation(len(ts))
+            for chunk in np.array_split(order, rng.integers(1, 8)):
+                if len(chunk) == 1 or rng.random() < 0.3:
+                    for i in chunk:
+                        assert traj.sample(ts[i]).as_array().tobytes() == want[i].tobytes()
+                else:
+                    assert traj.sample_array(ts[chunk]).tobytes() == want[chunk].tobytes()
+            assert traj.nfev == full.nfev
+
+    def test_kept_state_is_per_time(self):
+        params, _, initial, base = run_point(*CASE_PRESETS["case3"])
+        traj = integrate(initial, params, base.config)
+        fresh = integrate(initial, params, base.config)
+        t1, t2 = 0.25 * traj.t_end, 0.75 * traj.t_end
+        for t in (t1, t2, t1, t1, t2, 0.0, -0.0, 0.0):
+            assert traj.sample(t).as_array().tobytes() == fresh.sample_array([t])[0].tobytes()
+            assert (traj.sample_derivative(t).tobytes()
+                    == fresh.sample_derivative(t).tobytes())
+            assert traj.separation(t) == fresh.separation(t)
 
 
 class TestRootFinder:
