@@ -934,7 +934,7 @@ class Trajectory:
     def sample_array(self, ts) -> np.ndarray:
         """States at the given times as an (n, 4) array [p1, p2, q1, q2]."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        outside = (ts < self.t0 - 1e-12) | (ts > self.t_end + 1e-12)
+        outside = ~((ts >= self.t0 - 1e-12) & (ts <= self.t_end + 1e-12))  # and nan
         if outside.any():
             raise ValueError(f"t = {ts[outside][0]} outside [{self.t0}, {self.t_end}]")
         if self._stepper is None:

@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -435,6 +436,28 @@ class TestFailurePaths:
         assert (code, err) == (2, "error: sample count must be non-negative, got -1\n")
         assert not out.exists()
 
+    def test_huge_sample_count_rejected_before_the_run(self, tmp_path):
+        """np.linspace once tried to allocate 10^15 times after the run and
+        ended in a numpy MemoryError traceback."""
+        out = tmp_path / "x"
+        code, err = _run_captured(["run-case", "--case", "case1", "--sample-count",
+                                   str(10**15), "--out", str(out)])
+        assert (code, err) == (2, "error: sample count must be at most 1000000, "
+                                  "got 1000000000000000\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 7.1 PiB", "error: out of memory: Unable to allocate 7.1 PiB\n"),
+        ("", "error: out of memory\n"),
+    ])
+    def test_memory_error_is_one_line(self, tmp_path, monkeypatch, message, line):
+        def exhaust(cfg):
+            raise MemoryError(message) if message else MemoryError
+
+        monkeypatch.setattr(cli, "run_case", exhaust)
+        code, err = _run_captured(["run-case", "--out", str(tmp_path / "x")])
+        assert (code, err) == (1, line)
+
     @pytest.mark.parametrize("key", ["to_manifest", "from_mapping", "_INT"])
     def test_config_key_naming_no_field_rejected(self, tmp_path, key):
         """A key naming a method or class constant of the config passed as a
@@ -718,6 +741,89 @@ class TestTableWriter:
         if nrows == 0:  # no columns at all is a table without rows too
             cli._write_table(tmp_path / "bare", columns, [], fmt, text=("label",))
             assert (tmp_path / f"bare.{fmt}").read_bytes() == old.read_bytes()
+
+    #: the edges of the vectorized range and the doubles just below them
+    EDGES = [1e-4, np.nextafter(1e-4, 0.0), 1e16, np.nextafter(1e16, 0.0)]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("nrows", [20_000, 405, 10, 1, 0])
+    def test_float_table_bytes_equal_the_oracle(self, tmp_path, fmt, nrows):
+        """A table without a text column goes through the one-pass formatter,
+        in blocks of 2^16 cells (20,000 rows of 4 take two)."""
+        rng = np.random.default_rng(nrows)
+        values = [*self.FLOATS, *self.EDGES, *(-v for v in self.EDGES)]
+        values += (10.0 ** rng.uniform(-6, 18, 4 * nrows) * rng.choice([-1, 1], 4 * nrows)).tolist()
+        columns = ["t", "x", "y", "z"]
+        data = [np.array(values[j * nrows:(j + 1) * nrows]) for j in range(4)]
+        cli._write_table(tmp_path / "new", columns, data, fmt)
+        oracle_write_table(tmp_path / "old", columns, [list(r) for r in zip(*data)], fmt)
+        new, old = (tmp_path / f"{n}.{fmt}" for n in ("new", "old"))
+        assert new.read_bytes() == old.read_bytes()
+        if nrows == 0:
+            cli._write_table(tmp_path / "bare", columns, [], fmt)
+            assert (tmp_path / f"bare.{fmt}").read_bytes() == old.read_bytes()
+
+    def test_float_rows_equal_percent_17g(self):
+        """``_float_rows`` against '%.17g' on over a million doubles: random
+        magnitudes and bit patterns, exact 17-digit ties, powers of ten and
+        their neighbours, integers, zeros, nan, infinities and subnormals."""
+        rng = np.random.default_rng(19)
+        # x = j 2^(D-17) with j odd and x in [10^D, 10^(D+1)), D = -4 .. 15:
+        # x 10^(16-D) = j 5^(16-D) / 2 lies halfway between two integers
+        scale = [Fraction(10) ** D * 2 ** (17 - D) for D in range(-4, 16)]
+        low = np.array([math.ceil(f) for f in scale]) // 2
+        high = np.array([min(math.ceil(10 * f), 2**53) for f in scale]) // 2
+        D = rng.integers(0, 20, 50_000)
+        ties = np.ldexp(2.0 * rng.integers(low[D], high[D]) + 1.0, D - 21)
+        powers = 10.0 ** np.arange(-30, 31)
+        subnormal = rng.integers(1, 2**52, 5_000, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([
+            10.0 ** rng.uniform(-30, 30, 100_000) * rng.choice([-1.0, 1.0], 100_000),
+            10.0 ** rng.uniform(-5, 17, 700_000) * rng.choice([-1.0, 1.0], 700_000),
+            rng.integers(0, 2**64, 50_000, dtype=np.uint64).view(np.float64),
+            ties, -ties,
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), -powers,
+            rng.integers(-10**16, 10**16, 50_000).astype(float),
+            np.arange(-10_000, 10_000, dtype=float),
+            subnormal, -subnormal,
+            [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308],
+        ])
+        assert values.size >= 10**6
+        values = np.concatenate([values, np.zeros(-values.size % 8)])
+        for chunk in np.split(values, range(131_072, values.size, 131_072)):
+            text = cli._float_rows(chunk.reshape(-1, 8).copy())
+            assert text.count("\n") == chunk.size // 8
+            assert text.replace("\n", ",").split(",")[:-1] == list(map("%.17g".__mod__,
+                                                                       chunk.tolist()))
+
+    def test_run_case_tables_equal_the_oracle(self, tmp_path, monkeypatch):
+        """run-case's trajectory table, written by the one-pass formatter,
+        against the row-by-row oracle: case4 with three indices, and a run
+        that ends at its horizon, whose distance columns are all nan."""
+        tables = []
+        write = cli._write_table
+
+        def spy(path, columns, data, fmt, text=()):
+            tables.append((path, list(columns), [list(col) for col in data], fmt, text))
+            write(path, columns, data, fmt, text)
+
+        monkeypatch.setattr(cli, "_write_table", spy)
+        for fmt in ("csv", "json"):
+            for name, flags in (("c4", ["--case", "case4", "--s", "0.5", "--s", "1",
+                                        "--s", "1.4"]),
+                                ("horizon", ["--case", "case1", "--max-time", "0.01",
+                                             "--s", "0.5", "--s", "1"])):
+                assert _run("run-case", *flags, "--format", fmt,
+                            "--out", str(tmp_path / f"{name}-{fmt}")) == 0
+        trajectories = [t for t in tables if t[0].name == "trajectory"]
+        assert len(trajectories) == 4
+        for path, columns, data, fmt, text in trajectories:
+            assert text == ()
+            oracle_write_table(path.with_name("oracle"), columns, list(zip(*data)), fmt)
+            assert (path.with_suffix(f".{fmt}").read_bytes()
+                    == path.with_name(f"oracle.{fmt}").read_bytes())
+            if "horizon" in str(path):
+                assert all(math.isnan(v) for v in data[-1])
 
     def test_carriage_return_is_quoted(self, tmp_path):
         """csv.writer with a "\n" line end leaves a lone "\r" unquoted, and a

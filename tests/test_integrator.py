@@ -304,6 +304,21 @@ class TestTrajectoryApi:
             with pytest.raises(ValueError, match="outside"):
                 traj.sample_array(bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_sample_array_non_finite_time_rejected(self, case_runs, bad):
+        """nan fails both range comparisons; it is refused as out of range
+        too, not returned as a row of nan."""
+        _, _, _, traj = case_runs["case1"]
+        with pytest.raises(ValueError, match=r"t = .* outside \["):
+            traj.sample_array([bad, 0.01])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_sample_non_finite_time_rejected(self, case_runs, bad):
+        """The error names the time, not a state component."""
+        _, _, _, traj = case_runs["case1"]
+        with pytest.raises(ValueError, match=r"t = .* outside \["):
+            traj.sample(bad)
+
     def test_sample_array_of_zero_duration_run(self):
         state = PeakonState(1.5, -1.0, 0.0, 0.1)
         back = integrate_reversed(state, ABParams(1 / 3, 3.0), IntegrationConfig(), 0.0)
