@@ -37,7 +37,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Collection, Optional, Sequence
 
@@ -161,7 +161,10 @@ class ExperimentConfig:
         return cfg
 
     def to_manifest(self) -> dict:
-        return {"tool": "peakonlab", "version": __version__, **asdict(self)}
+        # the fields' own values: the manifest is only serialised, so a deep
+        # copy (dataclasses.asdict) would only cost time
+        return {"tool": "peakonlab", "version": __version__,
+                **{f.name: getattr(self, f.name) for f in fields(self)}}
 
 
 def _flag(name: str) -> str:

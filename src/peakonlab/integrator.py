@@ -26,7 +26,17 @@ rejection, and the starting step of HNW Sec. II.4.  It works on Python
 floats and calls the float-level fields of ``dynamics`` directly; it does
 not care which autonomous field it integrates.  It counts its own field
 evaluations and accepted and rejected steps, and gives up after
-``MAX_STEPS`` accepted steps.
+``MAX_STEPS`` accepted steps.  The tableau is data (``A_ROWS``, ``B_ROW``,
+``ER_ROW``, ``E3_ROW``, ``DENSE_STAGES``, ``DENSE_ROWS``: rows of (stage,
+coefficient) pairs), and the step's arithmetic (the stages and y_new, the
+error sums, the dense output's stages and rows) is generated from it as
+straight-line Python (``_step_source``), once per state dimension, on the
+first step of that dimension: each component unrolled, each coefficient a
+literal, no loop, zip or list per stage.  Sums run left to right as
+written, and the dense output's combinations and the error sums start
+from 0.0, so the code gives the bits of the same step written as loops
+over components (kept in the tests as ``step_oracle``); it spends far
+less time in the interpreter.
 
 Events.  After each accepted step the armed event functions are evaluated
 at the new state.  Where one changes sign (or reaches zero), the dense
@@ -72,9 +82,12 @@ lane per point, and each lane keeps its own t, step size, rejection flag,
 step count and armed events, retiring at its event or horizon.  Every lane
 repeats the scalar run of its point bit for bit.  The stage arithmetic,
 the error sums, the dense output and the interpolant are the same
-elementwise code on floats and on arrays, and IEEE addition, subtraction,
-multiplication, division and square root round the same in numpy as in
-Python.  numpy's own ``exp`` and ``power`` do not: they differ from
+elementwise code on floats and on arrays: the lanes call the generated
+step of dimension 1, with the whole (component, lane) state as its one
+component, and add the error sums' rows in component order from 0, as the
+scalar step of dimension 4 or 5 adds its components.  IEEE addition,
+subtraction, multiplication, division and square root round the same in
+numpy as in Python.  numpy's own ``exp`` and ``power`` do not: they differ from
 ``math.exp`` and from the ``**`` of floats in the last bit on a few percent
 of inputs.  numpy's complex ``exp`` and its ``float_power`` call the C
 library's ``exp`` and ``pow``, as Python does, so the fields' exponential
@@ -232,8 +245,29 @@ ER1, ER6, ER7, ER8, ER9, ER10, ER11, ER12 = (
 BHH1, BHH2, BHH3 = (0.244094488188976377952755905512, 0.733846688281611857341361741547,
                     0.220588235294117647058823529412e-1)
 E31, E39, E312 = B1 - BHH1, B9 - BHH2, B12 - BHH3
-# dense output: stages 14-16, then rows d4 .. d7 of the interpolant, each as
-# (stage, coefficient) pairs over k1 .. k16 (stage numbers from 1)
+# the tableau as rows of (stage, coefficient) pairs over k1 .. k16 (stage
+# numbers from 1), the form from which the step's code is generated: stages
+# 2-12, the 8th-order solution and the two error estimates
+A_ROWS = (
+    ((1, A21),),
+    ((1, A31), (2, A32)),
+    ((1, A41), (3, A43)),
+    ((1, A51), (3, A53), (4, A54)),
+    ((1, A61), (4, A64), (5, A65)),
+    ((1, A71), (4, A74), (5, A75), (6, A76)),
+    ((1, A81), (4, A84), (5, A85), (6, A86), (7, A87)),
+    ((1, A91), (4, A94), (5, A95), (6, A96), (7, A97), (8, A98)),
+    ((1, A101), (4, A104), (5, A105), (6, A106), (7, A107), (8, A108), (9, A109)),
+    ((1, A111), (4, A114), (5, A115), (6, A116), (7, A117), (8, A118), (9, A119),
+     (10, A1110)),
+    ((1, A121), (4, A124), (5, A125), (6, A126), (7, A127), (8, A128), (9, A129),
+     (10, A1210), (11, A1211)),
+)
+B_ROW = ((1, B1), (6, B6), (7, B7), (8, B8), (9, B9), (10, B10), (11, B11), (12, B12))
+ER_ROW = ((1, ER1), (6, ER6), (7, ER7), (8, ER8), (9, ER9), (10, ER10), (11, ER11),
+          (12, ER12))
+E3_ROW = ((1, E31), (6, B6), (7, B7), (8, B8), (9, E39), (10, B10), (11, B11), (12, E312))
+# dense output: stages 14-16, then rows d4 .. d7 of the interpolant
 DENSE_STAGES = (
     ((1, 5.61675022830479523392909219681e-2), (7, 2.53500210216624811088794765333e-1),
      (8, -2.46239037470802489917441475441e-1), (9, -1.24191423263816360469010140626e-1),
@@ -372,51 +406,86 @@ def _initial_steps(f: Callable, y, f0, t_end, rtol: float, atol: float) -> tuple
     return h, (h0 != 0.0) & (flat | (d_max != 0.0)) & np.isfinite(h)
 
 
+def _sums(row, n: int, zero: bool = False) -> list:
+    """The source of sum_j c_j k_j over the (stage, c_j) pairs of ``row`` for
+    each of n components, summed left to right, from 0.0 where ``zero``."""
+    terms = [f"{c!r} * k{j}_{{i}}" for j, c in row]  # each repr once: it is most of the cost
+    text = " + ".join(["0.0", *terms] if zero else terms)
+    return [text.format(i=i) for i in range(n)]
+
+
+def _step_source(n: int) -> str:
+    """The DOP853 step for states of n components, as straight-line Python:
+    ``_stages``, ``_error_sums`` and ``_dense_coeffs`` with every component
+    unrolled and every coefficient a literal.  Each operation is the one, in
+    the order, of the step written as loops over components (the tests'
+    ``step_oracle``), so the two give the same bits on floats and arrays."""
+    comps = range(n)
+
+    def unpack(name: str, value: str) -> str:
+        return f"    {''.join(f'{name}{i}, ' for i in comps)}= {value}"
+
+    def stage(j: int, row, zero: bool = False) -> list:
+        args = ", ".join(f"y{i} + h * ({s})" for i, s in enumerate(_sums(row, n, zero)))
+        return [f"    k{j} = f({args})", unpack(f"k{j}_", f"k{j}")]
+
+    def stage_list(used, last: int) -> str:
+        return ", ".join(f"k{j}" if j in used else "_" for j in range(1, last + 1))
+
+    lines = ["def _stages(f, y, k1, h):", unpack("y", "y"), unpack("k1_", "k1")]
+    for j, row in enumerate(A_ROWS, start=2):
+        lines += stage(j, row)
+    y_new = ", ".join(f"y{i} + h * ({s})" for i, s in enumerate(_sums(B_ROW, n)))
+    lines.append(f"    return {', '.join(f'k{j}' for j in range(2, 13))}, [{y_new}]")
+
+    used = {j for j, _ in ER_ROW + E3_ROW}
+    lines += ["def _error_sums(ks, scale):", f"    {stage_list(used, 12)}, = ks",
+              *(unpack(f"k{j}_", f"k{j}") for j in sorted(used)), unpack("sc", "scale")]
+    for i, (r5, r3) in enumerate(zip(_sums(ER_ROW, n), _sums(E3_ROW, n))):
+        lines += [f"    r5_{i} = ({r5}) / sc{i}", f"    r3_{i} = ({r3}) / sc{i}"]
+    e5, e3 = (" + ".join(["0.0", *(f"r{e}_{i} * r{e}_{i}" for i in comps)]) for e in (5, 3))
+    lines.append(f"    return {e5}, {e3}")
+
+    used = {1, 13} | {j for row in DENSE_STAGES + DENSE_ROWS for j, _ in row}
+    lines += ["def _dense_coeffs(f, h, y, y_new, k):", unpack("y", "y"), unpack("w", "y_new"),
+              f"    {stage_list(used, 13)}, = k",
+              *(unpack(f"k{j}_", f"k{j}") for j in sorted(used - {14, 15, 16}))]
+    for j, row in enumerate(DENSE_STAGES, start=14):
+        lines += stage(j, row, zero=True)
+    lines += [f"    dy{i} = w{i} - y{i}" for i in comps]
+    d = zip(*(_sums(row, n, zero=True) for row in DENSE_ROWS))  # d4 .. d7 per component
+    out = ", ".join(f"(dy{i}, h * k1_{i} - dy{i}, 2 * dy{i} - h * (k13_{i} + k1_{i}), "
+                    + ", ".join(f"h * ({s})" for s in rows) + ")" for i, rows in enumerate(d))
+    lines.append(f"    return [{out}]")
+    return "\n".join(lines) + "\n"
+
+
+class _StepCode(dict):
+    """State dimension -> the generated (``_stages``, ``_error_sums``,
+    ``_dense_coeffs``) for it, compiled on the first step of that dimension."""
+
+    def __missing__(self, n: int) -> tuple:
+        namespace = {}
+        exec(compile(_step_source(n), f"<DOP853 step, {n} components>", "exec"), namespace)
+        code = self[n] = tuple(namespace[name]
+                               for name in ("_stages", "_error_sums", "_dense_coeffs"))
+        return code
+
+
+_STEP_CODE = _StepCode()
+
+
 def _stages(f: Callable, y, k1, h) -> tuple:
     """Stages k2 .. k12 of a step of size h from y, where k1 = f(y), and the
     8th-order solution y_new: returns (k2, ..., k12, y_new)."""
-    k2 = f(*[v + h * (A21 * a) for v, a in zip(y, k1)])
-    k3 = f(*[v + h * (A31 * a + A32 * b) for v, a, b in zip(y, k1, k2)])
-    k4 = f(*[v + h * (A41 * a + A43 * c) for v, a, c in zip(y, k1, k3)])
-    k5 = f(*[v + h * (A51 * a + A53 * c + A54 * d) for v, a, c, d in zip(y, k1, k3, k4)])
-    k6 = f(*[v + h * (A61 * a + A64 * d + A65 * e) for v, a, d, e in zip(y, k1, k4, k5)])
-    k7 = f(*[v + h * (A71 * a + A74 * d + A75 * e + A76 * s6)
-             for v, a, d, e, s6 in zip(y, k1, k4, k5, k6)])
-    k8 = f(*[v + h * (A81 * a + A84 * d + A85 * e + A86 * s6 + A87 * s7)
-             for v, a, d, e, s6, s7 in zip(y, k1, k4, k5, k6, k7)])
-    k9 = f(*[v + h * (A91 * a + A94 * d + A95 * e + A96 * s6 + A97 * s7 + A98 * s8)
-             for v, a, d, e, s6, s7, s8 in zip(y, k1, k4, k5, k6, k7, k8)])
-    k10 = f(*[v + h * (A101 * a + A104 * d + A105 * e + A106 * s6 + A107 * s7
-                       + A108 * s8 + A109 * s9)
-              for v, a, d, e, s6, s7, s8, s9 in zip(y, k1, k4, k5, k6, k7, k8, k9)])
-    k11 = f(*[v + h * (A111 * a + A114 * d + A115 * e + A116 * s6 + A117 * s7
-                       + A118 * s8 + A119 * s9 + A1110 * s10)
-              for v, a, d, e, s6, s7, s8, s9, s10 in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)])
-    k12 = f(*[v + h * (A121 * a + A124 * d + A125 * e + A126 * s6 + A127 * s7
-                       + A128 * s8 + A129 * s9 + A1210 * s10 + A1211 * s11)
-              for v, a, d, e, s6, s7, s8, s9, s10, s11
-              in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)])
-    y_new = [v + h * (B1 * a + B6 * s6 + B7 * s7 + B8 * s8 + B9 * s9 + B10 * s10
-                      + B11 * s11 + B12 * s12)
-             for v, a, s6, s7, s8, s9, s10, s11, s12
-             in zip(y, k1, k6, k7, k8, k9, k10, k11, k12)]
-    return k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12, y_new
+    return _STEP_CODE[len(y)][0](f, y, k1, h)
 
 
 def _error_sums(ks, scale) -> tuple:
     """The squared norms (e5, e3) of the 5th- and 3rd-order error estimates
     of a step with stages ``ks`` = (k1, ..., k12), each component divided by
-    its tolerance ``scale``."""
-    k1, _, _, _, _, k6, k7, k8, k9, k10, k11, k12 = ks
-    e5 = e3 = 0.0
-    for sc, a, s6, s7, s8, s9, s10, s11, s12 in zip(scale, k1, k6, k7, k8, k9, k10, k11, k12):
-        r5 = (ER1 * a + ER6 * s6 + ER7 * s7 + ER8 * s8 + ER9 * s9 + ER10 * s10
-              + ER11 * s11 + ER12 * s12) / sc
-        r3 = (E31 * a + B6 * s6 + B7 * s7 + B8 * s8 + E39 * s9 + B10 * s10
-              + B11 * s11 + E312 * s12) / sc
-        e5 += r5 * r5
-        e3 += r3 * r3
-    return e5, e3
+    its tolerance ``scale``, summed over the components in order from 0.0."""
+    return _STEP_CODE[len(scale)][1](ks, scale)
 
 
 def _crosses(u, v):
@@ -424,31 +493,11 @@ def _crosses(u, v):
     return ((u <= 0.0) & (v >= 0.0)) | ((u >= 0.0) & (v <= 0.0))
 
 
-def _combine(ks, row) -> list:
-    """sum_j c_j k_j over the (stage, c_j) pairs of ``row``, per component,
-    accumulated left to right from 0.0."""
-    out = []
-    for i in range(len(ks[0])):
-        acc = 0.0
-        for j, c in row:
-            acc = acc + c * ks[j - 1][i]
-        out.append(acc)
-    return out
-
-
 def _dense_coeffs(f: Callable, h, y, y_new, k) -> list:
     """Per component, the coefficients d1 .. d7 of the dense output of the
     step from y to y_new with stages k = (k1, ..., k13); three more field
-    evaluations."""
-    ks = list(k)
-    for row in DENSE_STAGES:
-        ks.append(f(*[v + h * c for v, c in zip(y, _combine(ks, row))]))
-    rows = [_combine(ks, row) for row in DENSE_ROWS]
-    out = []
-    for v, w, f_old, f_new, *d in zip(y, y_new, ks[0], ks[12], *rows):
-        dy = w - v
-        out.append((dy, h * f_old - dy, 2 * dy - h * (f_new + f_old), *(h * c for c in d)))
-    return out
+    evaluations.  The stage combinations are summed from 0.0."""
+    return _STEP_CODE[len(y)][2](f, h, y, y_new, k)
 
 
 def _interpolate(x, coeffs, y_old):

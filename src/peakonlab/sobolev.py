@@ -183,7 +183,11 @@ def _pair_series(y: np.ndarray, log_y: np.ndarray, powers: np.ndarray, nu: float
         2.0 * sinc
     )
     l = log_y - (s_up + s_down)[:, None]
-    terms = weight[:, None] * powers * l * exprel(eps * l)
+    terms = weight[:, None] * powers * l
+    # at eps = 0 (integer nu) the factor exprel(eps l) is exprel(+-0.0) = 1.0
+    # wherever l is finite, and where l = -inf (x = 0) the term is NaN already
+    if eps:
+        terms *= exprel(eps * l)
     total = np.zeros_like(y)
     for row in terms[::-1]:
         total += row

@@ -6,8 +6,10 @@ several rejected steps, in both representations: event kinds and times,
 accepted and rejected step counts, states sampled from the dense output,
 and time-reversed runs.  The bounds on states are pinned at ten
 times the agreement measured when the stepper was written.  Also checked:
-its tables against scipy's copy of dop853.f's, its work counters, the root
-finder, and what a non-finite dense output at an event becomes.
+its tables against scipy's copy of dop853.f's, the step generated from them
+per state dimension against ``step_oracle`` (the same step written as loops
+over components) bit for bit, its work counters, the root finder, and what
+a non-finite dense output at an event becomes.
 
 The lane stepper, which runs many points in lockstep, is checked against
 the scalar stepper itself: every lane must give the scalar run's event
@@ -17,9 +19,13 @@ the scalar run raises.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import astuple, replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +47,7 @@ from peakonlab import (
 import peakonlab.integrator as integrator_module
 from peakonlab.integrator import MIN_REL_TOL, _root, terminal_events
 
+import step_oracle
 from conftest import CASE_PRESETS, GRID_A, GRID_B, run_point
 from ivp_oracle import integrate_oracle, reversed_oracle
 
@@ -95,80 +102,211 @@ def test_reversed_round_trip_against_solve_ivp(case_runs):
 
 
 def test_tableau_is_dop853():
-    """The coefficients equal scipy's tables of dop853.f bit for bit."""
+    """The coefficients equal scipy's tables of dop853.f bit for bit, both
+    the named constants and the rows the step's code is generated from."""
     from scipy.integrate._ivp import dop853_coefficients as ref
 
     mod = vars(integrator_module)
+
+    def dense(rows, width: int) -> np.ndarray:
+        out = np.zeros((len(rows), width))
+        for r, row in enumerate(rows):
+            for j, c in row:
+                out[r, j - 1] = c
+        return out
+
     a = np.zeros((16, 16))
     for i in range(2, 13):
         for j in range(1, i):
             a[i - 1, j - 1] = mod.get(f"A{i}{j}", 0.0)
-    for i, row in enumerate(integrator_module.DENSE_STAGES, start=13):
-        for j, c in row:
-            a[i, j - 1] = c
+    a[13:] = dense(integrator_module.DENSE_STAGES, 16)
     b = [mod.get(f"B{i}", 0.0) for i in range(1, 13)]
     a[12, :12] = b
     assert np.array_equal(a, ref.A)
+    a_rows = np.zeros((16, 16))
+    a_rows[1:12] = dense(integrator_module.A_ROWS, 16)
+    a_rows[12] = dense([integrator_module.B_ROW], 16)
+    a_rows[13:] = dense(integrator_module.DENSE_STAGES, 16)
+    assert np.array_equal(a_rows, ref.A)
     e5 = [mod.get(f"ER{i}", 0.0) for i in range(1, 13)] + [0.0]
     assert np.array_equal(e5, ref.E5)
+    assert np.array_equal(dense([integrator_module.ER_ROW], 13)[0], ref.E5)
     e3 = [*b, 0.0]
     e3[0], e3[8], e3[11] = integrator_module.E31, integrator_module.E39, integrator_module.E312
     assert np.array_equal(e3, ref.E3)
-    d = np.zeros((4, 16))
-    for r, row in enumerate(integrator_module.DENSE_ROWS):
-        for j, c in row:
-            d[r, j - 1] = c
-    assert np.array_equal(d, ref.D)
+    assert np.array_equal(dense([integrator_module.E3_ROW], 13)[0], ref.E3)
+    assert np.array_equal(dense(integrator_module.DENSE_ROWS, 16), ref.D)
 
 
-def _combine_oracle(ks, row) -> list:
-    """The dense output's stage combination as it was first written: one new
-    list per (stage, coefficient) pair, accumulated left to right from 0.0.
-    ``integrator._combine`` accumulates in scalars instead and must give the
-    same bits."""
-    out = [0.0] * len(ks[0])
-    for j, c in row:
-        out = [o + c * v for o, v in zip(out, ks[j - 1])]
+def _hex(values) -> list:
+    """float.hex of every float in nested sequences; bytes of arrays."""
+    if isinstance(values, np.ndarray):
+        return [values.shape, values.dtype.str, values.tobytes()]
+    if isinstance(values, float):
+        return float.hex(values)
+    return [_hex(v) for v in values]
+
+
+#: the step's (stages, error sums, dense output), generated and as first written
+GENERATED = (integrator_module._stages, integrator_module._error_sums,
+             integrator_module._dense_coeffs)
+ORACLE = (step_oracle.stages, step_oracle.error_sums, step_oracle.dense_coeffs)
+
+
+def _step_parts(f, h, y, y_new, k, scale) -> list:
+    """The bits of one step through the integrator's generated functions
+    and through ``step_oracle``'s: [generated, oracle]."""
+    out = []
+    for stages, error_sums, dense_coeffs in (GENERATED, ORACLE):
+        ks = stages(f, y, k[0], h)
+        out.append(_hex([ks, error_sums((k[0], *ks[:-1]), scale),
+                         dense_coeffs(f, h, y, y_new, k)]))
     return out
 
 
+def _lane_call(f):
+    """The lane stepper's field: the whole (component, lane) state taken as
+    one component."""
+    return lambda y: [np.array(f(*y))]
+
+
 class TestDenseCoefficients:
-    """``_dense_coeffs`` against itself with ``_combine_oracle``, bit for bit."""
+    """The generated ``_dense_coeffs`` against ``step_oracle.dense_coeffs``,
+    bit for bit."""
 
-    @staticmethod
-    def _both(monkeypatch, *args):
-        got = integrator_module._dense_coeffs(*args)
-        with monkeypatch.context() as m:
-            m.setattr(integrator_module, "_combine", _combine_oracle)
-            want = integrator_module._dense_coeffs(*args)
-        return got, want
-
-    def test_every_preset_step(self, case_runs, monkeypatch):
+    def test_every_preset_step(self, case_runs):
         for rep in Representation:
             for params, _, initial, base in case_runs.values():
                 traj = integrate(initial, params, replace(base.config, representation=rep))
                 stepper = traj._stepper
                 for _, h, y, y_new, k in stepper.steps:
-                    got, want = self._both(monkeypatch, stepper.f, h, y, y_new, k)
-                    assert [list(map(float.hex, c)) for c in got] == [
-                        list(map(float.hex, c)) for c in want]
+                    got, want = (dense_coeffs(stepper.f, h, y, y_new, k)
+                                  for *_, dense_coeffs in (GENERATED, ORACLE))
+                    assert _hex(got) == _hex(want)
 
-    def test_component_lane_arrays(self, case_runs, monkeypatch):
+    def test_component_lane_arrays(self, case_runs):
         """The lane path's call: the whole (component, lane) state as one
         component, one lane per accepted step of the case1 run."""
         params, _, initial, traj = case_runs["case1"]
         stepper = traj._stepper
         _, h, y, y_new, k = (np.array(col) for col in zip(*stepper.steps))
-        f = stepper.f  # the full field, which also takes arrays over lanes
-
-        def whole(y):
-            return [np.array(f(*y))]
-
-        got, want = self._both(monkeypatch, whole, h, [y.T], [y_new.T],
-                               np.moveaxis(k, 0, -1)[:, None])
+        whole = _lane_call(stepper.f)  # the full field, which also takes arrays over lanes
+        args = whole, h, [y.T], [y_new.T], np.moveaxis(k, 0, -1)[:, None]
+        got, want = (dense_coeffs(*args) for *_, dense_coeffs in (GENERATED, ORACLE))
         assert len(got) == 1 and len(got[0]) == 7
         for g, w in zip(got[0], want[0]):
             assert g.shape == (4, len(h)) and g.tobytes() == w.tobytes()
+
+
+class TestGeneratedStep:
+    """The step generated per state dimension (stages and y_new, error sums,
+    dense output) against ``step_oracle``, the same step written as loops
+    over components, bit for bit: on every accepted step of every preset in
+    both representations (4 and 5 components), on the same steps as lane
+    arrays (1 component), and on states made of signed zeros, infinities,
+    NaN, subnormals and 1e300."""
+
+    POOL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+            2.2250738585072014e-308 / 3.0, 1e300, -1e300, 1.0, -0.75, 3.0]
+
+    @pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
+    def test_every_preset_step(self, case_runs, rep):
+        for params, _, initial, base in case_runs.values():
+            cfg = replace(base.config, representation=rep)
+            stepper = integrate(initial, params, cfg)._stepper
+            assert len(stepper.steps[0][2]) == (5 if rep is Representation.REDUCED else 4)
+            for _, h, y, y_new, k in stepper.steps:
+                scale = [cfg.abs_tol + max(abs(v), abs(w)) * cfg.rel_tol
+                         for v, w in zip(y, y_new)]
+                got, want = _step_parts(stepper.f, h, y, y_new, k, scale)
+                assert got == want
+
+    @pytest.mark.parametrize("rep", list(Representation), ids=lambda r: r.value)
+    def test_lane_arrays(self, case_runs, rep):
+        """Each preset's accepted steps as the lanes of one (component, lane)
+        array, called as the lane stepper calls the step."""
+        for params, _, initial, base in case_runs.values():
+            cfg = replace(base.config, representation=rep)
+            stepper = integrate(initial, params, cfg)._stepper
+            _, h, y, y_new, k = (np.moveaxis(np.array(col), 0, -1)
+                                 for col in zip(*stepper.steps))  # the lane last
+            scale = cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol
+            got, want = _step_parts(_lane_call(stepper.f), h, [y], [y_new], k[:, None],
+                                    [scale])
+            assert got == want
+
+    def _field(self):
+        """A field that keeps its inputs' special values: each component a
+        multiple of another."""
+        weights = self.POOL[-3:] * 2
+        return lambda *y: [c * v for c, v in zip(weights, reversed(y))]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_special_values(self, n):
+        rng = random.Random(n)
+        f = self._field()
+        for _ in range(300):
+            y, y_new, scale = ([rng.choice(self.POOL) for _ in range(n)] for _ in range(3))
+            k = [[rng.choice(self.POOL) for _ in range(n)] for _ in range(13)]
+            h = rng.choice(self.POOL)
+            try:
+                got, want = _step_parts(f, h, y, y_new, k, scale)
+            except ZeroDivisionError:  # a zero scale; the oracle raises too
+                with pytest.raises(ZeroDivisionError):
+                    step_oracle.error_sums(k[:12], scale)
+                scale = [1.0] * n
+                got, want = _step_parts(f, h, y, y_new, k, scale)
+            assert got == want
+
+    def test_special_values_in_lanes(self):
+        rng = np.random.default_rng(1)
+        pool = np.array(self.POOL)
+        y, y_new, scale = (pool[rng.integers(len(pool), size=(4, 500))] for _ in range(3))
+        k = pool[rng.integers(len(pool), size=(13, 4, 500))]
+        h = pool[rng.integers(len(pool), size=500)]
+        f = _lane_call(self._field())
+        with np.errstate(all="ignore"):
+            got, want = _step_parts(f, h, [y], [y_new], k[:, None], [scale])
+        assert got == want
+
+    @pytest.mark.parametrize("n", [1, 4, 5])
+    def test_signed_zero_sums(self, n):
+        """Per row of the tableau, stages whose terms in that row are all
+        -0.0, so that the row sums to -0.0 from its first term and to +0.0
+        from 0.0: the stage inputs (recorded by the field), y_new and the
+        dense output show which.  n = 1 is the lane call, on arrays."""
+        def vector(v):
+            return [np.full((4, 3), v)] if n == 1 else [v] * n
+
+        for row in (*integrator_module.A_ROWS, integrator_module.B_ROW,
+                    *integrator_module.DENSE_STAGES, *integrator_module.DENSE_ROWS):
+            k = [vector(1.0) for _ in range(16)]
+            for j, c in row:
+                k[j - 1] = vector(-math.copysign(0.0, c))
+            y = vector(-0.0)
+            got, want = [], []
+            for (stages_of, _, dense_coeffs), seen in ((GENERATED, got), (ORACLE, want)):
+                stages = iter(k[1:12])
+
+                def f(*state):
+                    seen.append(_hex(list(state)))
+                    return next(stages)
+
+                ks = stages_of(f, y, k[0], 1.0)
+                stages = iter(k[13:])
+                seen.append(_hex([ks, dense_coeffs(f, 1.0, y, y, k[:13])]))
+            assert got == want, row
+
+    def test_generated_on_first_use(self):
+        """Importing the integrator generates no code; a step of n components
+        generates the code for n."""
+        script = ("import peakonlab.integrator as m; assert not m._STEP_CODE; "
+                  "from peakonlab import *; "
+                  "integrate(PeakonState(1.5, -1.0, 0.0, 0.1), ABParams(1 / 3, 3.0)); "
+                  "assert list(m._STEP_CODE) == [4], list(m._STEP_CODE)")
+        src = Path(integrator_module.__file__).parents[1]
+        subprocess.run([sys.executable, "-c", script], check=True,
+                       env={**os.environ, "PYTHONPATH": str(src)})
 
 
 class TestCounters:
