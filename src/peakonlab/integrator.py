@@ -17,9 +17,9 @@ The stepper.  ``_Dop853`` is the explicit Runge-Kutta pair DOP853 of
 Hairer, Norsett and Wanner (Solving Ordinary Differential Equations I,
 2nd ed., Sec. II.5: the 12-stage 8th-order method with its 5th- and
 3rd-order error estimators; Sec. II.6: the 7th-order dense output, three
-more stages).  Its coefficients are those of Hairer's code dop853.f, under
-the same names.  Step-size control is the usual one for that pair: the
-error norm |err5|^2 / sqrt(|err5|^2 + 0.01 |err3|^2) in the mixed
+more stages).  Its coefficients are those of Hairer's code dop853.f.
+Step-size control is the usual one for that pair: the error norm
+|err5|^2 / sqrt(|err5|^2 + 0.01 |err3|^2) in the mixed
 tolerance atol + rtol max(|y_old|, |y_new|), a new step of 0.9 err^(-1/8)
 times the old, kept within a factor 0.2 to 10 and not grown right after a
 rejection, and the starting step of HNW Sec. II.4.  It works on Python
@@ -106,16 +106,29 @@ per point of a, b, p1, p2, q1, q2 and the horizon) and leave as columns
 ``start`` on those arrays (``_lane_points``), ``_lane_runs`` returns end
 times, event numbers and end states as arrays, and the scalar terminal
 record's checks (event residual |g(T)| within ``event_tol``, a finite end
-state) are array expressions, so no object is made per point.  A lane the
-stepper cannot finish (a starting step the scalar code cannot take, a step
-below the spacing of t, the step budget, a floating-point failure, a
-non-finite dense output or end state, an event residual above
-``event_tol``, or an initial field that may overflow) is run again through
-``integrate``, so its error is the scalar run's.  A single run stays on the
-scalar stepper: one lane costs over ten times a scalar run (the fixed numpy
-cost of each attempt).  Measured on seeded sweep grids, lockstep is slower
-than one scalar run after another below 32 points, about even at 32 and
-faster from 40 on (``MIN_LANES``).
+state) are array expressions, so no object is made per point.  Lanes and
+brackets move by index: each compaction computes the kept positions once
+and gathers every array with ``take``.
+
+A lockstep attempt has a fixed numpy cost whatever the number of lanes it
+holds, about 0.5 ms, the time of some twenty scalar attempts.  So once no
+more than ``_LANE_HANDOFF`` lanes are running, each goes on from its own
+state on the scalar stepper: ``_Dop853.solve`` starts from the lane's t,
+y, k1, step size, rejection flag, step floor, accepted steps and event
+values, the state between two attempts, and takes the attempts the run
+from 0 would take from there, bit for bit.  A lane whose next attempt
+would find its step below the spacing of t, or its step budget spent,
+resumes the same way; its scalar run raises there, and that error is the
+point's, at the state the run from 0 would report.  What the lanes cannot
+decide goes through ``integrate`` itself, which raises the point's error:
+a point whose start the scalar code refuses (a reversed peak order in the
+reduced field, an initial field that may overflow, a starting step it
+cannot take), an event search that fails (a non-finite dense output), and
+an end that fails the terminal record's checks.  A single run stays on the scalar stepper:
+one lane costs over ten times a scalar run (the fixed numpy cost of each
+attempt).  Measured on seeded sweep grids, lockstep is slower than one
+scalar run after another below 32 points, about even at 32 and faster
+from 40 on (``MIN_LANES``).
 """
 
 from __future__ import annotations
@@ -193,80 +206,58 @@ class IntegrationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# DOP853 (HNW Sec. II.5-II.6; names and values of dop853.f).  Stage i uses
-# k1 and, from stage 6 on, k4 .. k(i-1); stage 13 is the field at the new
-# state.  The tableau's nodes c_i are not needed: the fields are autonomous.
-
-A21 = 5.26001519587677318785587544488e-2
-A31, A32 = 1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2
-A41, A43 = 2.95875854768068491816892993775e-2, 8.87627564304205475450678981324e-2
-A51, A53, A54 = (2.41365134159266685502369798665e-1, -8.84549479328286085344864962717e-1,
-                 9.24834003261792003115737966543e-1)
-A61, A64, A65 = (3.7037037037037037037037037037e-2, 1.70828608729473871279604482173e-1,
-                 1.25467687566822425016691814123e-1)
-A71, A74, A75, A76 = (3.7109375e-2, 1.70252211019544039314978060272e-1,
-                      6.02165389804559606850219397283e-2, -1.7578125e-2)
-A81, A84, A85, A86, A87 = (
-    3.70920001185047927108779319836e-2, 1.70383925712239993810214054705e-1,
-    1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
-    8.27378916381402288758473766002e-3)
-A91, A94, A95, A96, A97, A98 = (
-    6.24110958716075717114429577812e-1, -3.36089262944694129406857109825,
-    -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
-    2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1)
-A101, A104, A105, A106, A107, A108, A109 = (
-    4.77662536438264365890433908527e-1, -2.48811461997166764192642586468,
-    -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
-    1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
-    -2.03312017085086261358222928593e-2)
-A111, A114, A115, A116, A117, A118, A119, A1110 = (
-    -9.3714243008598732571704021658e-1, 5.18637242884406370830023853209,
-    1.09143734899672957818500254654, -8.14978701074692612513997267357,
-    -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
-    2.49360555267965238987089396762, -3.0467644718982195003823669022)
-A121, A124, A125, A126, A127, A128, A129, A1210, A1211 = (
-    2.27331014751653820792359768449, -1.05344954667372501984066689879e1,
-    -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
-    2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
-    -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
-    6.43392746015763530355970484046e-1)
-# 8th-order weights (k2 .. k5 have weight 0)
-B1, B6, B7, B8, B9, B10, B11, B12 = (
-    5.42937341165687622380535766363e-2, 4.45031289275240888144113950566,
-    1.89151789931450038304281599044, -5.8012039600105847814672114227,
-    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
-    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2)
-# error weights: err5 = sum ER_i k_i; err3 = sum (B_i - BHH_i) k_i
-ER1, ER6, ER7, ER8, ER9, ER10, ER11, ER12 = (
-    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
-    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
-    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
-    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1)
-BHH1, BHH2, BHH3 = (0.244094488188976377952755905512, 0.733846688281611857341361741547,
-                    0.220588235294117647058823529412e-1)
-E31, E39, E312 = B1 - BHH1, B9 - BHH2, B12 - BHH3
-# the tableau as rows of (stage, coefficient) pairs over k1 .. k16 (stage
-# numbers from 1), the form from which the step's code is generated: stages
-# 2-12, the 8th-order solution and the two error estimates
+# DOP853 (HNW Sec. II.5-II.6; the values of dop853.f).  The tableau's nodes
+# c_i are not needed: the fields are autonomous.  The tableau is written as
+# rows of (stage, coefficient) pairs over k1 .. k16 (stage numbers from 1),
+# the form from which the step's code is generated: stages 2-12 (stage i
+# uses k1 and, from stage 6 on, k4 .. k(i-1); stage 13 is the field at the
+# new state), the 8th-order solution B (k2 .. k5 have weight 0) and the two
+# error estimates, err5 = sum ER_i k_i and err3 = sum (B_i - BHH_i) k_i
 A_ROWS = (
-    ((1, A21),),
-    ((1, A31), (2, A32)),
-    ((1, A41), (3, A43)),
-    ((1, A51), (3, A53), (4, A54)),
-    ((1, A61), (4, A64), (5, A65)),
-    ((1, A71), (4, A74), (5, A75), (6, A76)),
-    ((1, A81), (4, A84), (5, A85), (6, A86), (7, A87)),
-    ((1, A91), (4, A94), (5, A95), (6, A96), (7, A97), (8, A98)),
-    ((1, A101), (4, A104), (5, A105), (6, A106), (7, A107), (8, A108), (9, A109)),
-    ((1, A111), (4, A114), (5, A115), (6, A116), (7, A117), (8, A118), (9, A119),
-     (10, A1110)),
-    ((1, A121), (4, A124), (5, A125), (6, A126), (7, A127), (8, A128), (9, A129),
-     (10, A1210), (11, A1211)),
+    ((1, 5.26001519587677318785587544488e-2),),
+    ((1, 1.97250569845378994544595329183e-2), (2, 5.91751709536136983633785987549e-2)),
+    ((1, 2.95875854768068491816892993775e-2), (3, 8.87627564304205475450678981324e-2)),
+    ((1, 2.41365134159266685502369798665e-1), (3, -8.84549479328286085344864962717e-1),
+     (4, 9.24834003261792003115737966543e-1)),
+    ((1, 3.7037037037037037037037037037e-2), (4, 1.70828608729473871279604482173e-1),
+     (5, 1.25467687566822425016691814123e-1)),
+    ((1, 3.7109375e-2), (4, 1.70252211019544039314978060272e-1),
+     (5, 6.02165389804559606850219397283e-2), (6, -1.7578125e-2)),
+    ((1, 3.70920001185047927108779319836e-2), (4, 1.70383925712239993810214054705e-1),
+     (5, 1.07262030446373284651809199168e-1), (6, -1.53194377486244017527936158236e-2),
+     (7, 8.27378916381402288758473766002e-3)),
+    ((1, 6.24110958716075717114429577812e-1), (4, -3.36089262944694129406857109825),
+     (5, -8.68219346841726006818189891453e-1), (6, 2.75920996994467083049415600797e1),
+     (7, 2.01540675504778934086186788979e1), (8, -4.34898841810699588477366255144e1)),
+    ((1, 4.77662536438264365890433908527e-1), (4, -2.48811461997166764192642586468),
+     (5, -5.90290826836842996371446475743e-1), (6, 2.12300514481811942347288949897e1),
+     (7, 1.52792336328824235832596922938e1), (8, -3.32882109689848629194453265587e1),
+     (9, -2.03312017085086261358222928593e-2)),
+    ((1, -9.3714243008598732571704021658e-1), (4, 5.18637242884406370830023853209),
+     (5, 1.09143734899672957818500254654), (6, -8.14978701074692612513997267357),
+     (7, -1.85200656599969598641566180701e1), (8, 2.27394870993505042818970056734e1),
+     (9, 2.49360555267965238987089396762), (10, -3.0467644718982195003823669022)),
+    ((1, 2.27331014751653820792359768449), (4, -1.05344954667372501984066689879e1),
+     (5, -2.00087205822486249909675718444), (6, -1.79589318631187989172765950534e1),
+     (7, 2.79488845294199600508499808837e1), (8, -2.85899827713502369474065508674),
+     (9, -8.87285693353062954433549289258), (10, 1.23605671757943030647266201528e1),
+     (11, 6.43392746015763530355970484046e-1)),
 )
-B_ROW = ((1, B1), (6, B6), (7, B7), (8, B8), (9, B9), (10, B10), (11, B11), (12, B12))
-ER_ROW = ((1, ER1), (6, ER6), (7, ER7), (8, ER8), (9, ER9), (10, ER10), (11, ER11),
-          (12, ER12))
-E3_ROW = ((1, E31), (6, B6), (7, B7), (8, B8), (9, E39), (10, B10), (11, B11), (12, E312))
+B_ROW = (
+    (1, 5.42937341165687622380535766363e-2), (6, 4.45031289275240888144113950566),
+    (7, 1.89151789931450038304281599044), (8, -5.8012039600105847814672114227),
+    (9, 3.1116436695781989440891606237e-1), (10, -1.52160949662516078556178806805e-1),
+    (11, 2.01365400804030348374776537501e-1), (12, 4.47106157277725905176885569043e-2)
+)
+ER_ROW = (
+    (1, 0.1312004499419488073250102996e-1), (6, -0.1225156446376204440720569753e+1),
+    (7, -0.4957589496572501915214079952), (8, 0.1664377182454986536961530415e+1),
+    (9, -0.3503288487499736816886487290), (10, 0.3341791187130174790297318841),
+    (11, 0.8192320648511571246570742613e-1), (12, -0.2235530786388629525884427845e-1)
+)
+_BHH = {1: 0.244094488188976377952755905512, 9: 0.733846688281611857341361741547,
+        12: 0.220588235294117647058823529412e-1}
+E3_ROW = tuple((j, c - _BHH.get(j, 0.0)) for j, c in B_ROW)
 # dense output: stages 14-16, then rows d4 .. d7 of the interpolant
 DENSE_STAGES = (
     ((1, 5.61675022830479523392909219681e-2), (7, 2.53500210216624811088794765333e-1),
@@ -332,6 +323,9 @@ MIN_LANES = 32
 #: 8.8-8.9 and 10.0-10.6 ms at 4, 6.4-6.8 and 10.0-10.7 ms at 16, and
 #: 8.8-9.3 and 15.1-15.8 ms at 128 (medians of 9 interleaved runs)
 ROOT_HANDOFF = 8
+#: the lane stepper goes on with its last running lanes on the scalar
+#: stepper once no more than this many are left after an attempt
+_LANE_HANDOFF = 16
 ERROR_EXPONENT = -1.0 / 8.0  # -1 / (1 + order of the error estimate)
 _ROOT_TOL = 4.0 * sys.float_info.epsilon
 
@@ -560,7 +554,7 @@ def _roots(g: Callable, a, b, handoff: int = 0) -> tuple:
     found = (fa == fa) & (fb == fb)
     roots = np.where(fa == 0.0, a, b)
     i = np.flatnonzero(found & ~((fa == 0.0) | ((fb != 0.0) & ((fa > 0.0) == (fb > 0.0)))))
-    a, b, fa, fb = a[i], b[i], fa[i], fb[i]
+    a, b, fa, fb = a.take(i), b.take(i), fa.take(i), fb.take(i)
     wa, wb, kept = fa, fb, np.zeros(i.size, dtype=int)
     for _ in range(200):
         converged = (fb == 0.0) | (b - a <= _ROOT_TOL * np.abs(b))
@@ -574,7 +568,9 @@ def _roots(g: Callable, a, b, handoff: int = 0) -> tuple:
         if not go.all():
             roots[i[stop]] = np.where(np.abs(fb) <= np.abs(fa), b, a)[stop]
             found[i[failed]] = False
-            i, a, b, fa, fb, wa, wb, kept, t = (v[go] for v in (i, a, b, fa, fb, wa, wb, kept, t))
+            at = np.flatnonzero(go)
+            i, a, b, fa, fb, wa, wb, kept, t = (
+                v.take(at) for v in (i, a, b, fa, fb, wa, wb, kept, t))
         if i.size < max(handoff, 1):
             found[i] = False
             return roots, found
@@ -588,7 +584,8 @@ def _roots(g: Callable, a, b, handoff: int = 0) -> tuple:
         nan = ft != ft
         if nan.any():
             found[i[nan]] = False
-            i, a, b, fa, fb, wa, wb, kept = (v[~nan] for v in (i, a, b, fa, fb, wa, wb, kept))
+            at = np.flatnonzero(~nan)
+            i, a, b, fa, fb, wa, wb, kept = (v.take(at) for v in (i, a, b, fa, fb, wa, wb, kept))
     roots[i] = np.where(np.abs(fb) <= np.abs(fa), b, a)  # the iteration cap
     return roots, found
 
@@ -604,6 +601,22 @@ class _DenseState:
 
     def __getitem__(self, j):
         return _interpolate(self.x, self.coeffs[j], self.y_old[j])
+
+
+class _LaneDenseState(_DenseState):
+    """``_DenseState`` of the lanes ``lanes`` of (component, ..., lane)
+    interpolants, each component gathered for those lanes when an event
+    function reads it."""
+
+    __slots__ = ("lanes",)
+
+    def __init__(self, x, coeffs, y_old, lanes):
+        super().__init__(x, coeffs, y_old)
+        self.lanes = lanes
+
+    def __getitem__(self, j):
+        lanes = self.lanes
+        return _interpolate(self.x, self.coeffs[j].take(lanes, axis=-1), self.y_old[j].take(lanes))
 
 
 def _locate(events, g_old, g_new, t_old: float, t_new: float, h: float, y_old,
@@ -640,12 +653,12 @@ def _locate_lanes(events: tuple, armed, t_old, t_new, h, y_old, y_new, coeffs,
 
     def values(t, i):
         out = np.empty(i.size)
-        ends = np.searchsorted(event[i], np.arange(len(events) + 1))  # i keeps that order
+        ends = np.searchsorted(event.take(i), np.arange(len(events) + 1))  # i keeps that order
         for (_, g), lo, hi in zip(events, ends[:-1], ends[1:]):
             if lo < hi:
-                j = lane[i[lo:hi]]
-                out[lo:hi] = g(_DenseState((t[lo:hi] - t_old[j]) / h[j], coeffs[:, :, j],
-                                           y_old[:, j]))
+                j = lane.take(i[lo:hi])
+                out[lo:hi] = g(_LaneDenseState((t[lo:hi] - t_old.take(j)) / h.take(j), coeffs,
+                                               y_old, j))
         return out
 
     roots, found = _roots(values, t_old[lane], t_new[lane], handoff)
@@ -672,40 +685,46 @@ class _Dop853:
         self.steps = []  # (t, h, y, y_new, (k1 .. k13)) per accepted step
         self._dense = {}  # step index -> interpolant coefficients
 
-    def solve(self, y, t_end: float, events: Sequence[Callable]):
-        """Returns (times, states, index of the event that fired or None)."""
+    def solve(self, y, t_end: float, events: Sequence[Callable], lane: Optional[tuple] = None):
+        """Returns (times, states, index of the event that fired or None).
+
+        A run starts at t = 0 with HNW's starting step.  With ``lane`` =
+        (t, k1, h_abs, rejected, min_step, accepted steps, event values), it
+        resumes at the state y that a lane of the lane stepper holds between
+        two attempts, and takes the attempts that the run from 0 takes from
+        there; ``steps`` and ``rejected`` then count its own."""
         f, rtol, atol, n = self.f, self.rtol, self.atol, len(y)
-        t, ts, ys, steps = 0.0, [0.0], [y], self.steps
-        g = [gi(y) for gi in events]
+        t = 0.0 if lane is None else lane[0]  # (t, y): the state a failure reports
         try:
-            k1 = f(*y)
-            h_abs = _initial_step(f, y, k1, t_end, rtol, atol)
-            self.nfev += 2
-            while t < t_end:
-                if len(steps) == MAX_STEPS:
+            if lane is None:
+                k1 = f(*y)
+                h_abs = _initial_step(f, y, k1, t_end, rtol, atol)
+                self.nfev += 2
+                min_step = 10.0 * math.nextafter(0.0, math.inf)
+                lane = (t, k1, max(h_abs, min_step), False, min_step, 0, [gi(y) for gi in events])
+            t, k1, h_abs, rejected, min_step, done, g = lane
+            ts, ys, steps, budget = [t], [y], self.steps, MAX_STEPS - done
+            while True:  # one attempt; t < t_end
+                if len(steps) == budget:
                     raise _StepFailure(f"more than {MAX_STEPS} steps needed", t, y)
-                min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-                h_abs = max(h_abs, min_step)
-                rejected = False
-                while True:
-                    if not min_step <= h_abs < math.inf:
-                        raise _StepFailure(
-                            "Required step size is less than spacing between numbers.", t, y)
-                    t_new = min(t + h_abs, t_end)
-                    h = h_abs = t_new - t
-                    *ks, y_new = _stages(f, y, k1, h)
-                    self.nfev += 11
-                    scale = [atol + max(abs(v), abs(w)) * rtol for v, w in zip(y, y_new)]
-                    e5, e3 = _error_sums((k1, *ks), scale)
-                    err = h * e5 / math.sqrt((e5 + 0.01 * e3) * n) if e5 else 0.0
-                    if err < 1.0:
-                        factor = MAX_FACTOR if err == 0.0 else min(
-                            MAX_FACTOR, SAFETY * err ** ERROR_EXPONENT)
-                        h_abs *= min(1.0, factor) if rejected else factor
-                        break
+                if not min_step <= h_abs < math.inf:
+                    raise _StepFailure(
+                        "Required step size is less than spacing between numbers.", t, y)
+                t_new = min(t + h_abs, t_end)
+                h = h_abs = t_new - t
+                *ks, y_new = _stages(f, y, k1, h)
+                self.nfev += 11
+                scale = [atol + max(abs(v), abs(w)) * rtol for v, w in zip(y, y_new)]
+                e5, e3 = _error_sums((k1, *ks), scale)
+                err = h * e5 / math.sqrt((e5 + 0.01 * e3) * n) if e5 else 0.0
+                if not err < 1.0:
                     h_abs *= max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
                     rejected = True
                     self.rejected += 1
+                    continue
+                factor = MAX_FACTOR if err == 0.0 else min(
+                    MAX_FACTOR, SAFETY * err ** ERROR_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
                 k13 = f(*y_new)
                 self.nfev += 1
                 steps.append((t, h, y, y_new, (k1, *ks, k13)))
@@ -723,9 +742,15 @@ class _Dop853:
                 g = g_new
                 ts.append(t)
                 ys.append(y)
+                if not t < t_end:
+                    return ts, ys, None
+                # the next step: not right after a rejection, and at least
+                # ten spacings of t
+                rejected = False
+                min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+                h_abs = max(h_abs, min_step)
         except (OverflowError, ZeroDivisionError) as exc:
             raise _StepFailure(f"floating-point failure: {exc}", t, y) from None
-        return ts, ys, None
 
     def dense(self, i: int) -> list:
         """Per component, the coefficients d1 .. d7 of step i's interpolant
@@ -744,9 +769,10 @@ class _Lanes:
     def __init__(self, **arrays):
         self.__dict__.update(arrays)
 
-    def keep(self, mask) -> None:
+    def keep(self, index) -> None:
+        """Keep the lanes at the positions ``index``, in that order."""
         for name, value in vars(self).items():
-            setattr(self, name, value[..., mask])
+            setattr(self, name, value.take(index, axis=-1))
 
 
 def _lane_runs(fields: "_FieldDescription", args, y0, t_end, rtol: float,
@@ -758,21 +784,28 @@ def _lane_runs(fields: "_FieldDescription", args, y0, t_end, rtol: float,
     (component, lane) and horizons ``t_end``, as ``_lane_points`` builds
     them.  Every lane keeps its own t, step size, rejection flag and step
     counts, and retires at its event or horizon.  The starting steps are
-    found for all lanes at once (``_initial_steps``).  The dense output and
-    the root search of the event steps are done together once the stepping
-    has stopped (``_locate_lanes``); the last few brackets of the search,
-    and the lanes whose search fails, go through the scalar ``_locate``.
+    found for all lanes at once (``_initial_steps``).  Once no more than
+    ``_LANE_HANDOFF`` lanes are running after an attempt, each of them goes on
+    from its state on the scalar stepper (``_Dop853.solve``), as does a lane
+    whose next attempt would find it out of step size or step budget: the
+    scalar run raises there.  The dense output and the root search of the
+    lockstep event steps are done together once the stepping has stopped
+    (``_locate_lanes``); the last few brackets of the search, and the lanes
+    whose search fails, go through the scalar ``_locate``.
 
-    Returns arrays over lanes (t, event, y, steps, rejected, ok): the end
-    time, the number in ``fields.events`` of the event that fired (-1 at the
-    horizon), the end state (component, lane), and the accepted and rejected
-    steps; ok is False where the scalar stepper raises, and the other values
-    are meaningless there.  The rejected steps are counted for the tests,
-    which compare both counts with the scalar run's.
+    Returns arrays over lanes (t, event, y, steps, rejected, ok) and a list
+    ``failed``: the end time, the number in ``fields.events`` of the event
+    that fired (-1 at the horizon), the end state (component, lane), and the
+    accepted and rejected steps; ok is False where the lane has no end, and
+    the other values are meaningless there.  ``failed`` holds (lane,
+    ``_StepFailure``) for the lanes whose scalar run raised; the other lanes
+    without an end are for ``integrate`` to decide.  The rejected steps are
+    counted for the tests, which compare both counts with the scalar run's.
     """
     n = y0.shape[-1]
     t_out, y_out = np.full(n, math.nan), np.full(y0.shape, math.nan)
     event_out, steps_out, rejected_out, ok_out = (np.full(n, v) for v in (-1, 0, 0, False))
+    failed = []
     func, events = fields.func, fields.events
     armed = np.array(_arming(events, y0))
 
@@ -786,6 +819,24 @@ def _lane_runs(fields: "_FieldDescription", args, y0, t_end, rtol: float,
         t_out[lane], event_out[lane], y_out[:, lane] = t, event, y
         steps_out[lane], rejected_out[lane], ok_out[lane] = steps, rejected, True
 
+    def resume(live: _Lanes, at) -> None:
+        """The lanes at the positions ``at`` of ``live``, each run to its end on
+        the scalar stepper from its floats."""
+        columns = (live.lane, live.args.T, live.y.T, live.t_end, live.armed.T, live.t, live.k1.T,
+                   live.h_abs, live.rejected, live.min_step, live.steps, live.g.T, live.rejections)
+        for (lane, args, y, t_end, on, t, k1, h_abs, rejected, min_step, steps, g,
+             rejections) in zip(*(c.take(at, axis=0).tolist() for c in columns)):
+            on = [e for e, armed_e in enumerate(on) if armed_e]
+            stepper = _Dop853(partial(func, *args), rtol, atol)
+            try:
+                ts, ys, hit = stepper.solve(y, t_end, [events[e][1] for e in on], (
+                    t, k1, h_abs, rejected, min_step, steps, [g[e] for e in on]))
+            except _StepFailure as exc:
+                failed.append((lane, exc))
+                continue
+            finish(lane, ts[-1], -1 if hit is None else on[hit], ys[-1],
+                   steps + len(stepper.steps), rejections + stepper.rejected)
+
     with np.errstate(all="ignore"):
         k1 = np.array(func(*args, *y0))
         h_abs, started = _initial_steps(partial(func, *args), y0, k1, t_end, rtol, atol)
@@ -796,13 +847,17 @@ def _lane_runs(fields: "_FieldDescription", args, y0, t_end, rtol: float,
             rejected=np.zeros(n, dtype=bool), min_step=min_step,
             h_abs=_max(h_abs, min_step), args=args, armed=armed,
             y=y0, k1=k1, g=np.array([g(y0) for _, g in events]))
-        live.keep(started)
-        pool = []  # per batch of event steps: lane, t_old, t_new, h, y_old, y_new, stages,
-        #            accepted and rejected steps
+        live.keep(np.flatnonzero(started))
+        pool = []  # per batch of event steps: lane, t_old, t_new, h, y_old, y_new,
+        #            accepted and rejected steps, stages k1 .. k13
         while live.lane.size:
-            ok = (live.min_step <= live.h_abs) & (live.h_abs < math.inf)
-            if not ok.all():  # the step size fell below the spacing of t
-                live.keep(ok)
+            # the scalar loop's first checks: out of steps, or a step size
+            # below the spacing of t
+            stuck = ((live.steps == MAX_STEPS)
+                     | ~((live.min_step <= live.h_abs) & (live.h_abs < math.inf)))
+            if stuck.any():
+                resume(live, np.flatnonzero(stuck))
+                live.keep(np.flatnonzero(~stuck))
                 if not live.lane.size:
                     break
             f, t, y, k1 = whole(live.args), live.t, live.y, live.k1
@@ -836,31 +891,36 @@ def _lane_runs(fields: "_FieldDescription", args, y0, t_end, rtol: float,
             hit = accept & (live.armed & _crosses(live.g, g_new)).any(axis=0)
             live.g = g_new
             horizon = accept & ~hit & ~(live.t < live.t_end)
-            exhausted = accept & ~hit & ~horizon & (live.steps == MAX_STEPS)
             if hit.any():
-                pool.append((live.lane[hit], t[hit], t_new[hit], h[hit], y[:, hit],
-                             y_new[:, hit], np.array([k[:, hit] for k in (k1, *ks, k13)]),
-                             live.steps[hit], live.rejections[hit]))
+                at = np.flatnonzero(hit)
+                pool.append([v.take(at, axis=-1) for v in (
+                    live.lane, t, t_new, h, y, y_new, live.steps, live.rejections, k1, *ks, k13)])
             if horizon.any():
-                finish(live.lane[horizon], live.t[horizon], -1, live.y[:, horizon],
-                       live.steps[horizon], live.rejections[horizon])
+                at = np.flatnonzero(horizon)
+                finish(live.lane.take(at), live.t.take(at), -1, live.y.take(at, axis=-1),
+                       live.steps.take(at), live.rejections.take(at))
             moved = accept & ~hit
             live.min_step = np.where(moved, 10.0 * (np.nextafter(live.t, math.inf) - live.t),
                                      live.min_step)
             live.h_abs = np.where(moved, _max(live.h_abs, live.min_step), live.h_abs)
-            done = hit | horizon | exhausted
-            if done.any():
-                live.keep(~done)
+            running = np.flatnonzero(~(hit | horizon))
+            if running.size <= _LANE_HANDOFF:
+                resume(live, running)
+                break
+            if running.size < live.lane.size:
+                live.keep(running)
 
         if pool:
-            lane, t_old, t_new, h, y_old, y_new, ks, steps, rejections = (
+            lane, t_old, t_new, h, y_old, y_new, steps, rejections, *ks = (
                 np.concatenate(col, axis=-1) for col in zip(*pool))
-            coeffs, = _dense_coeffs(whole(args[:, lane]), h, [y_old], [y_new], ks[:, None])
-            coeffs, armed = np.stack(coeffs, axis=1), armed[:, lane]
+            coeffs, = _dense_coeffs(whole(args.take(lane, axis=-1)), h, [y_old], [y_new],
+                                    [[k] for k in ks])
+            coeffs, armed = np.stack(coeffs, axis=1), armed.take(lane, axis=-1)
             t_event, event, y_event, found = _locate_lanes(
                 events, armed, t_old, t_new, h, y_old, y_new, coeffs, ROOT_HANDOFF)
-            finish(lane[found], t_event[found], event[found], y_event[:, found], steps[found],
-                   rejections[found])
+            at = np.flatnonzero(found)
+            finish(lane.take(at), t_event.take(at), event.take(at), y_event.take(at, axis=-1),
+                   steps.take(at), rejections.take(at))
             for j in np.flatnonzero(~found).tolist():  # the scalar search, on the lane's floats
                 numbers = np.flatnonzero(armed[:, j])
                 fns = [events[e][1] for e in numbers.tolist()]
@@ -872,7 +932,7 @@ def _lane_runs(fields: "_FieldDescription", args, y0, t_end, rtol: float,
                 except (ValueError, OverflowError, ZeroDivisionError):
                     continue
                 finish(lane[j], t_b, numbers[hit], y_end, steps[j], rejections[j])
-    return t_out, event_out, y_out, steps_out, rejected_out, ok_out
+    return t_out, event_out, y_out, steps_out, rejected_out, ok_out, failed
 
 
 # ---------------------------------------------------------------------------
@@ -1075,6 +1135,15 @@ def _may_overflow(a, b, p1, p2, maximum: Callable = max):
     return 64.0 * c * m * m * m * m == math.inf  # c, m >= 1: a NaN never wins the max
 
 
+def _failure(exc: _StepFailure, to_array: Callable) -> Exception:
+    """What ``integrate`` raises for a stepper failure: IntegrationError with
+    the last good state, or the ValueError of a state that is not finite."""
+    try:
+        return IntegrationError(str(exc), exc.t, _state(to_array, exc.y))
+    except ValueError as error:
+        return error
+
+
 def _solve(rhs: Callable, y0: list, to_array: Callable, events: Sequence, params: ABParams,
            config: IntegrationConfig, t_end: float, time_sign: float = 1.0) -> Trajectory:
     """Integrate ``rhs`` from y0 on [0, t_end] until the first of ``events``.
@@ -1096,7 +1165,7 @@ def _solve(rhs: Callable, y0: list, to_array: Callable, events: Sequence, params
     try:
         ts, ys, hit = stepper.solve(y0, t_end, [g for _, g in events])
     except _StepFailure as exc:
-        raise IntegrationError(str(exc), exc.t, _state(to_array, exc.y)) from None
+        raise _failure(exc, to_array) from None
     kind, g = events[hit] if hit is not None else (EventKind.HORIZON, None)
     residual = abs(g(ys[-1])) if g else 0.0
     if not residual <= config.event_tol:
@@ -1174,8 +1243,8 @@ def terminal_events(a, b, p1, p2, q1, q2, horizon, config: IntegrationConfig) ->
     if n >= MIN_LANES:
         fields = _description(config.representation)
         index, args, y0, t_end = _lane_points(fields, *columns)
-        t, event, y, _, _, ok = _lane_runs(fields, args, y0, t_end, config.rel_tol,
-                                           config.abs_tol)
+        t, event, y, _, _, ok, failed = _lane_runs(fields, args, y0, t_end, config.rel_tol,
+                                                   config.abs_tol)
         with np.errstate(invalid="ignore"):  # what the scalar terminal record refuses
             ok &= np.isfinite(fields.to_array(y)).all(axis=0)
             for number, (_, g) in enumerate(fields.events):
@@ -1184,7 +1253,9 @@ def terminal_events(a, b, p1, p2, q1, q2, horizon, config: IntegrationConfig) ->
         # the horizon's event number, -1, reads the last name
         names = np.array([kind for kind, _ in fields.events] + [EventKind.HORIZON], dtype=object)
         times[index[ok]], kinds[index[ok]] = t[ok], names[event[ok]]
-    for i in np.flatnonzero(np.isnan(times)).tolist():  # the points no lane finished
+        for j, exc in failed:  # the error of the point's scalar run, at the same state
+            kinds[index[j]] = _failure(exc, fields.to_array).with_traceback(None)
+    for i in np.flatnonzero(np.equal(kinds, None)).tolist():  # the points no lane finished
         a_i, b_i, *state, t_end_i = (float(c[i]) for c in columns)
         try:
             end = integrate(PeakonState(*state), ABParams(a_i, b_i),

@@ -210,11 +210,12 @@ def _pair_integrals(omega, indices) -> list:
     from scipy.special import gamma, kv
 
     omega = np.abs(np.asarray(omega, dtype=float))
-    small = (omega > 0.0) & (omega < _SERIES_OMEGA)
+    x = 0.5 * omega
+    small = (x > 0.0) & (omega < _SERIES_OMEGA)  # G = 0 where omega / 2 underflows to 0
     large = omega >= _SERIES_OMEGA
     any_small, any_large = small.any(), large.any()
     if any_small:
-        x = 0.5 * omega[small]
+        x = x[small]
         y, log_y = x * x, 2.0 * np.log(x)
         ranges = [_series_exponents(H_S_LIMIT - s) for s in indices]
         exponents = sorted(set().union(*ranges))  # each index's range is a run of these

@@ -221,6 +221,15 @@ class TestPairIntegral:
         assert pair_integral(0.0, 1.0) == 0.0
         assert pair_integral(-0.3, 1.2) == pair_integral(0.3, 1.2)
 
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    def test_zero_where_half_the_separation_underflows(self, s):
+        """At omega = 5e-324, omega / 2 rounds to 0 and G is 0, as at the
+        origin, with no warning (the suite turns warnings into errors)."""
+        assert pair_integral(5e-324, s) == 0.0
+        assert pair_integral(np.array([0.0, 5e-324, 1e-323]), s).tolist() == [0.0] * 3
+        d = hs_distance(PeakonState(1.0, -1.0, 0.0, 5e-324), CollisionFunction(0.0, 0.0), s)
+        assert d == 0.0
+
     def test_half_index_elementary_form(self):
         """s = 1 (nu = 1/2): G = pi (1 - e^{-omega}) exactly."""
         w = np.array(OMEGAS)

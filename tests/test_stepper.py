@@ -103,10 +103,11 @@ def test_reversed_round_trip_against_solve_ivp(case_runs):
 
 def test_tableau_is_dop853():
     """The coefficients equal scipy's tables of dop853.f bit for bit, both
-    the named constants and the rows the step's code is generated from."""
+    the rows the step's code is generated from and the named constants of
+    the reference step ``step_oracle``."""
     from scipy.integrate._ivp import dop853_coefficients as ref
 
-    mod = vars(integrator_module)
+    mod = vars(step_oracle)
 
     def dense(rows, width: int) -> np.ndarray:
         out = np.zeros((len(rows), width))
@@ -132,7 +133,7 @@ def test_tableau_is_dop853():
     assert np.array_equal(e5, ref.E5)
     assert np.array_equal(dense([integrator_module.ER_ROW], 13)[0], ref.E5)
     e3 = [*b, 0.0]
-    e3[0], e3[8], e3[11] = integrator_module.E31, integrator_module.E39, integrator_module.E312
+    e3[0], e3[8], e3[11] = step_oracle.E31, step_oracle.E39, step_oracle.E312
     assert np.array_equal(e3, ref.E3)
     assert np.array_equal(dense([integrator_module.E3_ROW], 13)[0], ref.E3)
     assert np.array_equal(dense(integrator_module.DENSE_ROWS, 16), ref.D)
@@ -673,25 +674,45 @@ def _assert_lanes_repeat_scalar(points):
     set of tolerances as lanes until every lane has retired, and compare
     each lane with the scalar run of its point: event kind, time and end
     state bit for bit, the event residual within event_tol, and the numbers
-    of accepted and rejected steps."""
+    of accepted and rejected steps.  The lanes run three times: with the
+    module's hand-off cutoff, with every lane resumed on the scalar stepper
+    after one lockstep attempt (the cutoff at the number of lanes), and with
+    no lane resumed (the cutoff at 0)."""
     config = points[0][2]
     fields = integrator_module._description(config.representation)
     _, args, y0, t_end = _lanes(points)
-    t, event, y, steps, rejected, ok = integrator_module._lane_runs(
-        fields, args, y0, t_end, config.rel_tol, config.abs_tol)
-    kinds = set()
-    for j, (initial, params, cfg) in enumerate(points):
-        traj = integrate(initial, params, cfg)
-        assert ok[j], (initial, params)
-        if event[j] < 0:
-            kind = EventKind.HORIZON
-        else:
-            kind, g = fields.events[event[j]]
-            assert abs(g(y[:, j])) <= cfg.event_tol, (initial, params)
-        record = EventRecord(kind, float(t[j]), PeakonState.from_array(fields.to_array(y[:, j])))
-        assert _bits(record) == _bits(traj.terminal_event), (initial, params)
-        assert (steps[j], rejected[j]) == (traj.steps, traj.rejected), (initial, params)
-        kinds.add(record.kind)
+    trajectories = [integrate(*point) for point in points]
+    solve = integrator_module._Dop853.solve
+    for cutoff in (integrator_module._LANE_HANDOFF, len(points), 0):
+        resumed = []
+
+        def recording(stepper, y, t_end, events, lane=None):
+            resumed.append(lane)
+            return solve(stepper, y, t_end, events, lane)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(integrator_module, "_LANE_HANDOFF", cutoff)
+            patch.setattr(integrator_module._Dop853, "solve", recording)
+            t, event, y, steps, rejected, ok, failed = integrator_module._lane_runs(
+                fields, args, y0, t_end, config.rel_tol, config.abs_tol)
+        assert failed == []
+        if cutoff == 0:
+            assert resumed == []
+        elif cutoff == len(points):
+            assert resumed and all(lane[5] <= 1 for lane in resumed)  # lane[5]: accepted steps
+        kinds = set()
+        for j, ((initial, params, cfg), traj) in enumerate(zip(points, trajectories)):
+            assert ok[j], (initial, params)
+            if event[j] < 0:
+                kind = EventKind.HORIZON
+            else:
+                kind, g = fields.events[event[j]]
+                assert abs(g(y[:, j])) <= cfg.event_tol, (initial, params)
+            record = EventRecord(kind, float(t[j]),
+                                 PeakonState.from_array(fields.to_array(y[:, j])))
+            assert _bits(record) == _bits(traj.terminal_event), (initial, params, cutoff)
+            assert (steps[j], rejected[j]) == (traj.steps, traj.rejected), (initial, params)
+            kinds.add(record.kind)
     return kinds
 
 
@@ -771,6 +792,27 @@ def test_column_call_equals_integrate_point_by_point(grid, settings, failures):
         assert len(points) >= integrator_module.MIN_LANES
 
 
+def test_resumed_failures_are_not_run_again(monkeypatch):
+    """On the failure grid at alpha 1e76, reduced, every point fails: six at
+    the overflow guard, before they become lanes; the rest at a step below
+    the spacing of t, two of them after creeping for about 1,000 and 7,000
+    steps.  The
+    lanes end on the scalar stepper from their own state with their scalar
+    runs' errors, so ``integrate`` runs only the six points that were never
+    lanes."""
+    points = _resolved_points(FAILURE_GRID, alpha=1e76, representation="reduced")
+    want = list(map(_scalar_outcome, points))
+    assert all(isinstance(kind, type) for kind, _ in want)
+    lanes = integrator_module._lane_points(integrator_module._REDUCED, *_columns(points))[0]
+    assert lanes.size == len(points) - 6
+    calls = []
+    scalar_integrate = integrator_module.integrate
+    monkeypatch.setattr(integrator_module, "integrate",
+                        lambda *p: calls.append(p) or scalar_integrate(*p))
+    assert _column_outcomes(points) == want
+    assert len(calls) == 6
+
+
 def test_lanes_cover_every_ending():
     """Reversed peak order (sigma = -1), a lane stopped at a tiny horizon,
     a vanishing momentum, and a zero momentum that is not armed, in one
@@ -794,7 +836,9 @@ def test_failing_lanes_raise_what_integrate_raises(monkeypatch):
     novikov-reduced run that exhausts the step budget, a NaN dense output
     at the event, and a reduced point with the peaks in reverse order.  Each
     carries the exception text of its scalar run; its neighbours still run
-    as lanes and give the scalar results bit for bit."""
+    as lanes and give the scalar results bit for bit.  The creeping lane
+    goes on from its own state on the scalar stepper, which raises there,
+    so it is not run again through ``integrate``."""
     rep = Representation.REDUCED
     neighbours = [_design(a, b, rep) for a in GRID_A for b in GRID_B]
     marked = neighbours[5]
@@ -829,7 +873,7 @@ def test_failing_lanes_raise_what_integrate_raises(monkeypatch):
     monkeypatch.setattr(integrator_module, "integrate",
                         lambda *p: reruns.append(p) or scalar_integrate(*p))
     assert _column_outcomes(points) == want
-    assert len(reruns) == 4  # only the failing points ran on their own
+    assert len(reruns) == 3  # the overflow, the NaN event search and the reversed peaks
 
 
 #: (p1, p2, q1, q2, a, b) points at the edges of the field's start and its
