@@ -5,6 +5,18 @@ The package integrates the four-dimensional peakon system and its reduced
 flow, locates collision and momentum-vanishing events, measures H^s
 distances to the limiting single-peakon profile, and checks the wave
 equation pointwise off the peaks.
+
+The library API is ``__all__``: from ``params`` ABParams, CaseID, CaseSpec,
+classify, l_a, case_spec_for, make_initial_profile, case_epsilon and
+collision_time_bound; from ``dynamics`` PeakonState, ReducedState and
+to_reduced; from ``analytic`` InvariantContext, F1, F2, f_density, h_sq, w_sq
+and z_closed_form; from ``integrator`` IntegrationConfig, Representation,
+EventKind, EventRecord, IntegrationError, Trajectory, integrate and
+integrate_reversed; from ``sobolev`` CollisionFunction, collision_function,
+hs_distances and divergence_probe; from ``residual`` ResidualReport,
+pde_residual and residual_report.  So are the fields ``full_rhs_array`` and
+``reduced_rhs_array`` of ``peakonlab.dynamics``.  Every other name serves
+the command line (``peakonlab.cli``) or the module that defines it.
 """
 
 from .analytic import F1, F2, InvariantContext, f_density, h_sq, w_sq, z_closed_form
@@ -23,12 +35,10 @@ from .params import (
     ABParams,
     CaseID,
     CaseSpec,
-    admissible_c,
     case_epsilon,
     case_spec_for,
     classify,
     collision_time_bound,
-    compute_mu,
     l_a,
     make_initial_profile,
 )
@@ -37,10 +47,7 @@ from .sobolev import (
     CollisionFunction,
     collision_function,
     divergence_probe,
-    hs_distance,
     hs_distances,
-    hs_norm,
-    pair_integral,
 )
 
 __version__ = "0.1.0"
@@ -62,24 +69,19 @@ __all__ = [
     "Representation",
     "ResidualReport",
     "Trajectory",
-    "admissible_c",
     "case_epsilon",
     "case_spec_for",
     "classify",
     "collision_function",
     "collision_time_bound",
-    "compute_mu",
     "divergence_probe",
     "f_density",
     "h_sq",
-    "hs_distance",
     "hs_distances",
-    "hs_norm",
     "integrate",
     "integrate_reversed",
     "l_a",
     "make_initial_profile",
-    "pair_integral",
     "pde_residual",
     "residual_report",
     "to_reduced",

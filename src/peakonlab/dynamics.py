@@ -11,18 +11,18 @@ Each field is written once (``_full_rhs``, ``_reduced_rhs``), as a function
 of its coefficients, (1 - a, 1 - 3a, (2 - b) sigma, sigma) or
 (1 - a, 1 - 3a, 2 - b), formed once per run, and of the state components;
 the integrator's steppers call it on floats for one run, or on numpy arrays
-holding one run per element for runs in lockstep.  ``full_rhs_array`` and
-``reduced_rhs_array`` wrap them for numpy vectors.  The full field reads
-the peaks' distance as sigma (q2 - q1): at a fixed sigma = +1 or -1 it is
-the analytic continuation of one side of the collision, and at
-sigma = sgn(q2 - q1), 0 where the peaks coincide, the two-sided field.
+holding one run per element for runs in lockstep.  ``full_rhs_array`` (the
+two-sided field) and ``reduced_rhs_array`` wrap them for numpy vectors.
+The full field reads the peaks' distance as sigma (q2 - q1): at a fixed
+sigma = +1 or -1 it is the analytic continuation of one side of the
+collision, and at sigma = sgn(q2 - q1), 0 where the peaks coincide, the
+two-sided field.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -112,25 +112,14 @@ def _full_coefficients(a, b, sigma) -> tuple:
     return 1.0 - a, 1.0 - 3.0 * a, (2.0 - b) * sigma, sigma
 
 
-def full_rhs_array(
-    y: np.ndarray, a: float, b: float, orientation: Optional[float] = None
-) -> np.ndarray:
-    """Time derivative of [p1, p2, q1, q2].
-
-    Without ``orientation``, sigma = sgn(q2 - q1) with sgn(0) = 0: this is
-    the two-sided field, in which sigma (q2 - q1) = |q1 - q2|, total at the
-    coincidence point q1 = q2; it is the form for evaluating the field at a
-    given state.  With ``orientation`` = sigma (+1 or -1) fixed, it is the
-    analytic continuation of the side where sgn(q2 - q1) = sigma.  On that
-    side the two forms agree bit for bit; beyond the coincidence point the
-    oriented one stays smooth instead of kinking.  The integrator fixes
-    sigma from the initial state and stops at the collision event, so it
-    integrates the oriented form (see ``integrator``), through ``_full_rhs``.
-    """
+def full_rhs_array(y: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Time derivative of [p1, p2, q1, q2]: the two-sided field, with
+    sigma = sgn(q2 - q1) and sgn(0) = 0, total at the coincidence point.
+    On the side where sgn(q2 - q1) = sigma it has the bits of the oriented
+    field that the integrator integrates (see ``integrator``)."""
     p1, p2, q1, q2 = y.tolist()  # float arithmetic: same values, faster than numpy scalars
-    if orientation is None:
-        orientation = math.copysign(1.0, q2 - q1) if q2 != q1 else 0.0
-    return np.array(_full_rhs(*_full_coefficients(a, b, orientation), p1, p2, q1, q2))
+    sigma = math.copysign(1.0, q2 - q1) if q2 != q1 else 0.0
+    return np.array(_full_rhs(*_full_coefficients(a, b, sigma), p1, p2, q1, q2))
 
 
 def _reduced_rhs(c1, c3, c2, q, h, w, z, q1=0.0) -> tuple:

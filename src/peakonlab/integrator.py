@@ -124,11 +124,9 @@ decide goes through ``integrate`` itself, which raises the point's error:
 a point whose start the scalar code refuses (a reversed peak order in the
 reduced field, an initial field that may overflow, a starting step it
 cannot take), an event search that fails (a non-finite dense output), and
-an end that fails the terminal record's checks.  A single run stays on the scalar stepper:
-one lane costs over ten times a scalar run (the fixed numpy cost of each
-attempt).  Measured on seeded sweep grids, lockstep is slower than one
-scalar run after another below 32 points, about even at 32 and faster
-from 40 on (``MIN_LANES``).
+an end that fails the terminal record's checks.  ``integrate`` never
+starts lanes: one lane costs over ten times a scalar run (the fixed numpy
+cost of each attempt).
 """
 
 from __future__ import annotations
@@ -171,7 +169,7 @@ class IntegrationConfig:
 
     rel_tol: float = 1e-12
     abs_tol: float = 1e-14
-    max_time: Optional[float] = None  # None resolves to DEFAULT_HORIZON
+    max_time: float = DEFAULT_HORIZON
     event_tol: float = 1e-12  # bound on |g(T)| at a located event
     representation: Representation = Representation.FULL
 
@@ -183,7 +181,7 @@ class IntegrationConfig:
         if self.rel_tol < MIN_REL_TOL:
             raise ValueError(f"rel_tol must be at least {MIN_REL_TOL:.3g} "
                              f"(100 machine epsilons), got {self.rel_tol}")
-        if self.max_time is not None and not self.max_time > 0:  # inf is a valid horizon
+        if not self.max_time > 0:  # inf is a valid horizon
             raise ValueError(f"max_time must be positive, got {self.max_time}")
 
 
@@ -307,16 +305,6 @@ SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 #: lowered: the presets and sweep grids need under 200, and each kept step
 #: holds its stages for the dense output)
 MAX_STEPS = 10_000
-#: fewest points that ``terminal_events`` runs in lockstep: on seeded sweep
-#: grids, full and reduced, 16 points took 10-14 ms in lockstep against
-#: 8-9 ms one after another, 32 points about the same either way, and 64
-#: points 19-24 ms against 34-39 ms.  Re-timed with the batched starting
-#: step and root search (full / reduced, medians over seeds 1, 7 and 29; the
-#: 2-vCPU guest ran slower than for the first timings, so compare within a
-#: row only): 24 points 18.7 / 24.3 ms against 17.5 / 19.6 ms,
-#: 32 points 16.6 / 23.1 ms against 19.1 / 22.8 ms, 40 points 22.7 / 27.9 ms
-#: against 30.0 / 34.2 ms
-MIN_LANES = 32
 #: the lanes' event root search hands its last brackets to the scalar search
 #: when fewer than this are still narrowing: on the seed-1 and seed-29 bench
 #: grids the search took 6.8-6.9 ms (full) and 9.6-10.2 ms (reduced) at 8,
@@ -1014,10 +1002,6 @@ class Trajectory:
         return self._to_array(np.array(self._raw).T).T.copy()
 
     @property
-    def states(self) -> tuple:
-        return tuple(map(PeakonState.from_array, self.state_array))
-
-    @property
     def terminal_event(self) -> EventRecord:
         return self.events[-1]
 
@@ -1194,11 +1178,7 @@ def integrate(
         raise ValueError("reduced representation requires q2 > q1")
     events = [event for event, on in zip(fields.events, _arming(fields.events, y0)) if on]
     return _solve(partial(fields.func, *args), y0, fields.to_array, events, params, config,
-                  _horizon(config))
-
-
-def _horizon(config: IntegrationConfig) -> float:
-    return config.max_time if config.max_time is not None else DEFAULT_HORIZON
+                  config.max_time)
 
 
 def integrate_reversed(
@@ -1231,30 +1211,28 @@ def terminal_events(a, b, p1, p2, q1, q2, horizon, config: IntegrationConfig) ->
     Returns columns (times, kinds): the terminal event's time and kind, or
     NaN and the exception that the call raises.  ``config`` gives every
     point its tolerances and representation; its own max_time is not read.
-    With at least ``MIN_LANES`` points, they run in lockstep on the lane
-    stepper (see the module docstring); each lane repeats the scalar run bit
-    for bit.  Fewer points and every point the lanes cannot finish go
-    through ``integrate`` itself, so a failing point raises exactly what it
-    raises alone.
+    The points run in lockstep on the lane stepper (see the module
+    docstring); each lane repeats the scalar run bit for bit.  Every point
+    the lanes cannot finish goes through ``integrate`` itself, so a failing
+    point raises exactly what it raises alone.
     """
     columns = [np.asarray(c, dtype=float) for c in (a, b, p1, p2, q1, q2, horizon)]
     n = columns[0].size
     times, kinds = np.full(n, math.nan), np.full(n, None, dtype=object)
-    if n >= MIN_LANES:
-        fields = _description(config.representation)
-        index, args, y0, t_end = _lane_points(fields, *columns)
-        t, event, y, _, _, ok, failed = _lane_runs(fields, args, y0, t_end, config.rel_tol,
-                                                   config.abs_tol)
-        with np.errstate(invalid="ignore"):  # what the scalar terminal record refuses
-            ok &= np.isfinite(fields.to_array(y)).all(axis=0)
-            for number, (_, g) in enumerate(fields.events):
-                fired = event == number
-                ok[fired] &= np.abs(g(y[:, fired])) <= config.event_tol
-        # the horizon's event number, -1, reads the last name
-        names = np.array([kind for kind, _ in fields.events] + [EventKind.HORIZON], dtype=object)
-        times[index[ok]], kinds[index[ok]] = t[ok], names[event[ok]]
-        for j, exc in failed:  # the error of the point's scalar run, at the same state
-            kinds[index[j]] = _failure(exc, fields.to_array).with_traceback(None)
+    fields = _description(config.representation)
+    index, args, y0, t_end = _lane_points(fields, *columns)
+    t, event, y, _, _, ok, failed = _lane_runs(fields, args, y0, t_end, config.rel_tol,
+                                               config.abs_tol)
+    with np.errstate(invalid="ignore"):  # what the scalar terminal record refuses
+        ok &= np.isfinite(fields.to_array(y)).all(axis=0)
+        for number, (_, g) in enumerate(fields.events):
+            fired = event == number
+            ok[fired] &= np.abs(g(y[:, fired])) <= config.event_tol
+    # the horizon's event number, -1, reads the last name
+    names = np.array([kind for kind, _ in fields.events] + [EventKind.HORIZON], dtype=object)
+    times[index[ok]], kinds[index[ok]] = t[ok], names[event[ok]]
+    for j, exc in failed:  # the error of the point's scalar run, at the same state
+        kinds[index[j]] = _failure(exc, fields.to_array).with_traceback(None)
     for i in np.flatnonzero(np.equal(kinds, None)).tolist():  # the points no lane finished
         a_i, b_i, *state, t_end_i = (float(c[i]) for c in columns)
         try:

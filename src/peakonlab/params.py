@@ -108,52 +108,27 @@ def l_a(a: float, q) -> float:
     """Factor 1 - e^{-2q} + 3a e^{-2q} - a multiplying h*w in dq/dt.
 
     Tends to 2a as q -> 0 and to 1 - a as q -> infinity.  On the interval
-    [0, mu] produced by ``compute_mu`` it is bounded between 2a and c*a and
-    therefore carries the sign of a.  Accepts scalars or arrays.
+    [0, mu] that ``case_spec_for`` designs from c it is bounded between 2a
+    and c*a and therefore carries the sign of a.  Accepts scalars or arrays.
     """
     e2 = np.exp(-2.0 * q)
     return (1.0 - a) - (1.0 - 3.0 * a) * e2
 
 
-def _log_argument(a: float, c: float) -> tuple:
-    """Argument ((c+1)a - 1)/(3a - 1) of ``compute_mu``'s logarithm, and
-    whether it lies in (0, 1): whether c is admissible for a (a != 0, 1/3)."""
-    arg = ((c + 1.0) * a - 1.0) / (3.0 * a - 1.0)
-    return arg, 0 < arg < 1
+def _log_argument(a: float, c: float) -> float:
+    """Argument ((c+1)a - 1)/(3a - 1) of the designed separation
+    mu = -ln(arg)/2, with L_a(mu) = c*a (a != 0, 1/3); c is admissible for a
+    where it lies in (0, 1)."""
+    return ((c + 1.0) * a - 1.0) / (3.0 * a - 1.0)
 
 
-def compute_mu(a: float, c: float) -> float:
-    """Separation mu with L_a(mu) = c*a, via mu = -ln(((c+1)a-1)/(3a-1))/2.
-
-    Raises ValueError when the logarithm argument falls outside (0, 1),
-    which signals that this c is inadmissible for this a.
-    """
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    if abs(1.0 - 3.0 * a) < _THIRD_TOL:
-        raise ValueError("a = 1/3: use a small positive mu directly")
-    if not 1 < c < 2:
-        raise ValueError(f"c must lie in (1, 2), got {c}")
-    arg, admissible = _log_argument(a, c)
-    if not admissible:
-        raise ValueError(
-            f"c = {c} inadmissible for a = {a}: log argument {arg} not in (0, 1)"
-        )
-    return -0.5 * math.log(arg)
-
-
-def admissible_c(a: float, first: float = DEFAULT_C, step: float = C_SCAN_STEP) -> Optional[float]:
-    """First admissible design constant, or None if the scan finds none.
-
-    Tries ``first``, then walks the open interval (1, 2) in ``step``
-    increments.  For 0 < a < 1/3 (and at a = 0 and a = 1/3) no c is
-    admissible and the caller falls back to a small fixed separation.
-    """
-    if a == 0 or abs(1.0 - 3.0 * a) < _THIRD_TOL:
-        return None
-    n = int(round((2.0 - 1.0) / step))
-    for c in [first] + [1.0 + k * step for k in range(1, n)]:
-        if 1 < c < 2 and _log_argument(a, c)[1]:
+def _admissible_c(a: float) -> Optional[float]:
+    """First admissible design constant for a != 0, 1/3, or None: tries
+    ``DEFAULT_C``, then walks the open interval (1, 2) in ``C_SCAN_STEP``
+    increments.  For 0 < a < 1/3 no c is admissible."""
+    n = int(round((2.0 - 1.0) / C_SCAN_STEP))
+    for c in [DEFAULT_C] + [1.0 + k * C_SCAN_STEP for k in range(1, n)]:
+        if 0 < _log_argument(a, c) < 1:
             return c
     return None
 
@@ -200,7 +175,7 @@ def case_spec_for(
             c_eff = None  # a in (0, 1/3): L_a >= 2a for any mu, a is a bound
         return CaseSpec(case, alpha, delta, mu, c_eff)
 
-    c_use = c if c is not None else admissible_c(a)
+    c_use = c if c is not None else _admissible_c(a)
     if c_use is None:
         if a < 0:  # every c in (1, 2) is admissible here in exact arithmetic
             raise ValueError(f"a = {a:g}: the separation design's log argument "
@@ -209,7 +184,10 @@ def case_spec_for(
         # 0 < a < 1/3, where no c is admissible, or a just above 1/3, where
         # the scan stops short of the c it needs; cases 1-2 need no c
         return CaseSpec(case, alpha, delta, DEFAULT_SMALL_MU, None)
-    return CaseSpec(case, alpha, delta, compute_mu(a, c_use), c_use)
+    arg = _log_argument(a, c_use)
+    if not 0 < arg < 1:
+        raise ValueError(f"c = {c_use} inadmissible for a = {a}: log argument {arg} not in (0, 1)")
+    return CaseSpec(case, alpha, delta, -0.5 * math.log(arg), c_use)
 
 
 # (p1, p2) signs and magnitudes per case; q1 = 0 and q2 = mu always

@@ -85,11 +85,6 @@ class CollisionFunction:
     p_star: float
     q_star: float
 
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        val = self.p_star * np.exp(-np.abs(x - self.q_star))
-        return float(val) if val.ndim == 0 else val
-
 
 def collision_function(traj: Trajectory, zero_tol: float = 1e-12) -> CollisionFunction:
     """Read the limiting profile off a trajectory's terminal event.
@@ -211,11 +206,10 @@ def _pair_series(y: np.ndarray, log_y: np.ndarray, powers: np.ndarray, nu: float
 
 
 def _pair_integrals(omega, indices) -> list:
-    """G(omega) at each of ``indices`` (already checked), elementwise over omega.
-
-    At nu = 1/2 (s = 1) G is -pi expm1(-omega) (see the module docstring).
-    For the other indices the separations, their masks, ln y and each
-    power y ** p are formed once and shared; see ``pair_integral``.
+    """G(omega) at each of ``indices`` (already checked), elementwise over
+    omega, in the closed form of the module docstring; even, G(0) = 0.  For
+    the indices other than s = 1 the separations, their masks, ln y and each
+    power y ** p are formed once and shared.
     """
     from scipy.special import gamma, kv
 
@@ -251,20 +245,6 @@ def _pair_integrals(omega, indices) -> list:
     return out
 
 
-def pair_integral(omega, s: float):
-    """G(omega) = int_0^inf (1 + xi^2)^{s-2} 2 (1 - cos(omega xi)) dxi, s < 3/2.
-
-    Closed form (2 sqrt(pi) / Gamma(nu + 1/2)) [Gamma(nu)/2 - (omega/2)^nu
-    K_nu(omega)], nu = 3/2 - s, evaluated elementwise: from the ascending
-    series below omega = 1, so that G keeps full relative accuracy as
-    omega -> 0, and from K_nu above; at s = 1 as pi (1 - e^{-omega}).
-    Even in omega; G(0) = 0.
-    """
-    _check_index(s)
-    g, = _pair_integrals(omega, [s])
-    return float(g) if g.ndim == 0 else g
-
-
 def hs_distances(states, collision: CollisionFunction, s) -> np.ndarray:
     """H^s distances between two-peakon profiles and the collision profile.
 
@@ -275,14 +255,18 @@ def hs_distances(states, collision: CollisionFunction, s) -> np.ndarray:
     one pass over the separations (their masks, ln y and the powers of
     y).  Each distance is zero exactly when the profiles coincide as
     distributions, and carries the accuracy of the closed form (about
-    1e-15 relative in the squared distance's terms).  Requires s < 3/2.
+    1e-15 relative in the squared distance's terms).  Requires s < 3/2, and
+    finite states and collision profile.
     """
     many = np.ndim(s) > 0
     indices = list(s) if many else [s]
     for index in indices:
         _check_index(index)
-    p1, p2, q1, q2 = np.asarray(states, dtype=float).reshape(-1, 4).T
+    states = np.asarray(states, dtype=float).reshape(-1, 4)
     pc, qc = -collision.p_star, collision.q_star
+    if not (np.isfinite(states).all() and math.isfinite(pc) and math.isfinite(qc)):
+        raise ValueError("H^s distances need finite states and a finite collision profile")
+    p1, p2, q1, q2 = states.T
     gaps = np.array((q2 - q1, qc - q1, qc - q2))
     total = p1 + p2 + pc
     total_sq, a12, a1c, a2c = total * total, p1 * p2, p1 * pc, p2 * pc
@@ -293,19 +277,6 @@ def hs_distances(states, collision: CollisionFunction, s) -> np.ndarray:
         sq = total_sq * i0 - a12 * g12 - a1c * g1c - a2c * g2c
         rows.append(np.sqrt(np.maximum(4.0 / math.pi * sq, 0.0)))
     return np.array(rows).reshape(len(indices), len(total)) if many else rows[0]
-
-
-def hs_distance(state: PeakonState, collision: CollisionFunction, s: float) -> float:
-    """H^s distance between the two-peakon profile and the collision profile.
-
-    The one-state case of ``hs_distances``, bit for bit.  Requires s < 3/2.
-    """
-    return float(hs_distances(state.as_array(), collision, s)[0])
-
-
-def hs_norm(state: PeakonState, s: float) -> float:
-    """H^s norm of the two-peakon profile (distance to the zero profile)."""
-    return hs_distance(state, CollisionFunction(p_star=0.0, q_star=0.0), s)
 
 
 def divergence_probe(
@@ -319,7 +290,7 @@ def divergence_probe(
     at and above the critical index.
     """
     if s < H_S_LIMIT:
-        raise ValueError(f"s = {s} < 3/2: the full integral converges; use hs_distance")
+        raise ValueError(f"s = {s} < 3/2: the full integral converges; use hs_distances")
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     amps = (state.p1, state.p2, -collision.p_star)

@@ -4,10 +4,10 @@ This is the solve path the package used before it owned its stepper:
 ``scipy.integrate.solve_ivp`` with method DOP853 and dense output, at the
 tolerances of the given ``IntegrationConfig``, its terminal event search,
 and a ``brentq`` refinement on the dense output wherever the located event
-leaves |g| above ``event_tol``.  It integrates the numpy forms of the fields
-(``full_rhs_array`` with the initial orientation, ``reduced_rhs_array`` with
-q1' taken from the full field), so it shares the field formulas with the
-package and nothing of its stepper, event search or interpolant.
+leaves |g| above ``event_tol``.  It integrates the fields (``_full_rhs`` with
+the initial orientation, ``reduced_rhs_array`` with q1' taken from the full
+field), so it shares the field formulas with the package and nothing of its
+stepper, event search or interpolant.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from peakonlab import EventKind, IntegrationConfig, PeakonState, Representation
-from peakonlab.integrator import DEFAULT_HORIZON
-from peakonlab.dynamics import full_rhs_array, reduced_rhs_array
+from peakonlab.dynamics import _full_coefficients, _full_rhs, reduced_rhs_array
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,8 @@ def _field(initial: PeakonState, a: float, b: float, representation: Representat
 
         def rhs(t, y):
             p1, p2 = 0.5 * (y[2] - y[1]), 0.5 * (y[1] + y[2])
-            dq1 = full_rhs_array(np.array([p1, p2, 0.0, y[0]]), a, b, 1.0)[2]
+            dq1 = _full_rhs(*_full_coefficients(a, b, 1.0), float(p1), float(p2), 0.0,
+                            float(y[0]))[2]
             return np.append(reduced_rhs_array(y[:4], a, b), dq1)
 
         gs = [lambda t, y: y[0], lambda t, y: 0.5 * (y[2] - y[1]),
@@ -62,7 +62,8 @@ def _field(initial: PeakonState, a: float, b: float, representation: Representat
     else:
         y0 = initial.as_array()
         sigma = 1.0 if initial.q2 >= initial.q1 else -1.0
-        rhs = lambda t, y: full_rhs_array(y, a, b, sigma)
+        coefficients = _full_coefficients(a, b, sigma)
+        rhs = lambda t, y: np.array(_full_rhs(*coefficients, *y.tolist()))
         gs = [lambda t, y: y[3] - y[2], lambda t, y: y[0], lambda t, y: y[1]]
         to_array = lambda y: y
     kinds = (EventKind.COLLISION, EventKind.MOMENTUM_ZERO_1, EventKind.MOMENTUM_ZERO_2)
@@ -106,8 +107,7 @@ def integrate_oracle(initial: PeakonState, a: float, b: float,
                      config: IntegrationConfig) -> OracleRun:
     """``integrate`` through solve_ivp: the first event or the horizon."""
     y0, rhs, to_array, events = _field(initial, a, b, config.representation)
-    t_end = config.max_time if config.max_time is not None else DEFAULT_HORIZON
-    return _run(y0, rhs, to_array, events, config, t_end)
+    return _run(y0, rhs, to_array, events, config, config.max_time)
 
 
 def reversed_oracle(state: PeakonState, a: float, b: float, config: IntegrationConfig,

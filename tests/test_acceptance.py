@@ -42,8 +42,7 @@ from peakonlab import (
     collision_time_bound,
     divergence_probe,
     h_sq,
-    hs_distance,
-    hs_norm,
+    hs_distances,
     integrate,
     integrate_reversed,
     pde_residual,
@@ -78,8 +77,8 @@ def _verdict(criterion: str, ok: bool, detail: str) -> None:
 
 def _collapse_distances(traj, coll, s, t_collision):
     """H^s distances to ``coll`` at the sample times t_collision - 10^-k."""
-    ks = [k for k in range(2, 7) if t_collision - 10.0**-k > 0.0]
-    return [hs_distance(traj.sample(t_collision - 10.0**-k), coll, s) for k in ks]
+    times = [t_collision - 10.0**-k for k in range(2, 7) if t_collision - 10.0**-k > 0.0]
+    return hs_distances(traj.sample_array(times), coll, s).tolist()
 
 
 def _decade_exponents(dists):
@@ -141,10 +140,10 @@ def test_criterion_3_collision_lemma(case_runs):
         )
         within = rec.time <= bound
         rate_ok = all(
-            full_rhs_array(st.as_array(), params.a, params.b)[3]
-            - full_rhs_array(st.as_array(), params.a, params.b)[2]
+            full_rhs_array(y, params.a, params.b)[3]
+            - full_rhs_array(y, params.a, params.b)[2]
             <= -eps + 1e-9
-            for st in traj.states
+            for y in traj.state_array
         )
         ok = ok and stopped and within and rate_ok
         details.append(f"{name}: T={rec.time:.4f}<= {bound:.4f} {rec.kind.value}")
@@ -250,7 +249,7 @@ def test_criterion_5_time_reversal(case, case_runs):
 
 def test_criterion_6_norm_anchor():
     """Quadrature value of ||e^{-|x|}||_{H^1}^2 is 2 within 1e-8."""
-    value = hs_norm(PeakonState(1.0, 0.0, 0.0, 10.0), 1.0) ** 2
+    value = hs_distances([1.0, 0.0, 0.0, 10.0], CollisionFunction(0.0, 0.0), 1.0)[0] ** 2
     ok = abs(value - 2.0) <= 1e-8
     _verdict("criterion 6 (H^1 norm anchor)", ok, f"value {value:.12f}")
     assert ok

@@ -70,13 +70,13 @@ class TestFullRhs:
         one bit for bit; at q1 = q2 only the sgn(0) = 0 convention differs."""
         y = np.array([p1, p2, q1, q1 + dq])
         two_sided = full_rhs_array(y, a, b)
+        sigma = -1.0 if y[3] < y[2] else 1.0
+        oriented = _full_rhs(*_full_coefficients(a, b, sigma), *y.tolist())
         if y[3] == y[2]:
-            oriented = full_rhs_array(y, a, b, 1.0)
             assert np.array_equal(oriented[2:], two_sided[2:])
             assert np.array_equal(two_sided[:2], [0.0, 0.0])
         else:
-            sigma = 1.0 if y[3] > y[2] else -1.0
-            assert np.array_equal(full_rhs_array(y, a, b, sigma), two_sided)
+            assert np.array_equal(oriented, two_sided)
 
     def test_oriented_field_continues_smoothly_past_coincidence(self):
         """Just past q1 = q2 the oriented field is the continuation of the
@@ -84,14 +84,14 @@ class TestFullRhs:
         a, b = 1 / 3, 3.0
         before = np.array([1.5, -1.0, 0.0, 1e-9])
         after = np.array([1.5, -1.0, 0.0, -1e-9])
-        oriented = full_rhs_array(after, a, b, 1.0)
+        oriented = np.array(_full_rhs(*_full_coefficients(a, b, 1.0), *after.tolist()))
         np.testing.assert_allclose(oriented, full_rhs_array(before, a, b), atol=1e-6)
         assert np.max(np.abs(full_rhs_array(after, a, b) - oriented)) > 1.0
 
     def test_oriented_overflow_is_not_an_exception(self):
         """A trial stage far past the collision overflows e^{-d} to inf; the
         field reports it as non-finite values for the step controller."""
-        d = full_rhs_array(np.array([1.0, -1.0, 0.0, -800.0]), 1 / 3, 3.0, 1.0)
+        d = _full_rhs(*_full_coefficients(1 / 3, 3.0, 1.0), 1.0, -1.0, 0.0, -800.0)
         assert not np.all(np.isfinite(d))
 
 
@@ -231,8 +231,6 @@ class TestFieldsAgainstTheOracle:
                 assert _same_bits(got, want), row
                 assert _same_bits(_full_rhs(*_full_coefficients(row[0], row[1], sigma),
                                             *row[2:]), want), row
-                assert _same_bits(full_rhs_array(np.array(row[2:]), row[0], row[1], sigma),
-                                  want), row
 
     def test_two_sided_full_field(self):
         """sigma = sgn(q2 - q1), and 0 where the peaks coincide."""

@@ -82,8 +82,8 @@ class TestCollision:
         for name, (params, spec, initial, traj) in case_runs.items():
             eps = case_epsilon(spec, params)
             assert traj.terminal_event.time <= collision_time_bound(spec, params)
-            for t, st in zip(traj.times, traj.states):
-                d = full_rhs_array(st.as_array(), params.a, params.b)
+            for t, y in zip(traj.times, traj.state_array):
+                d = full_rhs_array(y, params.a, params.b)
                 assert d[3] - d[2] <= -eps + 1e-9, (name, t)
 
     def test_immediate_collision_at_zero_separation(self):
@@ -227,8 +227,8 @@ class TestReducedRepresentation:
         for params, spec, initial, traj in case_runs.values():
             red0 = to_reduced(initial)
             c0 = red0.h**2 + 4 * red0.z - red0.w**2
-            for st in traj.states:
-                red = to_reduced(st)
+            for y in traj.state_array:
+                red = to_reduced(PeakonState.from_array(y))
                 assert abs(red.h**2 + 4 * red.z - red.w**2 - c0) <= 1e-10
 
     def test_requires_positive_separation(self):
@@ -336,13 +336,13 @@ class TestTrajectoryApi:
             assert np.array_equal(arr[0], initial.as_array())
             assert abs(arr[-1, 3] - arr[-1, 2]) <= 1e-10  # ends at the collision
             arr[:] = 0.0  # a copy: the trajectory is not changed through it
-            assert traj.states[0] == initial
+            assert np.array_equal(traj.state_array[0], initial.as_array())
 
     def test_dense_output_matches_steps(self, case_runs):
         _, _, _, traj = case_runs["case1"]
-        for t, st in zip(traj.times, traj.states):
+        for t, y in zip(traj.times, traj.state_array):
             np.testing.assert_allclose(
-                traj.sample(float(t)).as_array(), st.as_array(), rtol=1e-9, atol=1e-12
+                traj.sample(float(t)).as_array(), y, rtol=1e-9, atol=1e-12
             )
 
     def test_config_validation(self):

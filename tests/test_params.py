@@ -14,12 +14,10 @@ from hypothesis import given, strategies as st
 from peakonlab import (
     ABParams,
     CaseID,
-    admissible_c,
     case_epsilon,
     case_spec_for,
     classify,
     collision_time_bound,
-    compute_mu,
     l_a,
     make_initial_profile,
 )
@@ -74,8 +72,7 @@ class TestSeparationFactor:
     @pytest.mark.parametrize("a", [1 / 3, -1 / 3, 1.0, -1.0, 0.5, -0.5, 2.0, -2.0, 0.2])
     def test_sign_definite_on_design_interval(self, a):
         """L_a carries the sign of a on [0, mu] for the designed separation."""
-        c = admissible_c(a)
-        mu = compute_mu(a, c) if c is not None else 0.1
+        mu = case_spec_for(ABParams(a, 3.0)).mu
         qs = np.linspace(0.0, mu, 200)
         vals = l_a(a, qs)
         assert np.all(vals != 0.0)
@@ -84,37 +81,43 @@ class TestSeparationFactor:
 
 class TestComputeMu:
     def test_frozen_values(self):
-        np.testing.assert_allclose(compute_mu(1.0, 1.5), MU_A1_C15, rtol=1e-15)
-        np.testing.assert_allclose(compute_mu(-1.0, 1.5), MU_AM1_C15, rtol=1e-15)
+        for a, want in ((1.0, MU_A1_C15), (-1.0, MU_AM1_C15)):
+            mu = case_spec_for(ABParams(a, 3.0), c=1.5).mu
+            np.testing.assert_allclose(mu, want, rtol=1e-15)
 
     def test_design_equation(self):
-        """compute_mu inverts L_a: L_a(mu) = c*a to roundoff."""
+        """The designed mu inverts L_a: L_a(mu) = c*a to roundoff."""
         for a, c in [(1.0, 1.5), (-1.0, 1.5), (-1 / 3, 1.2), (2.0, 1.9), (0.45, 1.5)]:
-            mu = compute_mu(a, c)
+            mu = case_spec_for(ABParams(a, 3.0), c=c).mu
             assert 0 < mu < 1
             np.testing.assert_allclose(l_a(a, mu), c * a, rtol=1e-12)
 
     def test_c_near_two_gives_vanishing_mu(self):
-        assert compute_mu(1.0, 1.999999) < 1e-5
+        assert case_spec_for(ABParams(1.0, 3.0), c=1.999999).mu < 1e-5
 
     def test_inadmissible_c_raises(self):
-        with pytest.raises(ValueError):
-            compute_mu(0.2, 1.5)  # 0 < a < 1/3 has no admissible c
-        with pytest.raises(ValueError):
-            compute_mu(0.35, 1.5)  # needs c > 1/a - 1 ~ 1.857
+        with pytest.raises(ValueError, match="inadmissible"):
+            case_spec_for(ABParams(0.2, 3.0), c=1.5)  # 0 < a < 1/3 has no admissible c
+        with pytest.raises(ValueError, match="inadmissible"):
+            case_spec_for(ABParams(0.35, 3.0), c=1.5)  # needs c > 1/a - 1 ~ 1.857
+        for c in (1.0, 2.0, 2.5, math.nan):
+            with pytest.raises(ValueError, match=r"c must lie in \(1, 2\)"):
+                case_spec_for(ABParams(1.0, 3.0), c=c)
 
-    def test_a_third_and_zero_raise(self):
-        with pytest.raises(ValueError):
-            compute_mu(1 / 3, 1.5)
-        with pytest.raises(ValueError):
-            compute_mu(0.0, 1.5)
+    def test_a_third_and_zero_take_no_design(self):
+        """a = 0 has no construction; a = 1/3 takes the small separation
+        and ignores a given c."""
+        with pytest.raises(ValueError, match="a = 0"):
+            case_spec_for(ABParams(0.0, 3.0), c=1.5)
+        spec = case_spec_for(ABParams(1 / 3, 3.0), c=1.5)
+        assert (spec.mu, spec.c) == (0.1, None)
 
     @given(
         a=st.floats(min_value=-3.0, max_value=-0.05),
         c=st.floats(min_value=1.01, max_value=1.99),
     )
     def test_negative_a_always_admissible(self, a, c):
-        mu = compute_mu(a, c)
+        mu = case_spec_for(ABParams(a, 3.0), c=c).mu
         assert 0 < mu < 1
         np.testing.assert_allclose(l_a(a, mu), c * a, rtol=1e-11, atol=1e-14)
 
@@ -122,12 +125,14 @@ class TestComputeMu:
 class TestCaseSpecPolicy:
     def test_scan_finds_c_above_third(self):
         # a = 0.35 needs c > 1/0.35 - 1; the 0.05 scan must land on one
-        c = admissible_c(0.35)
-        assert c is not None and 1 < c < 2
-        assert compute_mu(0.35, c) > 0
+        spec = case_spec_for(ABParams(0.35, 3.0))
+        assert spec.c is not None and 1 / 0.35 - 1 < spec.c < 2
+        assert 0 < spec.mu <= 1
 
     def test_scan_fails_below_third(self):
-        assert admissible_c(0.2) is None
+        for b in (3.0, 1.0):
+            spec = case_spec_for(ABParams(0.2, b))
+            assert (spec.mu, spec.c) == (0.1, None)
 
     def test_small_a_falls_back_to_fixed_separation(self):
         spec = case_spec_for(ABParams(0.2, 3.0))
@@ -137,7 +142,6 @@ class TestCaseSpecPolicy:
     def test_scan_fails_just_above_third(self):
         """a = 0.335 needs c > 1/0.335 - 1 = 1.985, past the scan's last 1.95:
         the small fixed separation, which cases 1-2 can use."""
-        assert admissible_c(0.335) is None
         spec = case_spec_for(ABParams(0.335, 3.0))
         assert (spec.mu, spec.c) == (0.1, None)
 
@@ -147,7 +151,6 @@ class TestCaseSpecPolicy:
         the log argument overflows (large |a|) or rounds to 1 (tiny |a|).
         That is named, not answered with the small separation, which leaves
         cases 3-4 without the c their epsilon needs."""
-        assert admissible_c(a) is None
         for b in (3.0, 0.0):
             with pytest.raises(ValueError, match=r"overflows or rounds out of \(0, 1\)"):
                 case_spec_for(ABParams(a, b))

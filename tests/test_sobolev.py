@@ -44,12 +44,9 @@ from peakonlab import (
     collision_function,
     collision_time_bound,
     divergence_probe,
-    hs_distance,
     hs_distances,
-    hs_norm,
     integrate,
     make_initial_profile,
-    pair_integral,
 )
 from peakonlab.integrator import EventRecord
 from peakonlab.sobolev import _SERIES_TERMS, _SLOPE_TERMS, _lgamma_slope, _pair_integrals
@@ -80,91 +77,78 @@ class TestCollisionFunction:
         st = PeakonState(0.0, 0.0, 0.3, 1.0)
         coll = collision_function(_fake_traj(EventKind.MOMENTUM_ZERO_2, st))
         assert coll.p_star == 0.0
-        assert coll.evaluate(0.7) == 0.0
 
     def test_horizon_has_no_profile(self):
         st = PeakonState(1.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             collision_function(_fake_traj(EventKind.HORIZON, st))
 
-    def test_profile_evaluation(self):
-        coll = CollisionFunction(p_star=2.0, q_star=1.0)
-        assert coll.evaluate(1.0) == 2.0
-        assert coll.evaluate(0.0) == pytest.approx(2.0 * math.exp(-1.0))
-
 
 ZERO = CollisionFunction(p_star=0.0, q_star=0.0)
 
 
 class TestNorm:
+    """The norm is the distance to the zero profile."""
+
     def test_h1_anchor(self):
         """||c e^{-|x|}||_{H^1}^2 = 2 c^2 (hand integral of u^2 + u_x^2)."""
         for c in (1.0, -0.7, 2.5):
-            state = PeakonState(c, 0.0, 0.0, 9.0)
-            np.testing.assert_allclose(hs_norm(state, 1.0) ** 2, 2 * c * c, atol=1e-8)
+            norm, = hs_distances([c, 0.0, 0.0, 9.0], ZERO, 1.0)
+            np.testing.assert_allclose(norm ** 2, 2 * c * c, atol=1e-8)
 
     def test_zero_state(self):
-        assert hs_norm(PeakonState(0.0, 0.0, 0.0, 1.0), 1.0) == 0.0
+        assert hs_distances([0.0, 0.0, 0.0, 1.0], ZERO, 1.0).tolist() == [0.0]
 
     def test_far_separated_peaks_decouple(self):
         """Cross terms die off: norm^2 -> 2 p1^2 + 2 p2^2 at separation 40."""
-        state = PeakonState(1.0, 0.7, 0.0, 40.0)
-        np.testing.assert_allclose(
-            hs_norm(state, 1.0) ** 2, 2 * 1.0 + 2 * 0.49, rtol=1e-8
-        )
-
-    def test_matches_distance_to_zero_profile(self):
-        state = PeakonState(1.2, -0.3, 0.0, 0.7)
-        for s in (0.5, 1.0, 1.4):
-            assert hs_norm(state, s) == hs_distance(state, ZERO, s)
+        norm, = hs_distances([1.0, 0.7, 0.0, 40.0], ZERO, 1.0)
+        np.testing.assert_allclose(norm ** 2, 2 * 1.0 + 2 * 0.49, rtol=1e-8)
 
     def test_homogeneity(self):
         """Scaling both momenta scales the norm linearly."""
-        base = PeakonState(0.8, -0.5, 0.0, 0.6)
-        scaled = PeakonState(2.4, -1.5, 0.0, 0.6)
-        np.testing.assert_allclose(
-            hs_norm(scaled, 1.2), 3.0 * hs_norm(base, 1.2), atol=1e-8
-        )
+        base, scaled = hs_distances([[0.8, -0.5, 0.0, 0.6], [2.4, -1.5, 0.0, 0.6]], ZERO, 1.2)
+        np.testing.assert_allclose(scaled, 3.0 * base, atol=1e-8)
 
     def test_triangle_inequality(self):
         """||u - C|| <= ||u|| + ||C|| on random configurations."""
         for _ in range(20):
             p1, p2, pc = RNG.uniform(-2, 2, 3)
             q1 = RNG.uniform(-1, 1)
-            state = PeakonState(p1, p2, q1, q1 + RNG.uniform(0, 2))
+            state = [p1, p2, q1, q1 + RNG.uniform(0, 2)]
             coll = CollisionFunction(pc, RNG.uniform(-1, 1))
-            single = PeakonState(coll.p_star, 0.0, coll.q_star, coll.q_star + 50.0)
+            single = [coll.p_star, 0.0, coll.q_star, coll.q_star + 50.0]
             for s in (0.5, 1.0, 1.4):
-                lhs = hs_distance(state, coll, s)
-                assert lhs <= hs_norm(state, s) + hs_norm(single, s) + 1e-8
+                lhs, = hs_distances(state, coll, s)
+                norm, norm_c = hs_distances([state, single], ZERO, s)
+                assert lhs <= norm + norm_c + 1e-8
 
 
 class TestDistance:
     def test_zero_when_profiles_coincide(self):
-        state = PeakonState(0.7, 0.0, -0.3, 5.0)
+        state = [0.7, 0.0, -0.3, 5.0]
         coll = CollisionFunction(p_star=0.7, q_star=-0.3)
         for s in (0.5, 1.0, 1.4):
-            assert hs_distance(state, coll, s) <= 1e-9
+            assert hs_distances(state, coll, s)[0] <= 1e-9
 
     def test_translation_invariance(self):
-        state = PeakonState(1.5, -1.0, 0.0, 0.1)
+        state = [1.5, -1.0, 0.0, 0.1]
         coll = CollisionFunction(0.5, -0.05)
         for delta in (-3.7, 0.9, 12.0):
-            shifted = PeakonState(1.5, -1.0, delta, 0.1 + delta)
+            shifted = [1.5, -1.0, delta, 0.1 + delta]
             coll_shift = CollisionFunction(0.5, -0.05 + delta)
             for s in (0.5, 1.0, 1.4):
                 np.testing.assert_allclose(
-                    hs_distance(shifted, coll_shift, s),
-                    hs_distance(state, coll, s),
+                    hs_distances(shifted, coll_shift, s),
+                    hs_distances(state, coll, s),
                     rtol=1e-9,
                     atol=1e-10,
                 )
 
     def test_supercritical_index_rejected(self):
-        state = PeakonState(1.0, 0.5, 0.0, 1.0)
+        state = [1.0, 0.5, 0.0, 1.0]
         for s in (1.5, 1.6, 2.0):
             with pytest.raises(ValueError, match="divergence_probe"):
-                hs_distance(state, ZERO, s)
+                hs_distances(state, ZERO, s)
 
     def test_against_bessel_closed_form(self):
         """Closed form vs the direct Bessel assembly on random configurations."""
@@ -177,7 +161,7 @@ class TestDistance:
             coll = CollisionFunction(pc, qc)
             for s in (0.5, 1.0, 1.4, 1.45):
                 np.testing.assert_allclose(
-                    hs_distance(state, coll, s),
+                    hs_distances(state.as_array(), coll, s)[0],
                     bessel_distance(state, coll, s),
                     rtol=1e-9,
                     atol=1e-9,
@@ -191,7 +175,7 @@ class TestDistance:
             coll = CollisionFunction(0.52, -d / 3)
             for s in (0.5, 1.0, 1.4):
                 np.testing.assert_allclose(
-                    hs_distance(state, coll, s) ** 2,
+                    hs_distances(state.as_array(), coll, s)[0] ** 2,
                     bessel_distance(state, coll, s) ** 2,
                     rtol=1e-6,
                     atol=5e-10,
@@ -209,19 +193,20 @@ class TestPairIntegral:
     def test_against_mpmath(self, s):
         """G(omega) to 1e-13 relative against besselk at 40 digits, on both
         sides of the series / K_nu switch at omega = 1."""
-        values = pair_integral(np.array(OMEGAS), s)
+        values, = _pair_integrals(np.array(OMEGAS), [s])
         for omega, value in zip(OMEGAS, values):
             ref = pair_integral_mp(omega, s)
             assert abs(value - ref) <= 1e-13 * ref, (omega, value, ref)
 
     def test_scalar_and_array_agree(self):
         for s in (0.5, 1.4):
-            values = pair_integral(np.array(OMEGAS), s)
-            assert [pair_integral(w, s) for w in OMEGAS] == values.tolist()
+            values, = _pair_integrals(np.array(OMEGAS), [s])
+            assert [float(_pair_integrals(w, [s])[0]) for w in OMEGAS] == values.tolist()
 
     def test_even_and_zero_at_origin(self):
-        assert pair_integral(0.0, 1.0) == 0.0
-        assert pair_integral(-0.3, 1.2) == pair_integral(0.3, 1.2)
+        g1, g12 = _pair_integrals(np.array([0.0, -0.3, 0.3]), [1.0, 1.2])
+        assert g1[0] == 0.0 and g12[0] == 0.0
+        assert g12[1] == g12[2]
 
     @pytest.mark.parametrize("s", [0.5, 1.0])
     def test_zero_where_half_the_separation_underflows(self, s):
@@ -235,18 +220,17 @@ class TestPairIntegral:
             g, d = [math.pi * w for w in omegas], 2.0 * math.sqrt(5e-324)
         else:
             g, d = [0.0] * 3, 0.0
-        assert pair_integral(5e-324, s) == g[1]
-        assert pair_integral(np.array(omegas), s).tolist() == g
-        state = PeakonState(1.0, -1.0, 0.0, 5e-324)
-        assert hs_distance(state, CollisionFunction(0.0, 0.0), s) == d
+        assert _pair_integrals(5e-324, [s])[0] == g[1]
+        assert _pair_integrals(np.array(omegas), [s])[0].tolist() == g
+        assert hs_distances([1.0, -1.0, 0.0, 5e-324], ZERO, s).tolist() == [d]
 
     def test_half_index_elementary_form(self):
         """s = 1 (nu = 1/2): G = pi (1 - e^{-omega}) = -pi expm1(-|omega|),
         bit for bit, for negative separations and on both sides of omega = 1."""
         w = np.concatenate([OMEGAS, np.negative(OMEGAS)])
         want = -math.pi * np.expm1(-np.abs(w))
-        assert pair_integral(w, 1.0).tobytes() == want.tobytes()
-        assert [pair_integral(v, 1.0) for v in w] == want.tolist()
+        assert _pair_integrals(w, [1.0])[0].tobytes() == want.tobytes()
+        assert [float(_pair_integrals(v, [1.0])[0]) for v in w] == want.tolist()
 
     def test_half_index_no_farther_from_mpmath_than_the_series(self):
         """At s = 1 the closed form's largest relative error against besselk
@@ -256,7 +240,7 @@ class TestPairIntegral:
         rng = np.random.default_rng(2024)
         w = np.concatenate([10.0 ** rng.uniform(-15.0, 0.0, 150), rng.uniform(1.0, 40.0, 50)])
         ref = np.array([pair_integral_mp(v, 1.0) for v in w])
-        closed = np.max(np.abs(pair_integral(w, 1.0) - ref) / ref)
+        closed = np.max(np.abs(_pair_integrals(w, [1.0])[0] - ref) / ref)
         series = np.max(np.abs(pair_integral_per_index(w, 1.0) - ref) / ref)
         assert closed <= series, (closed, series)
         assert closed <= 2.5e-16
@@ -270,8 +254,8 @@ class TestPairIntegral:
         limit were off would show the full jump."""
         w = np.array(OMEGAS)
         h = 1e-6
-        mid = 0.5 * (pair_integral(w, 0.5 - h) + pair_integral(w, 0.5 + h))
-        np.testing.assert_allclose(mid, pair_integral(w, 0.5), rtol=1e-9, atol=0.0)
+        below, at, above = _pair_integrals(w, [0.5 - h, 0.5, 0.5 + h])
+        np.testing.assert_allclose(0.5 * (below + above), at, rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("t", (0.0, -0.0))
     def test_integer_order_slope_is_psi(self, t):
@@ -295,37 +279,35 @@ class TestPairIntegral:
         for omega in (1e-7, 1e-5, 1e-3, 1e-2, 0.3, 1.0, 3.0, 12.0):
             ref, _ = pair_integral_quad(omega, s)
             rtol, atol = (1e-9, 0.0) if omega >= 1e-2 else (1e-5, 1e-15)
-            assert abs(pair_integral(omega, s) - ref) <= rtol * ref + atol, omega
+            assert abs(_pair_integrals(omega, [s])[0] - ref) <= rtol * ref + atol, omega
 
     @pytest.mark.parametrize("s", (-0.5, 0.5, 1.0, 1.4, 1.45))
     def test_weight_integral_against_quadrature(self, s):
         """||c e^{-|x|}||^2 = (4/pi) c^2 I0 with I0 the plain weight integral."""
         i0, _ = weight_integral_quad(s)
-        state = PeakonState(0.8, 0.0, 0.0, 1.0)
-        np.testing.assert_allclose(hs_norm(state, s) ** 2, 4.0 / math.pi * 0.64 * i0,
-                                   rtol=1e-12)
+        norm, = hs_distances([0.8, 0.0, 0.0, 1.0], ZERO, s)
+        np.testing.assert_allclose(norm ** 2, 4.0 / math.pi * 0.64 * i0, rtol=1e-12)
 
     def test_index_range_rejected(self):
+        state = [1.5, -1.0, 0.0, 0.1]
         for s in (1.5, 2.0):
             with pytest.raises(ValueError, match="divergence_probe"):
-                pair_integral(0.1, s)
+                hs_distances(state, ZERO, [0.5, s])
         with pytest.raises(ValueError, match="overflows"):
-            pair_integral(0.1, -200.0)
+            hs_distances(state, ZERO, -200.0)
 
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
     def test_non_finite_index_rejected(self, s):
         """A NaN index passed both range checks and failed deep in the
         series with "cannot convert float NaN to integer"."""
         state = np.array([[1.5, -1.0, 0.0, 0.1]])
-        for call in (lambda: pair_integral(0.1, s),
-                     lambda: hs_distances(state, CollisionFunction(0.5, 0.0), s)):
-            with pytest.raises(ValueError, match="is not a finite Sobolev index"):
-                call()
+        with pytest.raises(ValueError, match="is not a finite Sobolev index"):
+            hs_distances(state, CollisionFunction(0.5, 0.0), s)
 
 
 class TestBatchedDistances:
     def test_batched_equals_scalar_bit_for_bit(self):
-        """One call over many states gives each state's scalar distance
+        """One call over many states gives each state's one-row distance
         exactly, on both sides of the series switch."""
         n = 60
         q1 = RNG.uniform(-1.0, 1.0, n)
@@ -334,7 +316,7 @@ class TestBatchedDistances:
         coll = CollisionFunction(0.7, 0.2)
         for s in (0.5, 1.0, 1.4):
             batch = hs_distances(states, coll, s)
-            scalar = [hs_distance(PeakonState(*row), coll, s) for row in states]
+            scalar = [float(hs_distances(row, coll, s)[0]) for row in states]
             assert batch.tolist() == scalar
 
     def test_single_row_and_empty_batch(self):
@@ -342,6 +324,23 @@ class TestBatchedDistances:
         coll = CollisionFunction(0.9, 0.1)
         assert hs_distances(state.as_array(), coll, 1.0).shape == (1,)
         assert hs_distances(np.empty((0, 4)), coll, 1.0).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        """A NaN separation read as distance 0 at every index but s = 1, and
+        an infinite one warned "invalid value encountered in multiply"; a
+        non-finite state component or collision profile is refused before
+        any work, also among finite rows."""
+        states = np.array([[1.0, -0.5, 0.0, 0.1], [1.2, -0.3, 0.0, 0.7]])
+        coll = CollisionFunction(0.5, 0.0)
+        for j in range(4):
+            rows = states.copy()
+            rows[1, j] = bad
+            with pytest.raises(ValueError, match="finite states"):
+                hs_distances(rows, coll, [0.5, 1.0, 1.4])
+        for bad_coll in (CollisionFunction(bad, 0.0), CollisionFunction(0.5, bad)):
+            with pytest.raises(ValueError, match="finite collision profile"):
+                hs_distances(states, bad_coll, [0.5, 1.0, 1.4])
 
     def test_small_a_large_momenta_against_mpmath(self):
         """(a, b) = (1e-9, 3): the momenta grow to about +-120 before the
@@ -408,7 +407,7 @@ class TestOnePassForEveryIndex:
                 for s, row in zip(indices, rows):
                     assert row.tobytes() == wants[s].tobytes(), (count, s)
             for s, want in wants.items():
-                assert pair_integral(omega, s).tobytes() == want.tobytes(), (count, s)
+                assert _pair_integrals(omega, [s])[0].tobytes() == want.tobytes(), (count, s)
 
     @pytest.mark.parametrize("n", [1, 5, 405])  # 3, 15 and 1,215 separations
     def test_distance_rows_equal_per_index_and_scalar_calls(self, n):
@@ -428,7 +427,7 @@ class TestOnePassForEveryIndex:
                 assert row.tobytes() == wants[s].tobytes(), s
         for s, want in wants.items():
             assert hs_distances(states, coll, s).tobytes() == want.tobytes(), s
-            scalar = [hs_distance(PeakonState(*state), coll, s) for state in states]
+            scalar = [float(hs_distances(state, coll, s)[0]) for state in states]
             assert scalar == want.tolist(), s
 
     def test_sequence_shapes(self):
@@ -464,7 +463,7 @@ class TestDivergenceProbe:
             assert abs(divergence_probe(state, coll, 2.0, cutoff)) <= 1e-10
 
     def test_subcritical_index_rejected(self):
-        with pytest.raises(ValueError, match="hs_distance"):
+        with pytest.raises(ValueError, match="use hs_distances"):
             divergence_probe(self.STATE, self.COLL, 1.4, 1e3)
 
     def test_subcritical_truncations_cauchy(self):
@@ -494,5 +493,5 @@ class TestDivergenceProbe:
         increments = [b - a for a, b in zip(vals, vals[1:])]
         assert all(inc > 0 for inc in increments)
         assert increments[0] > increments[1] > increments[2]
-        full = hs_distance(self.STATE, self.COLL, 1.49) ** 2
+        full = hs_distances(self.STATE.as_array(), self.COLL, 1.49)[0] ** 2
         assert vals[-1] < full

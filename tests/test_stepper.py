@@ -646,7 +646,7 @@ def _scalar_outcome(point):
 def _columns(points):
     """(initial, params, config) points as the columns (a, b, p1, p2, q1, q2,
     horizon) that ``terminal_events`` takes."""
-    rows = [(params.a, params.b, *astuple(initial), integrator_module._horizon(config))
+    rows = [(params.a, params.b, *astuple(initial), config.max_time)
             for initial, params, config in points]
     return [np.array(col, dtype=float) for col in (zip(*rows) if rows else [()] * 7)]
 
@@ -728,9 +728,8 @@ class TestLanesRepeatTheScalarRun:
         assert _assert_lanes_repeat_scalar(points)
 
     def test_public_call_equals_integrate(self, rep):
-        """``terminal_events`` on a grid large enough to run in lockstep."""
+        """``terminal_events`` on every 16th point of a seeded grid."""
         points = [p for p in (_design(a, b, rep) for a, b in _sweep_grid(9)[::16]) if p]
-        assert len(points) >= integrator_module.MIN_LANES
         assert _column_outcomes(points) == list(map(_scalar_outcome, points))
 
 
@@ -788,8 +787,6 @@ def test_column_call_equals_integrate_point_by_point(grid, settings, failures):
     want = list(map(_scalar_outcome, points))
     assert _column_outcomes(points) == want
     assert sum(isinstance(kind, type) for kind, _ in want) == failures
-    if len(grid) > 1:
-        assert len(points) >= integrator_module.MIN_LANES
 
 
 def test_resumed_failures_are_not_run_again(monkeypatch):
@@ -861,7 +858,6 @@ def test_failing_lanes_raise_what_integrate_raises(monkeypatch):
     points = neighbours[:3] + failing[:1] + neighbours[3:9] + failing[1:] + neighbours[9:]
     monkeypatch.setattr(integrator_module, "MAX_STEPS", 60)  # the creeping run needs more
     monkeypatch.setattr(integrator_module, "_interpolate", nan_for_marked_step)
-    monkeypatch.setattr(integrator_module, "MIN_LANES", 4)
     ends = [_scalar(*p) for p in points]
     want = list(map(_scalar_outcome, points))
     errors = [str(end) for end in ends if isinstance(end, Exception)]
@@ -954,7 +950,6 @@ def test_overflow_guard_reads_the_state_integrate_reads(monkeypatch):
         lane_points.extend(y0.T.tolist())
         return lane_runs(fields, args, y0, *rest)
 
-    monkeypatch.setattr(integrator_module, "MIN_LANES", 4)
     monkeypatch.setattr(integrator_module, "_lane_runs", recording)
     got = _column_outcomes(points)
     assert got[0] == (IntegrationError, str(raised.value))
@@ -970,19 +965,18 @@ def test_unreadable_reduced_point_fails_alone():
     points = [(PeakonState(1e308, -1e308, 0.0, 1.0), ABParams(1 / 3, 3.0), cfg),
               *(p for p in (_design(a, b, cfg.representation) for a, b in _sweep_grid(9)[::16])
                 if p)]
-    assert len(points) >= integrator_module.MIN_LANES
     got = _column_outcomes(points)
     assert got[0] == (ValueError, "state component p1 must be finite")
     assert got[1:] == list(map(_scalar_outcome, points[1:]))
 
 
 def test_batch_without_a_runnable_point():
-    """A lockstep-sized batch in which the lane builder keeps no point (every
-    reduced point has its peaks in reverse order): no lane runs, and every
-    point carries the error ``integrate`` raises."""
+    """A batch in which the lane builder keeps no point (every reduced point
+    has its peaks in reverse order): no lane runs, and every point carries
+    the error ``integrate`` raises."""
     cfg = IntegrationConfig(representation=Representation.REDUCED)
     points = [(PeakonState(1.5, -1.0, 0.1 + 0.01 * k, 0.0), ABParams(1 / 3, 3.0), cfg)
-              for k in range(integrator_module.MIN_LANES)]
+              for k in range(32)]
     assert integrator_module._lane_points(
         integrator_module._REDUCED, *_columns(points))[0].size == 0
     assert _column_outcomes(points) == [(ValueError, "reduced representation requires q2 > q1")
@@ -1006,18 +1000,13 @@ def test_points_must_share_tolerances_and_representation():
     assert times.size == 0 and kinds == []
 
 
-def test_small_batches_and_single_runs_stay_scalar(monkeypatch, tmp_path):
-    """Fewer points than MIN_LANES, and run-case and certify, never start
-    the lane stepper."""
+def test_single_runs_stay_scalar(monkeypatch, tmp_path):
+    """run-case and certify never start the lane stepper."""
     from peakonlab.cli import main
 
     def no_lanes(*args, **kwargs):
         raise AssertionError("lane stepper started")
 
     monkeypatch.setattr(integrator_module, "_lane_runs", no_lanes)
-    points = [_design(a, b, Representation.FULL) for a in GRID_A for b in GRID_B]
-    assert len(points) < integrator_module.MIN_LANES
-    assert _column_outcomes(points) == list(map(_scalar_outcome, points))
     assert main(["run-case", "--sample-count", "5", "--out", str(tmp_path / "r")]) == 0
     assert main(["certify", "--s", "0.5", "--out", str(tmp_path / "c")]) == 0
-    assert main(["sweep", "--out", str(tmp_path / "s")]) == 0
