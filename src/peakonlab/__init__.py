@@ -12,9 +12,9 @@ collision_time_bound; from ``dynamics`` PeakonState, ReducedState and
 to_reduced; from ``analytic`` InvariantContext, F1, F2, f_density, h_sq, w_sq
 and z_closed_form; from ``integrator`` IntegrationConfig, Representation,
 EventKind, EventRecord, IntegrationError, Trajectory, integrate and
-integrate_reversed; from ``sobolev`` CollisionFunction, collision_function,
-hs_distances and divergence_probe; from ``residual`` ResidualReport,
-pde_residual and residual_report.  So are the fields ``full_rhs_array`` and
+integrate_reversed; from ``sobolev`` CollisionFunction, collision_function
+and hs_distances; from ``residual`` ResidualReport, pde_residual and
+residual_report.  So are the fields ``full_rhs_array`` and
 ``reduced_rhs_array`` of ``peakonlab.dynamics``.  Every other name serves
 the command line (``peakonlab.cli``) or the module that defines it.
 """
@@ -43,12 +43,7 @@ from .params import (
     make_initial_profile,
 )
 from .residual import ResidualReport, pde_residual, residual_report
-from .sobolev import (
-    CollisionFunction,
-    collision_function,
-    divergence_probe,
-    hs_distances,
-)
+from .sobolev import CollisionFunction, collision_function, hs_distances
 
 __version__ = "0.1.0"
 
@@ -74,7 +69,6 @@ __all__ = [
     "classify",
     "collision_function",
     "collision_time_bound",
-    "divergence_probe",
     "f_density",
     "h_sq",
     "hs_distances",

@@ -1025,9 +1025,14 @@ class Trajectory:
         return self._last[1]
 
     def sample_array(self, ts) -> np.ndarray:
-        """States at the given times as an (n, 4) array [p1, p2, q1, q2]."""
+        """States at the given times as an (n, 4) array [p1, p2, q1, q2].
+
+        A time may lie a few ulps of the run's own time scale outside
+        [t0, t_end]; one farther out, or nan, raises ValueError.
+        """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        outside = ~((ts >= self.t0 - 1e-12) & (ts <= self.t_end + 1e-12))  # and nan
+        slack = 4.0 * math.ulp(max(abs(self.t0), abs(self.t_end)))
+        outside = ~((ts >= self.t0 - slack) & (ts <= self.t_end + slack))  # and nan
         if outside.any():
             raise ValueError(f"t = {ts[outside][0]} outside [{self.t0}, {self.t_end}]")
         if self._stepper is None:

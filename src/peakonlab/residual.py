@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 from .params import ABParams
 
-DEFAULT_EXCLUSION_RADIUS = 0.1
+#: the least distance from both peaks at which the residual is evaluated
+EXCLUSION_RADIUS = 0.1
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,6 @@ class ResidualReport:
     sample_points: tuple
     residual_values: tuple
     max_abs_residual: float
-    exclusion_radius: float
 
 
 def _side_integral(x: float, c0: float, c1: float, slope: int, j: int, ya: float, yb: float) -> float:
@@ -114,41 +114,27 @@ def _residual_at(state, deriv, x: float, a: float, b: float) -> float:
     return ut + u * u * ux - a * ux**3 + nonlocal_terms
 
 
-def pde_residual(
-    traj,
-    t: float,
-    x: float,
-    params: ABParams,
-    exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS,
-) -> float:
+def pde_residual(traj, t: float, x: float, params: ABParams) -> float:
     """Signed residual of the wave equation at an off-peak point (x, t).
 
     The time derivative comes from the trajectory's motion through the
     chain rule (no finite differencing of dense output); spatial
     derivatives are the exact piecewise exponentials; the two nonlocal
     terms are exact piecewise-exponential integrals.  ``traj`` needs
-    ``sample`` and ``sample_derivative``; x must keep the exclusion
-    distance from both peaks.
+    ``sample`` and ``sample_derivative``; x must keep EXCLUSION_RADIUS
+    from both peaks.
     """
     state = traj.sample(t)
     dist = min(abs(x - state.q1), abs(x - state.q2))
-    if dist < exclusion_radius:
-        raise ValueError(
-            f"x = {x} within exclusion radius {exclusion_radius} of a peak"
-        )
+    if dist < EXCLUSION_RADIUS:
+        raise ValueError(f"x = {x} within exclusion radius {EXCLUSION_RADIUS} of a peak")
     return _residual_at(state, traj.sample_derivative(t), x, params.a, params.b)
 
 
-def residual_report(
-    traj,
-    t: float,
-    params: ABParams,
-    points=None,
-    exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS,
-) -> ResidualReport:
+def residual_report(traj, t: float, params: ABParams, points=None) -> ResidualReport:
     """Residuals at a set of off-peak abscissae (defaults: left of, between
-    and right of the peaks).  Points inside the exclusion radius are
-    dropped.
+    and right of the peaks).  Points inside EXCLUSION_RADIUS of a peak
+    are dropped.
 
     The state and its derivative are sampled once for the whole report,
     not once per point; each value equals ``pde_residual`` at its point
@@ -161,7 +147,7 @@ def residual_report(
     kept = [
         float(x)
         for x in points
-        if min(abs(x - state.q1), abs(x - state.q2)) >= exclusion_radius
+        if min(abs(x - state.q1), abs(x - state.q2)) >= EXCLUSION_RADIUS
     ]
     deriv = traj.sample_derivative(t) if kept else None
     values = [_residual_at(state, deriv, x, params.a, params.b) for x in kept]
@@ -169,5 +155,4 @@ def residual_report(
         sample_points=tuple(kept),
         residual_values=tuple(values),
         max_abs_residual=max((abs(v) for v in values), default=0.0),
-        exclusion_radius=exclusion_radius,
     )

@@ -22,7 +22,7 @@ so that, with nu = 3/2 - s,
 
 the last by Basset's integral (DLMF 10.32.11).  The weight has algebraic
 decay 2(s-2) < -1 exactly when s < 3/2 (nu > 0), which is the
-integrability threshold certified separately by the divergence probe.
+integrability threshold: at and above it the norm integral diverges.
 
 Near a collision the two profiles almost coincide: sum a_j and every
 separation are small, and the distance is what is left of order-one
@@ -62,7 +62,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PeakonState
 from .integrator import EventKind, Trajectory
 
 H_S_LIMIT = 1.5  # peakon profiles lie in H^s exactly for s below this
@@ -76,6 +75,8 @@ _SERIES_TERMS = 12
 #: Taylor terms of the log-gamma slope, used for |t| below _SLOPE_TAYLOR
 _SLOPE_TERMS = 16
 _SLOPE_TAYLOR = 0.1
+#: a surviving momentum at or below this counts as zero (the profile vanishes)
+_ZERO_MOMENTUM = 1e-12
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ class CollisionFunction:
     q_star: float
 
 
-def collision_function(traj: Trajectory, zero_tol: float = 1e-12) -> CollisionFunction:
+def collision_function(traj: Trajectory) -> CollisionFunction:
     """Read the limiting profile off a trajectory's terminal event.
 
     Collision: p* = p1(T) + p2(T) at the common position q1(T).  Momentum
@@ -100,22 +101,14 @@ def collision_function(traj: Trajectory, zero_tol: float = 1e-12) -> CollisionFu
     if rec.kind is EventKind.COLLISION:
         return CollisionFunction(p_star=st.p1 + st.p2, q_star=st.q1)
     if rec.kind is EventKind.MOMENTUM_ZERO_1:
-        if abs(st.p2) <= zero_tol:
+        if abs(st.p2) <= _ZERO_MOMENTUM:
             return CollisionFunction(p_star=0.0, q_star=st.q1)
         return CollisionFunction(p_star=st.p2, q_star=st.q2)
     if rec.kind is EventKind.MOMENTUM_ZERO_2:
-        if abs(st.p1) <= zero_tol:
+        if abs(st.p1) <= _ZERO_MOMENTUM:
             return CollisionFunction(p_star=0.0, q_star=st.q1)
         return CollisionFunction(p_star=st.p1, q_star=st.q1)
     raise ValueError("trajectory ended at the horizon; no collision function")
-
-
-def _quad_checked(f, a, b, **kw):
-    """quad with suppressed chatter; returns (value, error estimate)."""
-    from scipy.integrate import quad  # imported on use: only the probe needs it
-
-    out = quad(f, a, b, full_output=1, **kw)
-    return out[0], out[1]
 
 
 def _check_index(s: float) -> None:
@@ -124,7 +117,8 @@ def _check_index(s: float) -> None:
         raise ValueError(f"s = {s} is not a finite Sobolev index")
     if s >= H_S_LIMIT:
         raise ValueError(f"s = {s} >= 3/2 is outside the admissible range: the norm "
-                         "integral diverges; use divergence_probe")
+                         "integral diverges (up to |xi| = R it grows like R^(2s - 3), "
+                         "like log R at s = 3/2)")
     if H_S_LIMIT - s > _NU_MAX:
         raise ValueError(f"s = {s} < {H_S_LIMIT - _NU_MAX:g}: Gamma(3/2 - s) overflows")
 
@@ -211,8 +205,6 @@ def _pair_integrals(omega, indices) -> list:
     the indices other than s = 1 the separations, their masks, ln y and each
     power y ** p are formed once and shared.
     """
-    from scipy.special import gamma, kv
-
     omega = np.abs(np.asarray(omega, dtype=float))
     ranges = {s: _series_exponents(H_S_LIMIT - s) for s in indices if H_S_LIMIT - s != 0.5}
     x = 0.5 * omega
@@ -226,6 +218,8 @@ def _pair_integrals(omega, indices) -> list:
         exponents = sorted(set().union(*ranges.values()))  # each index's range is a run of these
         powers = np.array([y ** float(p) for p in exponents])
     if any_large:
+        from scipy.special import gamma, kv  # imported on use: s = 1 alone needs none
+
         w = omega[large]
         half_w = 0.5 * w
     out = []
@@ -277,37 +271,3 @@ def hs_distances(states, collision: CollisionFunction, s) -> np.ndarray:
         sq = total_sq * i0 - a12 * g12 - a1c * g1c - a2c * g2c
         rows.append(np.sqrt(np.maximum(4.0 / math.pi * sq, 0.0)))
     return np.array(rows).reshape(len(indices), len(total)) if many else rows[0]
-
-
-def divergence_probe(
-    state: PeakonState, collision: CollisionFunction, s: float, cutoff: float
-) -> float:
-    """Truncated squared-distance integral over |xi| <= cutoff for s >= 3/2.
-
-    For a profile distinct from C the value grows without bound as the
-    cutoff increases, like cutoff^(2s-3) for s > 3/2 and logarithmically
-    at s = 3/2; that growth is the obstruction to the collapse argument
-    at and above the critical index.
-    """
-    if s < H_S_LIMIT:
-        raise ValueError(f"s = {s} < 3/2: the full integral converges; use hs_distances")
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
-    amps = (state.p1, state.p2, -collision.p_star)
-    pos = (state.q1, state.q2, collision.q_star)
-    wt = lambda xi: (1.0 + xi * xi) ** (s - 2.0)
-    i0, _ = _quad_checked(wt, 0.0, cutoff, epsabs=1e-12, epsrel=1e-12, limit=500)
-    total_amp = sum(amps)
-    total = total_amp * total_amp * i0
-    for j in range(3):
-        for k in range(j + 1, 3):
-            if amps[j] == 0.0 or amps[k] == 0.0:
-                continue
-            omega = abs(pos[j] - pos[k])
-            if omega == 0.0:
-                continue
-            ic, _ = _quad_checked(
-                wt, 0.0, cutoff, weight="cos", wvar=omega, epsabs=1e-12, limit=500
-            )
-            total -= amps[j] * amps[k] * 2.0 * (i0 - ic)
-    return 4.0 / math.pi * total

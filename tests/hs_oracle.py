@@ -1,4 +1,5 @@
-"""Independent references for the closed-form H^s distances.
+"""Independent references for the closed-form H^s distances, and the
+divergence probe above them.
 
 Four oracles, none of which shares code with ``peakonlab.sobolev``:
 
@@ -20,6 +21,12 @@ Four oracles, none of which shares code with ``peakonlab.sobolev``:
   every index must give these bits exactly, except at s = 1, where the
   package uses pi (1 - e^{-omega}) and must be no farther from mpmath
   than this series.
+
+``divergence_probe`` is the squared-distance integral truncated at a
+frequency cutoff, for s >= 3/2, where the closed form does not exist:
+its growth with the cutoff is the obstruction at and above the critical
+index (criterion 7).  ``truncated_distance_sq`` is the same integral at
+any index.
 """
 
 import math
@@ -90,6 +97,42 @@ def pair_integral_quad(omega: float, s: float) -> tuple:
     )
     val = core + 2.0 * (t_dc - t_cos) / omega
     return val, e_core + 2.0 * (e_dc + e_cos) / omega
+
+
+def truncated_distance_sq(state, coll, s: float, cutoff: float) -> float:
+    """Squared H^s distance of ``state`` to ``coll`` with the frequency
+    integral truncated to |xi| <= cutoff, by quadrature of each pair."""
+    amps = (state.p1, state.p2, -coll.p_star)
+    pos = (state.q1, state.q2, coll.q_star)
+    wt = lambda xi: (1.0 + xi * xi) ** (s - 2.0)
+    i0, _ = _quad(wt, 0.0, cutoff, epsabs=1e-12, epsrel=1e-12, limit=500)
+    total_amp = sum(amps)
+    total = total_amp * total_amp * i0
+    for j in range(3):
+        for k in range(j + 1, 3):
+            if amps[j] == 0.0 or amps[k] == 0.0:
+                continue
+            omega = abs(pos[j] - pos[k])
+            if omega == 0.0:
+                continue
+            ic, _ = _quad(wt, 0.0, cutoff, weight="cos", wvar=omega, epsabs=1e-12, limit=500)
+            total -= amps[j] * amps[k] * 2.0 * (i0 - ic)
+    return 4.0 / math.pi * total
+
+
+def divergence_probe(state, coll, s: float, cutoff: float) -> float:
+    """Truncated squared-distance integral over |xi| <= cutoff for s >= 3/2.
+
+    For a profile distinct from C the value grows without bound as the
+    cutoff increases, like cutoff^(2s-3) for s > 3/2 and logarithmically
+    at s = 3/2; that growth is the obstruction to the collapse argument
+    at and above the critical index.
+    """
+    if s < 1.5:
+        raise ValueError(f"s = {s} < 3/2: the full integral converges; use hs_distances")
+    if cutoff <= 0:
+        raise ValueError("cutoff must be positive")
+    return truncated_distance_sq(state, coll, s, cutoff)
 
 
 def bessel_distance(state, coll, s):

@@ -21,7 +21,7 @@ from scipy.integrate import simpson
 
 from peakonlab.dynamics import PeakonState
 from peakonlab.params import ABParams
-from peakonlab.residual import DEFAULT_EXCLUSION_RADIUS
+from peakonlab.residual import EXCLUSION_RADIUS
 
 DEFAULT_HALF_WIDTH = 30.0  # grid reach beyond the outermost peak
 DEFAULT_SPACING = 1e-3
@@ -137,7 +137,6 @@ def pde_residual_grid(
     t: float,
     x: float,
     params: ABParams,
-    exclusion_radius: float = DEFAULT_EXCLUSION_RADIUS,
     half_width: float = DEFAULT_HALF_WIDTH,
     spacing: float = DEFAULT_SPACING,
 ) -> float:
@@ -147,16 +146,14 @@ def pde_residual_grid(
     chain rule (no finite differencing of dense output); spatial
     derivatives are the exact piecewise exponentials; the two nonlocal
     terms go through d_minus2 on a kink-aware grid.  ``traj`` needs
-    ``sample`` and ``sample_derivative``; x must keep the exclusion
-    distance from both peaks.
+    ``sample`` and ``sample_derivative``; x must keep EXCLUSION_RADIUS
+    from both peaks.
     """
     state = traj.sample(t)
     a, b = params.a, params.b
     dist = min(abs(x - state.q1), abs(x - state.q2))
-    if dist < exclusion_radius:
-        raise ValueError(
-            f"x = {x} within exclusion radius {exclusion_radius} of a peak"
-        )
+    if dist < EXCLUSION_RADIUS:
+        raise ValueError(f"x = {x} within exclusion radius {EXCLUSION_RADIUS} of a peak")
 
     L = max(abs(state.q1), abs(state.q2)) + half_width
     breaks = sorted({v for v in (state.q1, state.q2, x) if -L < v < L})

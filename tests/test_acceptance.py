@@ -40,7 +40,6 @@ from peakonlab import (
     case_epsilon,
     collision_function,
     collision_time_bound,
-    divergence_probe,
     h_sq,
     hs_distances,
     integrate,
@@ -54,6 +53,7 @@ from peakonlab import (
 from peakonlab.dynamics import full_rhs_array
 
 from conftest import CASE_PRESETS
+from hs_oracle import divergence_probe
 
 S_VALUES = (0.5, 1.0, 1.4)
 DISTANCE_THRESHOLD = 1e-3

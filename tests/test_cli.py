@@ -519,7 +519,7 @@ class TestFailurePaths:
         ("-inf", "s = -inf is not a finite Sobolev index"),
         ("inf", "s = inf is not a finite Sobolev index"),
         ("2", "s = 2.0 >= 3/2 is outside the admissible range: the norm integral "
-              "diverges; use divergence_probe"),
+              "diverges (up to |xi| = R it grows like R^(2s - 3), like log R at s = 3/2)"),
     ])
     def test_sobolev_index_checked_before_the_run(self, tmp_path, command, s, message):
         """Every index the distances reject is rejected before the run, with
@@ -973,13 +973,18 @@ class TestSweep:
         assert (b",-0," if fmt == "csv" else b'"-0"') in written
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(tmp_path):
     """scipy is imported only where a quadrature or a special function is
-    used, so a bare import (and a sweep) never loads it."""
-    code = "import sys, peakonlab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
-    assert out.stdout.strip() == "[]"
+    used, so a bare import (and a sweep) never loads it, and neither does
+    a run at s = 1 alone, whose distances take the expm1 form."""
+    scipy = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+    run = f"main(['run-case', '--case', 'case1', '--s', '1.0', '--out', {str(tmp_path)!r}])"
+    for code in (f"import sys, peakonlab; print({scipy})",
+                 f"import sys; from peakonlab.cli import main; {run}; print({scipy})"):
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert out.stdout.splitlines()[-1] == "[]", code
+    assert (tmp_path / "trajectory.csv").read_text().splitlines()[0].endswith(",dist_s1")
 
 
 def test_python_m_runs_from_the_source_tree(tmp_path):

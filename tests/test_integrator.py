@@ -304,6 +304,23 @@ class TestTrajectoryApi:
             with pytest.raises(ValueError, match="outside"):
                 traj.sample_array(bad)
 
+    def test_sample_range_follows_the_run_time_scale(self):
+        """At alpha = 1e76 case1 collides at T ~ 1e-152.  A fixed slack of
+        1e-12 let 2T (a state extrapolated past the collision), 1e-140
+        (p1 ~ 4e158) and 5e-13 (an overflow) through; the slack is now a
+        few ulps of the run's own times."""
+        _, _, _, traj = run_point(*CASE_PRESETS["case1"], alpha=1e76)
+        T = traj.t_end
+        assert 0.0 < T < 1e-150
+        for bad in (2.0 * T, 1e-140, 5e-13, -1e-13, -T):
+            with pytest.raises(ValueError, match=r"t = .* outside \["):
+                traj.sample(bad)
+            with pytest.raises(ValueError, match=r"t = .* outside \["):
+                traj.sample_array([0.0, bad])
+        inside = [traj.t0, 0.5 * T, T, np.nextafter(T, np.inf), -0.0]
+        assert np.isfinite(traj.sample_array(inside)).all()
+        assert traj.sample(T) == traj.terminal_event.state
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_sample_array_non_finite_time_rejected(self, case_runs, bad):
         """nan fails both range comparisons; it is refused as out of range

@@ -26,11 +26,13 @@ import numpy as np
 import pytest
 from hs_oracle import (
     bessel_distance,
+    divergence_probe,
     hs_distance_mp,
     hs_distances_per_index,
     pair_integral_mp,
     pair_integral_per_index,
     pair_integral_quad,
+    truncated_distance_sq,
     weight_integral_quad,
 )
 
@@ -43,7 +45,6 @@ from peakonlab import (
     case_spec_for,
     collision_function,
     collision_time_bound,
-    divergence_probe,
     hs_distances,
     integrate,
     make_initial_profile,
@@ -147,7 +148,7 @@ class TestDistance:
     def test_supercritical_index_rejected(self):
         state = [1.0, 0.5, 0.0, 1.0]
         for s in (1.5, 1.6, 2.0):
-            with pytest.raises(ValueError, match="divergence_probe"):
+            with pytest.raises(ValueError, match=r"diverges \(up to \|xi\| = R"):
                 hs_distances(state, ZERO, s)
 
     def test_against_bessel_closed_form(self):
@@ -291,7 +292,7 @@ class TestPairIntegral:
     def test_index_range_rejected(self):
         state = [1.5, -1.0, 0.0, 0.1]
         for s in (1.5, 2.0):
-            with pytest.raises(ValueError, match="divergence_probe"):
+            with pytest.raises(ValueError, match=r"diverges \(up to \|xi\| = R"):
                 hs_distances(state, ZERO, [0.5, s])
         with pytest.raises(ValueError, match="overflows"):
             hs_distances(state, ZERO, -200.0)
@@ -470,26 +471,8 @@ class TestDivergenceProbe:
         """Just below critical (s = 1.49) the truncation sequence is Cauchy:
         increments between consecutive cutoffs are positive and shrink,
         approaching the convergent full quadrature from below."""
-        from peakonlab.sobolev import _quad_checked
-
-        def truncated(cutoff):
-            amps = (self.STATE.p1, self.STATE.p2, -self.COLL.p_star)
-            pos = (self.STATE.q1, self.STATE.q2, self.COLL.q_star)
-            wt = lambda xi: (1 + xi * xi) ** (1.49 - 2.0)
-            i0, _ = _quad_checked(wt, 0, cutoff, epsabs=1e-12, epsrel=1e-12, limit=500)
-            total = sum(amps) ** 2 * i0
-            for j in range(3):
-                for k in range(j + 1, 3):
-                    om = abs(pos[j] - pos[k])
-                    if om == 0 or amps[j] == 0 or amps[k] == 0:
-                        continue
-                    ic, _ = _quad_checked(
-                        wt, 0, cutoff, weight="cos", wvar=om, epsabs=1e-12, limit=500
-                    )
-                    total -= amps[j] * amps[k] * 2 * (i0 - ic)
-            return 4 / math.pi * total
-
-        vals = [truncated(c) for c in (1e2, 1e3, 1e4, 1e5)]
+        vals = [truncated_distance_sq(self.STATE, self.COLL, 1.49, c)
+                for c in (1e2, 1e3, 1e4, 1e5)]
         increments = [b - a for a, b in zip(vals, vals[1:])]
         assert all(inc > 0 for inc in increments)
         assert increments[0] > increments[1] > increments[2]
