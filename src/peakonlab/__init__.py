@@ -13,10 +13,12 @@ to_reduced; from ``analytic`` InvariantContext, F1, F2, f_density, h_sq, w_sq
 and z_closed_form; from ``integrator`` IntegrationConfig, Representation,
 EventKind, EventRecord, IntegrationError, Trajectory, integrate and
 integrate_reversed; from ``sobolev`` CollisionFunction, collision_function
-and hs_distances; from ``residual`` ResidualReport, pde_residual and
-residual_report.  So are the fields ``full_rhs_array`` and
-``reduced_rhs_array`` of ``peakonlab.dynamics``.  Every other name serves
-the command line (``peakonlab.cli``) or the module that defines it.
+and hs_distances; from ``residual`` ResidualReport and residual_report, the
+one residual entry point.  So are the fields ``full_rhs_array`` and
+``reduced_rhs_array`` of ``peakonlab.dynamics``.  A trajectory keeps its one
+terminal record as ``Trajectory.terminal_event``; a located event's residual
+|g(T)| is bounded by the constant ``integrator.EVENT_TOL``.  Every other name
+serves the command line (``peakonlab.cli``) or the module that defines it.
 """
 
 from .analytic import F1, F2, InvariantContext, f_density, h_sq, w_sq, z_closed_form
@@ -42,7 +44,7 @@ from .params import (
     l_a,
     make_initial_profile,
 )
-from .residual import ResidualReport, pde_residual, residual_report
+from .residual import ResidualReport, residual_report
 from .sobolev import CollisionFunction, collision_function, hs_distances
 
 __version__ = "0.1.0"
@@ -76,7 +78,6 @@ __all__ = [
     "integrate_reversed",
     "l_a",
     "make_initial_profile",
-    "pde_residual",
     "residual_report",
     "to_reduced",
     "w_sq",

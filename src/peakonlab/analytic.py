@@ -137,7 +137,8 @@ def _weighted_density(ctx: InvariantContext) -> Callable[[float], float]:
     would cost more than the arithmetic.  The values agree with
     ``f_density``'s to roundoff, and the same ValueError is raised outside
     the sign-definite range.  Where a float overflows, numpy's rules
-    decide: that point is evaluated through ``f_density``.
+    decide: that point is evaluated through ``f_density``, whose overflow
+    warnings are silenced (``F1`` judges the value it integrates to).
     """
     a, b = ctx.params.a, ctx.params.b
     if b == 2.0:  # the weight stays, so a node past its overflow fails as before
@@ -156,12 +157,21 @@ def _weighted_density(ctx: InvariantContext) -> Callable[[float], float]:
             e, e2 = math.exp(-rho), math.exp(-2.0 * rho)
             return (1.0 + e) * (head * e * z / (c - d3 * e2))
         except OverflowError:
-            return (1.0 + math.exp(-rho)) * f_density(ctx, rho)
+            with np.errstate(all="ignore"):
+                return (1.0 + math.exp(-rho)) * f_density(ctx, rho)
 
     return integrand
 
 
-def _potential(ctx: InvariantContext, q: float) -> float:
+def F1(ctx: InvariantContext, q: float) -> float:
+    """Integral of (1 + e^{-rho}) f(rho) from mu to q; F1(mu) = 0.
+
+    A NaN q raises ValueError (the quadrature over [mu, nan] would return 0),
+    and so does a q where the integral is not finite or the quadrature's
+    own error estimate misses its tolerance (F2, h_sq and w_sq raise with
+    it).  That estimate judges the quadrature, so scipy's own verdict is
+    taken as a return value (``full_output``), not as a warning.
+    """
     from scipy.integrate import quad  # imported on use, off the import path
 
     if math.isnan(q):
@@ -169,14 +179,8 @@ def _potential(ctx: InvariantContext, q: float) -> float:
     if q == ctx.mu:
         return 0.0
     try:
-        val, err = quad(
-            _weighted_density(ctx),
-            ctx.mu,
-            q,
-            epsabs=_QUAD_ABS_TOL,
-            epsrel=_QUAD_ABS_TOL,
-            limit=200,
-        )
+        val, err = quad(_weighted_density(ctx), ctx.mu, q, epsabs=_QUAD_ABS_TOL,
+                        epsrel=_QUAD_ABS_TOL, limit=200, full_output=1)[:2]
     except OverflowError:  # a node's density overflows a float
         val = math.inf
     if not math.isfinite(val):  # far below mu, where e^{-2q} or z(q) overflows a float
@@ -185,16 +189,6 @@ def _potential(ctx: InvariantContext, q: float) -> float:
         raise ValueError(f"F1 quadrature did not converge at separation q = {q:g}: "
                          f"estimated error {err:.3e}")
     return val
-
-
-def F1(ctx: InvariantContext, q: float) -> float:
-    """Integral of (1 + e^{-rho}) f(rho) from mu to q; F1(mu) = 0.
-
-    A NaN q raises ValueError (the quadrature over [mu, nan] would return 0),
-    and so does a q where the integral is not finite (F2, h_sq and w_sq
-    raise with it).
-    """
-    return _potential(ctx, q)
 
 
 def F2(ctx: InvariantContext, q: float) -> float:

@@ -19,7 +19,8 @@ its value, even one that begins with "-"; "none" unsets an optional float.
 --alpha, --delta    peakon magnitude scale (default 1) and asymmetry (default 0.5)
 --mu, --c           initial peak separation override; separation design constant
                     in (1, 2); not both, since mu determines c
---rel-tol, --abs-tol, --event-tol, --max-time, --representation (full or reduced)
+--rel-tol, --abs-tol, --max-time, --representation (full or reduced); a located
+                    event's residual |g(T)| is held to 1e-12 (integrator.EVENT_TOL)
 --s                 Sobolev index (repeatable; the key s_values)
 --sample-count N    uniform sample times, at most 1000000 (default 400)
 --format, --out     csv or json; the output directory (default runs)
@@ -103,7 +104,6 @@ class ExperimentConfig:
     c: Optional[float] = None
     rel_tol: float = IntegrationConfig.rel_tol
     abs_tol: float = IntegrationConfig.abs_tol
-    event_tol: float = IntegrationConfig.event_tol
     max_time: Optional[float] = None
     representation: Optional[str] = None
     s_values: tuple = ()
@@ -241,7 +241,6 @@ def _resolve(cfg: ExperimentConfig, require_case: bool = False) -> ResolvedRun:
         rel_tol=cfg.rel_tol,
         abs_tol=cfg.abs_tol,
         max_time=max_time,
-        event_tol=cfg.event_tol,
         representation=representation,
     )
     label = name if name != "custom" else (
@@ -512,15 +511,13 @@ def run_case(cfg: ExperimentConfig) -> int:
         table += [np.full_like(ts, math.nan)] * len(cfg.s_values)
     _write_table(outdir / "trajectory", columns, table, cfg.format)
 
-    ev_rows = [
-        (rec.kind.value, rec.time, rec.state.p1, rec.state.p2, rec.state.q1, rec.state.q2)
-        for rec in traj.events
-    ]
+    term = traj.terminal_event
+    st = term.state
     _write_table(outdir / "events", ["kind", "time", "p1", "p2", "q1", "q2"],
-                 list(zip(*ev_rows)), cfg.format, text=("kind",))
+                 [(term.kind.value,), (term.time,), (st.p1,), (st.p2,), (st.q1,), (st.q2,)],
+                 cfg.format, text=("kind",))
     _write_manifest(outdir, cfg, _resolved_extra(run))
 
-    term = traj.terminal_event
     print(f"{run.label}: terminated by {term.kind.value} at t = {term.time:.9g}; "
           f"wrote {outdir}/")
     if run.label == "case2":
@@ -715,10 +712,11 @@ def _load_config_file(path: str) -> dict:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         data = json.loads(text)
-        # derived values, and "workers" from manifests written when sweep
-        # still had a thread pool
+        # derived values, "workers" from manifests written when sweep still
+        # had a thread pool, and "event_tol" from those written when the
+        # event residual bound was an option
         derived = ("tool", "version", "initial_state", "epsilon",
-                   "collision_time_bound", "points", "notes", "workers")
+                   "collision_time_bound", "points", "notes", "workers", "event_tol")
         return {k: v for k, v in data.items()
                 if not k.startswith("resolved_") and k not in derived}
     mapping = {}

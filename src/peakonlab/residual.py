@@ -24,8 +24,8 @@ is one expm1.  Each exponential is evaluated at the end of its interval
 where it is largest, and that value is at most 1, so nothing overflows
 however far x lies from the peaks.
 
-``residual_report`` samples the state and its derivative once per time and
-evaluates every point from them; ``pde_residual`` is the one-point case.
+``residual_report`` is the one entry point: it samples the state and its
+derivative once per time and evaluates every point from them.
 """
 
 from __future__ import annotations
@@ -114,41 +114,27 @@ def _residual_at(state, deriv, x: float, a: float, b: float) -> float:
     return ut + u * u * ux - a * ux**3 + nonlocal_terms
 
 
-def pde_residual(traj, t: float, x: float, params: ABParams) -> float:
-    """Signed residual of the wave equation at an off-peak point (x, t).
+def residual_report(traj, t: float, params: ABParams, points=None) -> ResidualReport:
+    """Signed residuals of the wave equation at off-peak points x at time t
+    (defaults: left of, between and right of the peaks).  Points inside
+    EXCLUSION_RADIUS of a peak are dropped; a point that is not finite
+    raises ValueError.
 
     The time derivative comes from the trajectory's motion through the
     chain rule (no finite differencing of dense output); spatial
     derivatives are the exact piecewise exponentials; the two nonlocal
     terms are exact piecewise-exponential integrals.  ``traj`` needs
-    ``sample`` and ``sample_derivative``; x must keep EXCLUSION_RADIUS
-    from both peaks.
-    """
-    state = traj.sample(t)
-    dist = min(abs(x - state.q1), abs(x - state.q2))
-    if dist < EXCLUSION_RADIUS:
-        raise ValueError(f"x = {x} within exclusion radius {EXCLUSION_RADIUS} of a peak")
-    return _residual_at(state, traj.sample_derivative(t), x, params.a, params.b)
-
-
-def residual_report(traj, t: float, params: ABParams, points=None) -> ResidualReport:
-    """Residuals at a set of off-peak abscissae (defaults: left of, between
-    and right of the peaks).  Points inside EXCLUSION_RADIUS of a peak
-    are dropped.
-
-    The state and its derivative are sampled once for the whole report,
-    not once per point; each value equals ``pde_residual`` at its point
-    bit for bit.
+    ``sample`` and ``sample_derivative``, and the state and its derivative
+    are sampled once for the whole report, not once per point.
     """
     state = traj.sample(t)
     if points is None:
         lo, hi = sorted((state.q1, state.q2))
         points = [lo - 2.0, 0.5 * (lo + hi), hi + 2.0]
-    kept = [
-        float(x)
-        for x in points
-        if min(abs(x - state.q1), abs(x - state.q2)) >= EXCLUSION_RADIUS
-    ]
+    points = [float(x) for x in points]
+    if not all(map(math.isfinite, points)):
+        raise ValueError(f"residual points must be finite, got {points}")
+    kept = [x for x in points if min(abs(x - state.q1), abs(x - state.q2)) >= EXCLUSION_RADIUS]
     deriv = traj.sample_derivative(t) if kept else None
     values = [_residual_at(state, deriv, x, params.a, params.b) for x in kept]
     return ResidualReport(

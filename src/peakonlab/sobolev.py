@@ -233,7 +233,11 @@ def _pair_integrals(omega, indices) -> list:
             first = exponents.index(ranges[s][0])
             g[small] = _pair_series(y, log_y, powers[first:first + len(ranges[s])], nu)
         if any_large:
-            g[large] = 0.5 * gamma(nu) - half_w ** nu * kv(nu, w)
+            # where K_nu(omega) underflows to 0, the K term is 0, though
+            # (omega/2)^nu may overflow there (far below s = 0)
+            k = kv(nu, w)
+            with np.errstate(over="ignore", invalid="ignore"):
+                g[large] = 0.5 * gamma(nu) - np.where(k == 0.0, 0.0, half_w ** nu * k)
         g *= 2.0 * math.sqrt(math.pi) / math.gamma(nu + 0.5)
         out.append(g)
     return out

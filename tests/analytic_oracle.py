@@ -1,6 +1,6 @@
 """Earlier forms of the analytic invariants, kept as oracles.
 
-``potential_quadrature``: ``analytic._potential`` once integrated
+``potential_quadrature``: ``analytic.F1`` once integrated
 (1 + e^{-rho}) f_density(ctx, rho) with ``f_density`` itself, a numpy call
 per node.  It now integrates a float-level copy of that formula; this is the
 old integrand, kept as the oracle that the copy is checked against.

@@ -25,10 +25,8 @@ GRID_B = (0.0, 1.0, 3.0, 4.0)
 
 def locate_collision(traj):
     """The trajectory's collision event record, or None."""
-    for rec in traj.events:
-        if rec.kind is EventKind.COLLISION:
-            return rec
-    return None
+    rec = traj.terminal_event
+    return rec if rec.kind is EventKind.COLLISION else None
 
 
 def run_point(a: float, b: float, alpha: float = 1.0, delta: float = 0.5):

@@ -4,7 +4,7 @@ This is the solve path the package used before it owned its stepper:
 ``scipy.integrate.solve_ivp`` with method DOP853 and dense output, at the
 tolerances of the given ``IntegrationConfig``, its terminal event search,
 and a ``brentq`` refinement on the dense output wherever the located event
-leaves |g| above ``event_tol``.  It integrates the fields (``_full_rhs`` with
+leaves |g| above ``EVENT_TOL``.  It integrates the fields (``_full_rhs`` with
 the initial orientation, ``reduced_rhs_array`` with q1' taken from the full
 field), so it shares the field formulas with the package and nothing of its
 stepper, event search or interpolant.
@@ -20,6 +20,7 @@ from scipy.optimize import brentq
 
 from peakonlab import EventKind, IntegrationConfig, PeakonState, Representation
 from peakonlab.dynamics import _full_coefficients, _full_rhs, reduced_rhs_array
+from peakonlab.integrator import EVENT_TOL
 
 
 @dataclass(frozen=True)
@@ -95,10 +96,10 @@ def _run(y0, rhs, to_array, events, config: IntegrationConfig, t_end: float) -> 
     for (kind, g), t_ev in zip(events, sol.t_events or ()):
         for t in t_ev:
             t = float(t)
-            if abs(g(t, sol.sol(t))) > config.event_tol:
+            if abs(g(t, sol.sol(t))) > EVENT_TOL:
                 slack = 10 * config.rel_tol * max(1.0, abs(t))
                 t = _refine(sol.sol, g, max(0.0, t - slack - 1e-13),
-                            min(t_end, t + slack + 1e-13), config.event_tol)
+                            min(t_end, t + slack + 1e-13), EVENT_TOL)
             return OracleRun(kind, t, sol.sol, to_array, **counts)
     return OracleRun(EventKind.HORIZON, t_end, sol.sol, to_array, **counts)
 

@@ -1,7 +1,7 @@
 """Independent reference for the closed-form off-peak residual.
 
 ``pde_residual_grid`` evaluates the same residual as
-``peakonlab.residual.pde_residual``, but applies D^{-2} = (1 - d^2/dx^2)^{-1}
+``peakonlab.residual.residual_report``, but applies D^{-2} = (1 - d^2/dx^2)^{-1}
 by a composite Simpson rule on a grid of about 60k nodes instead of exact
 integrals.  This was the package's own implementation before the closed
 form replaced it; it is kept here, unchanged, as a check that shares no

@@ -44,7 +44,6 @@ from peakonlab import (
     hs_distances,
     integrate,
     integrate_reversed,
-    pde_residual,
     residual_report,
     to_reduced,
     w_sq,
@@ -275,7 +274,8 @@ def test_criterion_8_pde_residual(case_runs):
         PeakonState(1.0, 0.0, 0.0, 25.0), params, IntegrationConfig(max_time=0.5)
     )
     single_worst = max(
-        abs(pde_residual(single, 0.3, x, params)) for x in (-2.0, 0.8, 2.5)
+        abs(residual_report(single, 0.3, params, points=[x]).residual_values[0])
+        for x in (-2.0, 0.8, 2.5)
     )
 
     params1, spec1, initial1, traj1 = case_runs["case1"]

@@ -327,22 +327,28 @@ class TestFloatIntegrand:
             with pytest.raises(ValueError, match="sign-definite range"):
                 fn(ctx, math.inf)
 
-    @pytest.mark.filterwarnings("ignore")
     def test_overflowing_nodes_end_as_the_oracle_does(self):
         """Far below mu exp(-rho) overflows a float; those nodes follow
         numpy's rules.  Where the oracle's value is finite F1 gives it; where
         it is inf or nan, or the oracle raises OverflowError, F1 (and F2,
-        h_sq, w_sq) raises ValueError."""
+        h_sq, w_sq) raises ValueError, and warns of nothing before it (the
+        run's filter turns any warning into an error).  The oracle's own
+        warnings are its business."""
         def outcome(fn, ctx, q):
             try:
                 return fn(ctx, q)
             except (OverflowError, ValueError) as exc:
                 return type(exc).__name__
 
+        def oracle(ctx, q):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                return outcome(potential_quadrature, ctx, q)
+
         for a, b in ((1 / 3, 3.0), (1 / 3, 1.0), (0.5, 3.0), (-1.0, 3.0), (0.7, 2.0)):
             ctx = _ctx(a, b, CASE1_STATE)
             for q in (-5.0, -400.0, -800.0, -math.inf):
-                got, want = outcome(F1, ctx, q), outcome(potential_quadrature, ctx, q)
+                got, want = outcome(F1, ctx, q), oracle(ctx, q)
                 if isinstance(want, str) or not math.isfinite(want):
                     for fn in (F1, F2, h_sq, w_sq):
                         assert outcome(fn, ctx, q) == "ValueError", (fn, a, b, q)
@@ -364,6 +370,20 @@ class TestFloatIntegrand:
             got = [F1(ctx, q) for q in (0.0, 0.03, 0.5)]
         for value, ref in zip(got, want):
             assert abs(value - ref) <= 1e-14 * max(1.0, abs(ref)), (offset, b)
+
+    @pytest.mark.parametrize("a, message", [(1e-9, "did not converge"),
+                                            (-1e-9, "sign-definite range")])
+    def test_small_a_raises_without_a_warning(self, a, message):
+        """At a = 1e-9 the quadrature from mu to 0 does not converge, and at
+        a = -1e-9 it leaves the range of L_a: F1 (and F2, h_sq, w_sq) raises
+        its ValueError, and no warning (scipy's IntegrationWarning at
+        a = 1e-9) comes first."""
+        ctx = _ctx(a, 3.0, CASE1_STATE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (F1, F2, h_sq, w_sq):
+                with pytest.raises(ValueError, match=message):
+                    fn(ctx, 0.0)
 
     def test_unconverged_quadrature_raises(self, monkeypatch):
         """An error estimate above the tolerance is an error, not a warning."""

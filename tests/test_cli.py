@@ -310,11 +310,21 @@ class TestFailurePaths:
 
     @pytest.mark.parametrize("command", ["run-case", "certify"])
     @pytest.mark.parametrize("flag", ["--rel-tol=nan", "--rel-tol=inf", "--abs-tol=nan",
-                                      "--max-time=nan", "--event-tol=nan"])
+                                      "--max-time=nan"])
     def test_non_finite_integration_setting_rejected(self, tmp_path, command, flag):
         code, err = _run_captured([command, flag, "--out", str(tmp_path / "x")])
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["run-case", "certify", "sweep"])
+    @pytest.mark.parametrize("argv", [["--event-tol", "1e-12"], ["--event-tol=nan"]],
+                             ids=["value", "nan"])
+    def test_retired_event_tol_flag_is_refused(self, tmp_path, command, argv):
+        """The event residual bound is the constant EVENT_TOL, not a flag."""
+        out = tmp_path / "x"
+        code, err = _run_captured([command, *argv, "--out", str(out)])
+        assert (code, err) == (2, f"error: unrecognized arguments: {argv[0]}\n")
+        assert not out.exists()
 
     def test_infinite_horizon_accepted(self, tmp_path):
         code, _ = _run_captured(["run-case", "--max-time=inf", "--sample-count", "10",
@@ -559,17 +569,18 @@ class TestFailurePaths:
         command=st.sampled_from(["run-case", "certify"]),
         flags=st.dictionaries(
             st.sampled_from(["--alpha", "--delta", "--mu", "--c", "--rel-tol",
-                             "--abs-tol", "--event-tol", "--max-time"]),
+                             "--abs-tol", "--max-time"]),
             st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-300", "1e155",
                              "1e308", "0.5", "1.5"]),
         ),
     )
     def test_float_flags_never_crash(self, tmp_path, command, flags):
-        """Any mix of extreme values exits 0, 1 or 2 without a traceback."""
+        """Any mix of extreme values exits 0, 1 or 2 without a traceback or
+        a warning."""
         argv = [command, *(f"{k}={v}" for k, v in flags.items()),
                 "--sample-count", "20", "--out", str(tmp_path / "fuzz")]
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # warnings are not failures here
+            warnings.simplefilter("error")
             code, err = _run_captured(argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in err
@@ -592,8 +603,8 @@ class TestFailurePaths:
     def test_parameter_flags_and_config_files_never_crash(self, tmp_path, command, flags,
                                                           joined, config):
         """Parameters, indices and grids, as "--flag=value", as "--flag value"
-        or from a flat config file, exit 0, 1 or 2 without a traceback; a
-        configuration error is one line."""
+        or from a flat config file, exit 0, 1 or 2 without a traceback or a
+        warning; a configuration error is one line."""
         argv = [command]
         if config:
             path = tmp_path / "fuzz.cfg"
@@ -603,7 +614,7 @@ class TestFailurePaths:
             argv += [f"{k}={v}"] if joined else [k, v]
         argv += ["--out", str(tmp_path / "fuzz")]
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # warnings are not failures here
+            warnings.simplefilter("error")
             code, err = _run_captured(argv)
         assert code in (0, 1, 2)
         assert "Traceback" not in err
@@ -885,6 +896,20 @@ class TestSweep:
         assert _run("sweep", "--config", str(old), "--out", str(out2)) == 0
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
         assert "workers" not in json.loads((out2 / "manifest.json").read_text())
+
+    def test_manifest_with_event_tol_key_still_loads(self, tmp_path):
+        """Manifests written when the event residual bound was an option carry
+        "event_tol"; the key is ignored and the run reproduces."""
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert _run("run-case", "--case", "case3", "--s", "1.0", "--out", str(out1)) == 0
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        manifest["event_tol"] = 1e-12
+        old = tmp_path / "old-manifest.json"
+        old.write_text(json.dumps(manifest))
+        assert _run("run-case", "--config", str(old), "--out", str(out2)) == 0
+        for name in ("trajectory.csv", "events.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        assert "event_tol" not in json.loads((out2 / "manifest.json").read_text())
 
     def test_case2_manifest_notes_leapfrog(self, tmp_path):
         out = tmp_path / "c2"

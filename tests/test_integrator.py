@@ -59,8 +59,7 @@ class TestSinglePeakon:
             ABParams(1 / 3, 3.0),
             IntegrationConfig(max_time=1.0),
         )
-        kinds = {rec.kind for rec in traj.events}
-        assert kinds == {EventKind.HORIZON}
+        assert traj.terminal_event.kind is EventKind.HORIZON
 
 
 class TestCollision:
@@ -267,6 +266,14 @@ class TestReversal:
         back = integrate_reversed(state, params, IntegrationConfig(), 0.0)
         assert back.terminal_event.state == state
 
+    @pytest.mark.parametrize("duration", [np.nan, np.inf, -np.inf, -1.0])
+    def test_non_finite_or_negative_duration_rejected(self, duration):
+        """A duration must be finite and nonnegative: nan would end at a
+        terminal time of nan, and inf only at the step budget."""
+        with pytest.raises(ValueError, match="duration must be finite and nonnegative"):
+            integrate_reversed(PeakonState(1.5, -1.0, 0.0, 0.1), ABParams(1 / 3, 3.0),
+                               IntegrationConfig(), duration)
+
 
 class TestTrajectoryApi:
     def test_times_strictly_increasing(self, case_runs):
@@ -335,6 +342,13 @@ class TestTrajectoryApi:
         _, _, _, traj = case_runs["case1"]
         with pytest.raises(ValueError, match=r"t = .* outside \["):
             traj.sample(bad)
+
+    @pytest.mark.parametrize("times", [[[0.0, 0.01]], np.zeros((2, 2)), [[[0.01]]]])
+    def test_sample_array_of_2d_times_rejected(self, case_runs, times):
+        """Times are a scalar or 1-D; any other shape is a ValueError."""
+        _, _, _, traj = case_runs["case1"]
+        with pytest.raises(ValueError, match="scalar or 1-D"):
+            traj.sample_array(times)
 
     def test_sample_array_of_zero_duration_run(self):
         state = PeakonState(1.5, -1.0, 0.0, 0.1)

@@ -21,17 +21,23 @@ from peakonlab import (
     ABParams,
     IntegrationConfig,
     PeakonState,
+    ResidualReport,
     case_spec_for,
     collision_time_bound,
     integrate,
     make_initial_profile,
-    pde_residual,
     residual_report,
 )
 from peakonlab.cli import PRESET_AB
 from peakonlab.integrator import Trajectory
 
 from conftest import CASE_PRESETS, run_point
+
+
+def _residual(traj, t, x, params):
+    """The residual at the one off-peak point x, as ``residual_report`` gives it."""
+    value, = residual_report(traj, t, params, points=[x]).residual_values
+    return value
 
 
 class _ShiftedTrajectory:
@@ -133,7 +139,7 @@ class TestPdeResidual:
         traj = integrate(
             PeakonState(0.0, 0.0, 0.0, 1.0), params, IntegrationConfig(max_time=0.5)
         )
-        assert pde_residual(traj, 0.25, 3.0, params) == 0.0
+        assert _residual(traj, 0.25, 3.0, params) == 0.0
 
     @pytest.mark.parametrize("ab", [(1 / 3, 3.0), (1 / 3, 2.0), (-1.0, 0.5), (0.8, 4.0)])
     def test_single_peakon_is_exact(self, ab):
@@ -143,7 +149,7 @@ class TestPdeResidual:
             PeakonState(1.0, 0.0, 0.0, 25.0), params, IntegrationConfig(max_time=0.5)
         )
         for x in (-2.0, 0.8, 1.5, 3.0):
-            assert abs(pde_residual(traj, 0.3, x, params)) <= 1e-6
+            assert abs(_residual(traj, 0.3, x, params)) <= 1e-6
 
     def test_two_peakon_midflight(self, case1_traj):
         """Interacting pair at t = T/2, sampled left, between and right.
@@ -177,8 +183,8 @@ class TestPdeResidual:
             def sample_derivative(self, _t):
                 return traj.sample_derivative(t)
 
-        r0 = pde_residual(traj, t, 2.0, params)
-        r1 = pde_residual(_Shifted(), t, 2.0 + delta, params)
+        r0 = _residual(traj, t, 2.0, params)
+        r1 = _residual(_Shifted(), t, 2.0 + delta, params)
         np.testing.assert_allclose(r1, r0, atol=1e-10)
 
     def test_refinement_scaling(self, case1_traj):
@@ -190,7 +196,7 @@ class TestPdeResidual:
         params, traj = case1_traj
         t = 0.5 * traj.terminal_event.time
         pts = (-2.0, 1.4, 2.7, 0.9)
-        closed = {x: pde_residual(traj, t, x, params) for x in pts}
+        closed = {x: _residual(traj, t, x, params) for x in pts}
 
         def worst(spacing):
             return max(
@@ -203,11 +209,23 @@ class TestPdeResidual:
         assert r8 / r1 >= 16.0**2
 
     def test_exclusion_radius_enforced(self, case1_traj):
+        """A lone point inside the exclusion radius is dropped, not refused:
+        the report is empty."""
         params, traj = case1_traj
         t = 0.5 * traj.terminal_event.time
         q1 = traj.sample(t).q1
-        with pytest.raises(ValueError, match="exclusion"):
-            pde_residual(traj, t, q1 + 0.05, params)
+        report = residual_report(traj, t, params, points=[q1 + 0.05])
+        assert report == ResidualReport((), (), 0.0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_is_refused(self, case1_traj, x):
+        """A point that is not finite is an error, not a dropped point (nan)
+        or a residual of 0 (inf), and one bad point refuses the report."""
+        params, traj = case1_traj
+        t = 0.5 * traj.terminal_event.time
+        st = traj.sample(t)
+        with pytest.raises(ValueError, match="must be finite"):
+            residual_report(traj, t, params, points=[max(st.q1, st.q2) + 2.0, x])
 
     def test_report_drops_near_peak_points(self, case1_traj):
         params, traj = case1_traj
@@ -249,13 +267,13 @@ class TestClosedForm:
         assert len(preset_points) == 48
         for case, params, traj, t, x in preset_points:
             grid = pde_residual_grid(traj, t, x, params, half_width=40.0)
-            assert abs(pde_residual(traj, t, x, params) - grid) <= 1e-10, (case, t, x)
+            assert abs(_residual(traj, t, x, params) - grid) <= 1e-10, (case, t, x)
 
     def test_roundoff_on_presets(self, preset_points):
         """Along the true motion the closed-form residual is roundoff
         (measured 1.8e-15); the grid's floor was 1e-11."""
         for case, params, traj, t, x in preset_points:
-            assert abs(pde_residual(traj, t, x, params)) <= 1e-13, (case, t, x)
+            assert abs(_residual(traj, t, x, params)) <= 1e-13, (case, t, x)
 
     @pytest.mark.parametrize("offset", [-400.0, 400.0])
     def test_far_field_is_finite(self, case1_traj, offset):
@@ -265,7 +283,7 @@ class TestClosedForm:
         t = 0.5 * traj.terminal_event.time
         st = traj.sample(t)
         for q in (st.q1, st.q2):
-            r = pde_residual(traj, t, q + offset, params)
+            r = _residual(traj, t, q + offset, params)
             assert math.isfinite(r) and abs(r) <= 1e-14
 
     def test_coincident_peaks(self):
@@ -277,8 +295,8 @@ class TestClosedForm:
         single = integrate(PeakonState(1.0, 0.0, 0.0, 30.0), params,
                            IntegrationConfig(max_time=0.5))
         for x in (-1.0, 0.5, 2.0):
-            assert abs(pde_residual(pair, 0.0, x, params)
-                       - pde_residual(single, 0.0, x, params)) <= 1e-14
+            assert abs(_residual(pair, 0.0, x, params)
+                       - _residual(single, 0.0, x, params)) <= 1e-14
 
 
 class _Counting:
@@ -299,7 +317,8 @@ class _Counting:
 
 class TestReportSamplesOnce:
     """``residual_report`` samples the state and its derivative once per
-    report, and each value is still ``pde_residual``'s at its point."""
+    report, and each value is still that of the one-point report at its
+    point."""
 
     @staticmethod
     def _points(traj, t):
@@ -325,7 +344,7 @@ class TestReportSamplesOnce:
                 for points in (None, self._points(traj, t)):
                     report = residual_report(traj, t, params, points=points)
                     assert report.sample_points
-                    want = [pde_residual(traj, t, x, params) for x in report.sample_points]
+                    want = [_residual(traj, t, x, params) for x in report.sample_points]
                     assert list(map(float.hex, report.residual_values)) == list(
                         map(float.hex, want)), (name, t, points)
 

@@ -182,6 +182,18 @@ class TestDistance:
                     atol=5e-10,
                 )
 
+    @pytest.mark.parametrize("s, separation", [(-98.0, 3e3), (-98.0, 1e5), (-90.0, 2e4),
+                                               (-60.0, 1e8)])
+    def test_far_negative_index_at_large_separation_against_mpmath(self, s, separation):
+        """Far below s = 0 and far apart, K_nu(omega) underflows to 0 where
+        (omega/2)^nu overflows: the distance is the plateau that mpmath
+        gives, not NaN, and no overflow warning comes with it."""
+        state = PeakonState(0.5, 0.5, 0.0, separation)
+        coll = CollisionFunction(1.0, 0.0)
+        value = hs_distances(state.as_array(), coll, s)[0]
+        ref = hs_distance_mp(state, coll, s)
+        assert abs(value - ref) <= 1e-12 * ref, (value, ref)
+
 
 #: separations from the near-collision regime to where K_nu is negligible
 OMEGAS = (1e-15, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.9, 0.999999,

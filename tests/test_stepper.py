@@ -443,8 +443,9 @@ class TestLaneRootSearch:
 
     def _check(self, brackets, handoff=0):
         functions, a, b = zip(*brackets)
-        roots, found = integrator_module._roots(_batch(functions), np.array(a), np.array(b),
-                                                handoff)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(integrator_module, "ROOT_HANDOFF", handoff)
+            roots, found = integrator_module._roots(_batch(functions), np.array(a), np.array(b))
         want = [_scalar_root(*bracket) for bracket in brackets]
         for got, ok, root in zip(roots.tolist(), found.tolist(), want):
             if handoff == 0:
@@ -495,8 +496,10 @@ def test_lane_event_search_equals_locate():
     armed = np.array([[True] * 3, [True, True, False], [True] * 3])
     t_old, t_new, h = np.full(3, 1.0), np.full(3, 1.5), np.full(3, 0.5)
     events = integrator_module._FULL.events
-    t_event, index, state, found = integrator_module._locate_lanes(
-        events, armed, t_old, t_new, h, y_old, y_old + slope, coeffs, 0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integrator_module, "ROOT_HANDOFF", 0)
+        t_event, index, state, found = integrator_module._locate_lanes(
+            events, armed, t_old, t_new, h, y_old, y_old + slope, coeffs)
     assert found.all()
     assert index.tolist() == [0, 2, 0]
     for j in range(3):
@@ -673,7 +676,7 @@ def _assert_lanes_repeat_scalar(points):
     """Run (initial, params, config) points of one representation and one
     set of tolerances as lanes until every lane has retired, and compare
     each lane with the scalar run of its point: event kind, time and end
-    state bit for bit, the event residual within event_tol, and the numbers
+    state bit for bit, the event residual within EVENT_TOL, and the numbers
     of accepted and rejected steps.  The lanes run three times: with the
     module's hand-off cutoff, with every lane resumed on the scalar stepper
     after one lockstep attempt (the cutoff at the number of lanes), and with
@@ -701,13 +704,13 @@ def _assert_lanes_repeat_scalar(points):
         elif cutoff == len(points):
             assert resumed and all(lane[5] <= 1 for lane in resumed)  # lane[5]: accepted steps
         kinds = set()
-        for j, ((initial, params, cfg), traj) in enumerate(zip(points, trajectories)):
+        for j, ((initial, params, _), traj) in enumerate(zip(points, trajectories)):
             assert ok[j], (initial, params)
             if event[j] < 0:
                 kind = EventKind.HORIZON
             else:
                 kind, g = fields.events[event[j]]
-                assert abs(g(y[:, j])) <= cfg.event_tol, (initial, params)
+                assert abs(g(y[:, j])) <= integrator_module.EVENT_TOL, (initial, params)
             record = EventRecord(kind, float(t[j]),
                                  PeakonState.from_array(fields.to_array(y[:, j])))
             assert _bits(record) == _bits(traj.terminal_event), (initial, params, cutoff)
