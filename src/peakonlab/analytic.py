@@ -23,6 +23,9 @@ f(q) weighted by (1 + e^{-q}) and (1 - e^{-q}).  Since h^2 + 4z = w^2 is
 conserved, F2 = F1 + 2(z(q) - z0), so only F1 needs a quadrature.  These
 identities hold as long as the separation stays in the range where L_a
 keeps a fixed sign (r > -1), and they bound the momenta up to the collision.
+``InvariantContext.from_initial`` reads (mu, z0, h0, w0) off a state through
+``dynamics.to_reduced``, and holds the state to the order q2 >= q1 under
+which the reduced flow is derived.
 
 The quadrature's integrand is a float-level copy of ``f_density``'s
 formula (``math`` calls), since numpy's cost on a single float would
@@ -44,6 +47,8 @@ from .params import ABParams, l_a
 _QUAD_ABS_TOL = 1e-12
 _RANGE_ERROR = "separation left the sign-definite range of L_a"
 _IDENTITY_TOL = 1e-9  # accepted violation of h0^2 + 4 z0 = w0^2
+#: roundoff slack allowed on the q2 >= q1 orientation requirement
+ORIENTATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -65,8 +70,12 @@ class InvariantContext:
 
     @classmethod
     def from_initial(cls, params: ABParams, state: PeakonState) -> "InvariantContext":
-        red = to_reduced(state)
-        return cls(params=params, mu=red.q, z0=red.z, h0=red.h, w0=red.w)
+        """The context of a state with q2 >= q1, up to roundoff (a located
+        collision state may cross by an ulp)."""
+        if state.q2 < state.q1 - ORIENTATION_TOL * max(1.0, abs(state.q1)):
+            raise ValueError(f"orientation q2 >= q1 violated: q1={state.q1}, q2={state.q2}")
+        q, h, w, z = to_reduced(state.p1, state.p2, state.q1, state.q2)
+        return cls(params=params, mu=q, z0=z, h0=h, w0=w)
 
 
 def _z_constants(ctx: InvariantContext) -> tuple:

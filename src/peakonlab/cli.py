@@ -45,7 +45,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import InvariantContext, _z_parts
-from .dynamics import PeakonState
+from .dynamics import PeakonState, to_reduced
 from .integrator import (
     DEFAULT_HORIZON,
     EventKind,
@@ -503,8 +503,8 @@ def run_case(cfg: ExperimentConfig) -> int:
     ts = _sample_times(traj.t_end, cfg.sample_count)
     states = traj.sample_array(ts)
     p1, p2, q1, q2 = states.T
-    q = q2 - q1
-    table = [ts, q1, q2, p1, p2, q, p2 - p1, p1 + p2, p1 * p2, _z_column(ctx, q)]
+    q, h, w, z = to_reduced(p1, p2, q1, q2)
+    table = [ts, q1, q2, p1, p2, q, h, w, z, _z_column(ctx, q)]
     if collision is not None:
         table += list(hs_distances(states, collision, cfg.s_values))
     else:
@@ -620,8 +620,8 @@ def certify_nonuniqueness(cfg: ExperimentConfig) -> int:
 
     if failures:
         print(f"certificate FAILED: {failures[0]}", file=sys.stderr)
-        for extra_failure in failures[1:]:
-            print(f"  also: {extra_failure}", file=sys.stderr)
+        for other in failures[1:]:
+            print(f"  also: {other}", file=sys.stderr)
         return EXIT_FAILURE
     print(f"certificate PASS for {run.label}: T = {T:.9g} ({term.kind.value}), "
           f"distances decreasing below {DISTANCE_THRESHOLD:g}")

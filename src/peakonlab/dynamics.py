@@ -4,8 +4,10 @@ State of the wave ansatz u(x,t) = p1 e^{-|x-q1|} + p2 e^{-|x-q2|} is the
 four-vector (p1, p2, q1, q2) of momenta and positions.  The reduced
 coordinates (q, h, w, z) = (q2-q1, p2-p1, p1+p2, p1*p2) close on
 themselves and carry the invariant structure used by the analytic module.
-``to_reduced`` maps a state to them; the inverse, given the overall
-position q1, is p1 = (w-h)/2, p2 = (h+w)/2, q2 = q1 + q.
+``to_reduced`` is that change of variables, and ``peak_momenta`` its
+inverse on the momenta, p1 = (w-h)/2, p2 = (h+w)/2 (given the overall
+position q1, q2 = q1 + q).  They are the one place the map is written: both
+act elementwise, on floats and on arrays, like the fields.
 
 Each field is written once (``_full_rhs``, ``_reduced_rhs``), as a function
 of its coefficients, (1 - a, 1 - 3a, (2 - b) sigma, sigma) or
@@ -25,9 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-#: roundoff slack allowed on the q2 >= q1 orientation requirement
-ORIENTATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,23 +49,6 @@ class PeakonState:
     @classmethod
     def from_array(cls, y) -> "PeakonState":
         return cls(p1=float(y[0]), p2=float(y[1]), q1=float(y[2]), q2=float(y[3]))
-
-
-@dataclass(frozen=True)
-class ReducedState:
-    """Separation, momentum difference, sum and product (q, h, w, z).
-
-    States obtained from a PeakonState satisfy h^2 + 4z = w^2 exactly up
-    to roundoff; the reduced flow conserves that combination.
-    """
-
-    q: float
-    h: float
-    w: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.q, self.h, self.w, self.z], dtype=float)
 
 
 def _exp(x):
@@ -128,8 +110,8 @@ def _reduced_rhs(c1, c3, c2, q, h, w, z, q1=0.0) -> tuple:
     coefficients (1 - a, 1 - 3a, 2 - b) of ``_reduced_coefficients``.  Every
     argument may also be an array over runs.
 
-    q1' is the full field's dq1 in reduced coordinates, with
-    p1 = (w - h)/2 and p2 = (h + w)/2; no component depends on q1 itself.
+    q1' is the full field's dq1 in reduced coordinates, at the momenta
+    ``peak_momenta(h, w)``; no component depends on q1 itself.
     """
     e1 = _exp(-q)
     e2 = e1 * e1
@@ -138,7 +120,7 @@ def _reduced_rhs(c1, c3, c2, q, h, w, z, q1=0.0) -> tuple:
     dh = n2 * w * z * (1.0 + e1) * e1
     dw = n2 * h * z * (1.0 - e1) * e1
     dz = c2 * h * w * z * e2
-    p1, p2 = 0.5 * (w - h), 0.5 * (h + w)
+    p1, p2 = peak_momenta(h, w)
     dq1 = c1 * p1 * p1 + 2.0 * p1 * p2 * e1 + c3 * p2 * p2 * e2
     return dq, dh, dw, dz, dq1
 
@@ -159,19 +141,17 @@ def reduced_rhs_array(y: np.ndarray, a: float, b: float) -> np.ndarray:
     return np.array(_reduced_rhs(*_reduced_coefficients(a, b), *y.tolist())[:4])
 
 
-def to_reduced(state: PeakonState) -> ReducedState:
-    """Change of variables (p1, p2, q1, q2) -> (q, h, w, z).
+def to_reduced(p1, p2, q1, q2) -> tuple:
+    """Change of variables (p1, p2, q1, q2) -> (q, h, w, z), elementwise.
 
-    Requires the orientation q2 >= q1 under which the reduced system is
-    derived; violations at roundoff level (collision states located by
-    the event solver) are tolerated.
+    States with h^2 + 4z = w^2 up to roundoff come out of it; the reduced
+    flow conserves that combination.  The reduced system is derived under
+    the orientation q2 >= q1, which is the caller's to require.
     """
-    if state.q2 < state.q1 - ORIENTATION_TOL * max(1.0, abs(state.q1)):
-        raise ValueError(f"orientation q2 >= q1 violated: q1={state.q1}, q2={state.q2}")
-    return ReducedState(
-        q=state.q2 - state.q1,
-        h=state.p2 - state.p1,
-        w=state.p1 + state.p2,
-        z=state.p1 * state.p2,
-    )
+    return q2 - q1, p2 - p1, p1 + p2, p1 * p2
 
+
+def peak_momenta(h, w) -> tuple:
+    """The momenta (p1, p2) = ((w - h)/2, (h + w)/2) of the reduced (h, w),
+    elementwise: ``to_reduced``'s inverse on the momenta."""
+    return 0.5 * (w - h), 0.5 * (h + w)

@@ -119,7 +119,7 @@ values, the state between two attempts, and takes the attempts the run
 from 0 would take from there, bit for bit.  A lane whose next attempt
 would find its step below the spacing of t, or its step budget spent,
 resumes the same way; its scalar run raises there, and that error is the
-point's, at the state the run from 0 would report.  What the lanes cannot
+point's, at the time the run from 0 would report.  What the lanes cannot
 decide goes through ``integrate`` itself, which raises the point's error:
 a point whose start the scalar code refuses (a reversed peak order in the
 reduced field, an initial field that may overflow, a starting step it
@@ -141,7 +141,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dynamics import (PeakonState, _full_coefficients, _full_rhs, _reduced_coefficients,
-                       _reduced_rhs, full_rhs_array)
+                       _reduced_rhs, full_rhs_array, peak_momenta, to_reduced)
 from .params import ABParams
 
 DEFAULT_HORIZON = 100.0
@@ -199,12 +199,10 @@ class EventRecord:
 
 
 class IntegrationError(RuntimeError):
-    """Solver failure, carrying the last state it could produce."""
+    """Solver failure; its message names the time of the last good state."""
 
-    def __init__(self, message: str, last_time: float, last_state: PeakonState):
-        super().__init__(f"{message} (last good state at t = {last_time:.6g})")
-        self.last_time = last_time
-        self.last_state = last_state
+    def __init__(self, message: str, t: float):
+        super().__init__(f"{message} (last good state at t = {t:.6g})")
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +321,11 @@ _ROOT_TOL = 4.0 * sys.float_info.epsilon
 
 
 class _StepFailure(Exception):
-    """Raised by the stepper with the last accepted (t, y)."""
+    """Raised by the stepper with the last accepted time t."""
 
-    def __init__(self, message: str, t: float, y):
+    def __init__(self, message: str, t: float):
         super().__init__(message)
-        self.t, self.y = t, y
+        self.t = t
 
 
 # The step's arithmetic is elementwise: each state component may be a float
@@ -697,10 +695,10 @@ class _Dop853:
             ts, ys, steps, budget = [t], [y], self.steps, MAX_STEPS - done
             while True:  # one attempt; t < t_end
                 if len(steps) == budget:
-                    raise _StepFailure(f"more than {MAX_STEPS} steps needed", t, y)
+                    raise _StepFailure(f"more than {MAX_STEPS} steps needed", t)
                 if not min_step <= h_abs < math.inf:
                     raise _StepFailure(
-                        "Required step size is less than spacing between numbers.", t, y)
+                        "Required step size is less than spacing between numbers.", t)
                 t_new = min(t + h_abs, t_end)
                 h = h_abs = t_new - t
                 *ks, y_new = _stages(f, y, k1, h)
@@ -728,7 +726,7 @@ class _Dop853:
                         t_event, index, y_event = _locate(events, g, g_new, t_old, t, h,
                                                           y_old, coeffs)
                     except ValueError as exc:
-                        raise _StepFailure(str(exc), t_old, y_old) from None
+                        raise _StepFailure(str(exc), t_old) from None
                     return [*ts, t_event], [*ys, y_event], index
                 g = g_new
                 ts.append(t)
@@ -741,7 +739,7 @@ class _Dop853:
                 min_step = 10.0 * (math.nextafter(t, math.inf) - t)
                 h_abs = max(h_abs, min_step)
         except (OverflowError, ZeroDivisionError) as exc:
-            raise _StepFailure(f"floating-point failure: {exc}", t, y) from None
+            raise _StepFailure(f"floating-point failure: {exc}", t) from None
 
     def dense(self, i: int) -> list:
         """Per component, the coefficients d1 .. d7 of step i's interpolant
@@ -933,7 +931,7 @@ def _lane_runs(fields: "_FieldDescription", args, y0, t_end, rtol: float,
 def _reduced_to_array(y) -> np.ndarray:
     """(q, h, w, z, q1) rows, with any trailing shape, to [p1, p2, q1, q2] rows."""
     q, h, w, _, q1 = y
-    return np.array([0.5 * (w - h), 0.5 * (h + w), q1, q1 + q])
+    return np.array([*peak_momenta(h, w), q1, q1 + q])
 
 
 def _state(to_array: Callable, y) -> PeakonState:
@@ -1083,7 +1081,7 @@ def _full_start(a, b, p1, p2, q1, q2) -> tuple:
 def _reduced_start(a, b, p1, p2, q1, q2) -> tuple:
     """The reduced field on (q, h, w, z), with q1 carried as a fifth
     component; it needs q2 > q1."""
-    return _reduced_coefficients(a, b), [q2 - q1, p2 - p1, p1 + p2, p1 * p2, q1], q2 > q1
+    return _reduced_coefficients(a, b), [*to_reduced(p1, p2, q1, q2), q1], q2 > q1
 
 
 _FULL = _FieldDescription(_full_rhs, np.asarray, (
@@ -1093,8 +1091,8 @@ _FULL = _FieldDescription(_full_rhs, np.asarray, (
 ), _full_start)
 _REDUCED = _FieldDescription(_reduced_rhs, _reduced_to_array, (
     (EventKind.COLLISION, lambda y: y[0]),
-    (EventKind.MOMENTUM_ZERO_1, lambda y: 0.5 * (y[2] - y[1])),
-    (EventKind.MOMENTUM_ZERO_2, lambda y: 0.5 * (y[1] + y[2])),
+    (EventKind.MOMENTUM_ZERO_1, lambda y: peak_momenta(y[1], y[2])[0]),
+    (EventKind.MOMENTUM_ZERO_2, lambda y: peak_momenta(y[1], y[2])[1]),
 ), _reduced_start)
 
 
@@ -1127,15 +1125,6 @@ def _may_overflow(a, b, p1, p2, maximum: Callable = max):
     return 64.0 * c * m * m * m * m == math.inf  # c, m >= 1: a NaN never wins the max
 
 
-def _failure(exc: _StepFailure, to_array: Callable) -> Exception:
-    """What ``integrate`` raises for a stepper failure: IntegrationError with
-    the last good state, or the ValueError of a state that is not finite."""
-    try:
-        return IntegrationError(str(exc), exc.t, _state(to_array, exc.y))
-    except ValueError as error:
-        return error
-
-
 def _solve(rhs: Callable, y0: list, to_array: Callable, events: Sequence, params: ABParams,
            config: IntegrationConfig, t_end: float, time_sign: float = 1.0) -> Trajectory:
     """Integrate ``rhs`` from y0 on [0, t_end] until the first of ``events``.
@@ -1143,27 +1132,27 @@ def _solve(rhs: Callable, y0: list, to_array: Callable, events: Sequence, params
     The trajectory ends exactly at the located event time, or at t_end with
     a HORIZON record.  Step-size failure, a non-finite dense output at an
     event, or an event residual |g(T)| above ``EVENT_TOL`` raises
-    IntegrationError with the last good state, and a non-finite end state
-    ValueError.
+    IntegrationError naming the time of the last good state, and a
+    non-finite end state ValueError.
     """
     initial = _state(to_array, y0)
     if t_end == 0.0:  # nothing to integrate: the constant trajectory
         rec = EventRecord(EventKind.HORIZON, 0.0, initial)
         return Trajectory(params, config, [0.0], [y0], rec, None, to_array, time_sign)
     if _may_overflow(params.a, params.b, initial.p1, initial.p2):
-        raise IntegrationError("the field may overflow at the initial state", 0.0, initial)
+        raise IntegrationError("the field may overflow at the initial state", 0.0)
 
     stepper = _Dop853(rhs, config.rel_tol, config.abs_tol)
     try:
         ts, ys, hit = stepper.solve(y0, t_end, [g for _, g in events])
     except _StepFailure as exc:
-        raise _failure(exc, to_array) from None
+        raise IntegrationError(str(exc), exc.t) from None
     kind, g = events[hit] if hit is not None else (EventKind.HORIZON, None)
     residual = abs(g(ys[-1])) if g else 0.0
     if not residual <= EVENT_TOL:
         raise IntegrationError(
             f"{kind.value} event located only to |g| = {residual:.3g} > {EVENT_TOL:g}",
-            ts[-2], _state(to_array, ys[-2]))
+            ts[-2])
     record = EventRecord(kind, ts[-1] if g else t_end, _state(to_array, ys[-1]))
     return Trajectory(params, config, ts, ys, record, stepper, to_array, time_sign)
 
@@ -1177,7 +1166,8 @@ def integrate(
 
     The trajectory ends exactly at the located event time; a run that
     reaches the horizon gets a HORIZON event record rather than an error.
-    Step-size failure raises IntegrationError with the last good state.
+    Step-size failure raises IntegrationError naming the time of the last
+    good state.
     """
     fields = _description(config.representation)
     args, y0, ok = fields.start(params.a, params.b, initial.p1, initial.p2, initial.q1,
@@ -1239,8 +1229,8 @@ def terminal_events(a, b, p1, p2, q1, q2, horizon, config: IntegrationConfig) ->
     # the horizon's event number, -1, reads the last name
     names = np.array([kind for kind, _ in fields.events] + [EventKind.HORIZON], dtype=object)
     times[index[ok]], kinds[index[ok]] = t[ok], names[event[ok]]
-    for j, exc in failed:  # the error of the point's scalar run, at the same state
-        kinds[index[j]] = _failure(exc, fields.to_array).with_traceback(None)
+    for j, exc in failed:  # the error of the point's scalar run, at the same time
+        kinds[index[j]] = IntegrationError(str(exc), exc.t)
     for i in np.flatnonzero(np.equal(kinds, None)).tolist():  # the points no lane finished
         a_i, b_i, *state, t_end_i = (float(c[i]) for c in columns)
         try:

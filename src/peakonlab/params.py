@@ -39,13 +39,13 @@ _THIRD_TOL = 1e-9  # |1 - 3a| below this selects the a = 1/3 branch
 
 
 class CaseID(Enum):
-    """Quadrant of the (a, b) plane, excluding a = 0 and b = 2."""
+    """Quadrant of the (a, b) plane; a = 0 and b = 2 have none (``classify``
+    refuses them)."""
 
     CASE1 = "case1"  # a > 0, b > 2: peakon-antipeakon
     CASE2 = "case2"  # a > 0, b < 2: two peakons, taller one behind
     CASE3 = "case3"  # a < 0, b > 2: two peakons, taller one in front
     CASE4 = "case4"  # a < 0, b < 2: antipeakon-peakon
-    B2_DEGENERATE = "b2"  # b = 2: momenta are frozen, no construction
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,6 @@ class CaseSpec:
     c: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.case_id is CaseID.B2_DEGENERATE:
-            raise ValueError("b = 2 admits no collision construction")
         if not all(math.isfinite(v) and v > 0 for v in (self.alpha, self.delta)):
             raise ValueError("alpha and delta must be finite and positive")
         if not 0 < self.mu <= 1:
@@ -92,13 +90,13 @@ class CaseSpec:
 def classify(params: ABParams) -> CaseID:
     """Map (a, b) to its collision case.
 
-    Returns the B2_DEGENERATE marker for b = 2 and raises ValueError for
-    a = 0, where the construction does not apply.
+    Raises ValueError for a = 0, where the construction does not apply, and
+    for b = 2, where the momenta are frozen and no case exists.
     """
     if params.a == 0:
         raise ValueError("a = 0: collision construction does not apply")
     if params.b == 2:
-        return CaseID.B2_DEGENERATE
+        raise ValueError("b = 2: momenta are frozen and no case profile exists")
     if params.a > 0:
         return CaseID.CASE1 if params.b > 2 else CaseID.CASE2
     return CaseID.CASE3 if params.b > 2 else CaseID.CASE4
@@ -154,8 +152,6 @@ def case_spec_for(
     where the design does not use it.
     """
     case = classify(params)
-    if case is CaseID.B2_DEGENERATE:
-        raise ValueError("b = 2: momenta are frozen and no case profile exists")
     a = params.a
     if c is not None and not 1 < c < 2:
         raise ValueError(f"c must lie in (1, 2), got {c}")

@@ -183,9 +183,11 @@ def _pair_series(y: np.ndarray, log_y: np.ndarray, powers: np.ndarray, nu: float
     l = log_y - (s_up + s_down)[:, None]
     terms = weight[:, None] * powers * l
     # at eps = 0 (integer nu) the factor exprel(eps l) is exprel(+-0.0) = 1.0
-    # wherever l is finite, and where l = -inf (x = 0) the term is NaN already
+    # wherever l is finite, and where l = -inf (x = 0) the term is NaN already.
+    # Where y^p underflows to 0 (omega below about 1e-308) exprel(eps l) may
+    # overflow; the term is 0 there, so its factor is taken as 1
     if eps:
-        terms *= exprel(eps * l)
+        terms *= np.where(powers == 0.0, 1.0, exprel(eps * l))
     total = np.zeros_like(y)
     for row in terms[::-1]:
         total += row

@@ -96,6 +96,13 @@ class TestZClosedForm:
         for q in (0.0, 0.05, 0.1, 0.7):
             np.testing.assert_allclose(z_closed_form(ctx, q), ctx.z0, rtol=1e-15)
 
+    def test_a_zero_rejected(self):
+        """The closed form needs a != 0 (the Novikov point has no L_a design),
+        unless b = 2 freezes the product."""
+        with pytest.raises(ValueError, match="a must be nonzero"):
+            z_closed_form(_ctx(0.0, 3.0, CASE1_STATE), 0.05)
+        assert z_closed_form(_ctx(0.0, 2.0, CASE1_STATE), 0.05) == CASE1_STATE.p1 * CASE1_STATE.p2
+
     def test_limit_branch_frozen_value(self):
         # h0 = -1.5, w0 = 2.5 gives z0 = 1 exactly
         ctx = InvariantContext(ABParams(1 / 3, 3.0), mu=0.1, z0=1.0, h0=-1.5, w0=2.5)
@@ -189,14 +196,14 @@ class TestDensity:
         for params, spec, initial, traj in case_runs.values():
             ctx = InvariantContext.from_initial(params, initial)
             for t in np.linspace(0.0, traj.t_end * 0.999, 25):
-                red = to_reduced(traj.sample(t))
-                dq, dh, dw, dz = reduced_rhs_array(red.as_array(), params.a, params.b)
-                f = f_density(ctx, red.q)
+                q, h, w, z = to_reduced(*traj.sample(t).as_array())
+                dq, dh, dw, dz = reduced_rhs_array(np.array([q, h, w, z]), params.a, params.b)
+                f = f_density(ctx, q)
                 np.testing.assert_allclose(
-                    red.h * dh, (1 + math.exp(-red.q)) * f * dq, rtol=1e-8, atol=1e-10
+                    h * dh, (1 + math.exp(-q)) * f * dq, rtol=1e-8, atol=1e-10
                 )
                 np.testing.assert_allclose(
-                    red.w * dw, (1 - math.exp(-red.q)) * f * dq, rtol=1e-8, atol=1e-10
+                    w * dw, (1 - math.exp(-q)) * f * dq, rtol=1e-8, atol=1e-10
                 )
 
 
@@ -220,11 +227,11 @@ class TestPotentials:
             ctx = InvariantContext.from_initial(params, initial)
             for t in np.linspace(0.0, traj.t_end, 20):
                 st = traj.sample(t)
-                red = to_reduced(st)
-                assert abs(red.h**2 - h_sq(ctx, red.q)) <= 1e-6
-                assert abs(red.w**2 - w_sq(ctx, red.q)) <= 1e-6
+                q, h, w, _ = to_reduced(*st.as_array())
+                assert abs(h**2 - h_sq(ctx, q)) <= 1e-6
+                assert abs(w**2 - w_sq(ctx, q)) <= 1e-6
                 np.testing.assert_allclose(
-                    h_sq(ctx, red.q) + w_sq(ctx, red.q),
+                    h_sq(ctx, q) + w_sq(ctx, q),
                     2 * (st.p1**2 + st.p2**2),
                     rtol=1e-6,
                     atol=1e-8,
@@ -274,6 +281,14 @@ class TestPotentials:
     def test_identity_validation(self):
         with pytest.raises(ValueError):
             InvariantContext(ABParams(1 / 3, 3.0), mu=0.1, z0=1.0, h0=0.0, w0=0.5)
+
+    def test_orientation_enforced(self):
+        """The reduced flow is derived for q2 >= q1; a reversed order is
+        refused, and one at roundoff level (a located collision) is not."""
+        with pytest.raises(ValueError, match=r"orientation q2 >= q1 violated: q1=0.5, q2=0.0"):
+            _ctx(1 / 3, 3.0, PeakonState(1.0, 1.0, 0.5, 0.0))
+        ctx = _ctx(1 / 3, 3.0, PeakonState(1.0, 1.0, 2.0, 2.0 - 1e-12))
+        assert ctx.mu == (2.0 - 1e-12) - 2.0 < 0.0
 
     @pytest.mark.parametrize("alpha", [1.0, 1e5, 1e10, 3e12, 1e30])
     def test_identity_validation_is_relative_to_the_largest_term(self, alpha):

@@ -11,8 +11,10 @@ import signal
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -291,6 +293,54 @@ class TestCertify:
 
     def test_forq_rejected(self, tmp_path):
         assert _run("certify", "--case", "forq", "--out", str(tmp_path / "x")) == 2
+
+    def test_horizon_before_the_event_fails_the_certificate(self, tmp_path):
+        out = tmp_path / "x"
+        code, err = _run_captured(["certify", "--case", "case1", "--max-time", "1e-3",
+                                   "--out", str(out)])
+        assert (code, err) == (1, "certificate FAILED: finite stopping time: run reached "
+                                  "the horizon\n  also: no terminal event, certificate "
+                                  "cannot be assembled\n")
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is False and report["event"] == "horizon"
+
+    def test_round_trip_failure_is_named(self, tmp_path, monkeypatch):
+        """A reversed run that misses the initial state by 1e-3 fails the
+        round-trip link, and only that link."""
+        reversed_ = cli.integrate_reversed
+
+        def moved(*args):
+            end = reversed_(*args).terminal_event
+            state = replace(end.state, q1=end.state.q1 + 1e-3)
+            return SimpleNamespace(terminal_event=replace(end, state=state))
+
+        monkeypatch.setattr(cli, "integrate_reversed", moved)
+        out = tmp_path / "x"
+        code, err = _run_captured(["certify", "--case", "case1", "--s", "0.5",
+                                   "--out", str(out)])
+        assert code == 1
+        assert re.fullmatch(r"certificate FAILED: time-reversal round trip: "
+                            r"error 1\.000e-03 > 1e-06\n", err), err
+        report = json.loads((out / "report.json").read_text())
+        assert report["reversal_ok"] is False and len(report["failures"]) == 1
+
+    def test_non_monotone_distances_fail_the_certificate(self, tmp_path, monkeypatch):
+        """Distances that grow between two approach times fail the
+        monotonicity link, and only that link."""
+        distances = cli.hs_distances
+
+        def swapped(*args):
+            rows = distances(*args)
+            rows[:, [0, 1]] = rows[:, [1, 0]]
+            return rows
+
+        monkeypatch.setattr(cli, "hs_distances", swapped)
+        out = tmp_path / "x"
+        code, err = _run_captured(["certify", "--case", "case1", "--s", "0.5",
+                                   "--out", str(out)])
+        assert (code, err) == (1, "certificate FAILED: distance monotonicity at s = 0.5\n")
+        report = json.loads((out / "report.json").read_text())
+        assert report["monotone"] == {"0.5": False} and len(report["failures"]) == 1
 
     def test_report_records_threshold_failures(self, tmp_path):
         """Indices with slow collapse rates are reported honestly as failed."""
@@ -660,9 +710,21 @@ class TestParser:
         (["run-case", "--sample-count", "-1e3"],
          "argument --sample-count: invalid int value: '-1e3'"),
         ([], "the following arguments are required: command"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate' "
+                         "(choose from 'run-case', 'certify', 'sweep')"),
+        (["run-case", "--format", "xml"], "format must be csv or json, got 'xml'"),
+        (["run-case", "--representation", "diagonal"], "unknown representation 'diagonal'"),
+        (["run-case", "--case", "custom", "--a", "1"], "custom runs need both --a and --b"),
     ])
     def test_usage_error_is_one_line(self, argv, message):
         assert _run_captured(argv) == (2, f"error: {message}\n")
+
+    def test_config_line_without_equals_is_one_line(self, tmp_path):
+        path, out = tmp_path / "run.cfg", tmp_path / "x"
+        path.write_text("case = case1\nbogus line\n")
+        code, err = _run_captured(["run-case", "--config", str(path), "--out", str(out)])
+        assert (code, err) == (2, f"error: {path}:2: expected 'key = value'\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_exit_0(self, flag, capsys):

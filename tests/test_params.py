@@ -42,8 +42,9 @@ class TestClassify:
     def test_quadrants(self, a, b, case):
         assert classify(ABParams(a, b)) is case
 
-    def test_b2_is_degenerate_marker(self):
-        assert classify(ABParams(1 / 3, 2.0)) is CaseID.B2_DEGENERATE
+    def test_b2_rejected(self):
+        with pytest.raises(ValueError, match="b = 2: momenta are frozen and no case profile"):
+            classify(ABParams(1 / 3, 2.0))
 
     def test_a_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -232,3 +233,8 @@ class TestEpsilon:
         params = ABParams(-1.0, 3.0)
         spec = case_spec_for(params)
         np.testing.assert_allclose(case_epsilon(spec, params), 1.5 * 1.25, rtol=1e-15)
+
+    @pytest.mark.parametrize("case", [CaseID.CASE3, CaseID.CASE4])
+    def test_cases_3_4_without_design_constant_rejected(self, case):
+        with pytest.raises(ValueError, match="cases 3-4 need the designed separation"):
+            case_epsilon(CaseSpec(case, mu=0.1, c=None), ABParams(-1.0, 3.0))

@@ -74,10 +74,21 @@ class TestCollisionFunction:
         coll = collision_function(_fake_traj(EventKind.MOMENTUM_ZERO_1, st))
         assert (coll.p_star, coll.q_star) == (2.0, 1.0)
 
+    def test_momentum_vanishing_keeps_survivor_p1(self):
+        st = PeakonState(-1.5, 0.0, 0.3, 1.0)
+        coll = collision_function(_fake_traj(EventKind.MOMENTUM_ZERO_2, st))
+        assert (coll.p_star, coll.q_star) == (-1.5, 0.3)
+
     def test_both_momenta_zero_gives_zero_profile(self):
         st = PeakonState(0.0, 0.0, 0.3, 1.0)
         coll = collision_function(_fake_traj(EventKind.MOMENTUM_ZERO_2, st))
         assert coll.p_star == 0.0
+
+    def test_p1_zero_with_negligible_p2_gives_zero_profile(self):
+        """p1 vanishes and |p2| <= 1e-12: the zero profile, recorded at q1."""
+        st = PeakonState(0.0, -1e-12, 0.3, 1.0)
+        coll = collision_function(_fake_traj(EventKind.MOMENTUM_ZERO_1, st))
+        assert coll == CollisionFunction(0.0, 0.3)
 
     def test_horizon_has_no_profile(self):
         st = PeakonState(1.0, 1.0, 0.0, 1.0)
@@ -236,6 +247,21 @@ class TestPairIntegral:
         assert _pair_integrals(5e-324, [s])[0] == g[1]
         assert _pair_integrals(np.array(omegas), [s])[0].tolist() == g
         assert hs_distances([1.0, -1.0, 0.0, 5e-324], ZERO, s).tolist() == [d]
+
+    @pytest.mark.parametrize("s", [0.0, -10.0, 0.999999999])
+    def test_paired_terms_vanish_where_their_powers_underflow(self, s):
+        """Below omega of about 1e-308, y = (omega/2)^2 underflows to 0, so the
+        series' powers y^p are 0 while exprel(eps l) overflows where nu lies
+        near a half-integer.  Each such paired term is 0, not 0 * inf = NaN,
+        and no warning comes with it (the suite turns warnings into errors):
+        G stays within 1e-300 of mpmath, and a pair meeting the collision
+        profile is at distance 0."""
+        omegas = [1e-308, 1e-310, 1e-320]
+        g, = _pair_integrals(np.array(omegas), [s])
+        for omega, value in zip(omegas, g.tolist()):
+            assert abs(value - pair_integral_mp(omega, s)) <= 1e-300, (omega, value)
+        state = [0.5, 0.5, 0.0, 1e-308]
+        assert hs_distances(state, CollisionFunction(1.0, 0.0), [s]).tolist() == [[0.0]]
 
     def test_half_index_elementary_form(self):
         """s = 1 (nu = 1/2): G = pi (1 - e^{-omega}) = -pi expm1(-|omega|),

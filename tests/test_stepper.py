@@ -792,6 +792,28 @@ def test_column_call_equals_integrate_point_by_point(grid, settings, failures):
     assert sum(isinstance(kind, type) for kind, _ in want) == failures
 
 
+def test_nan_inside_the_event_step_fails_as_integrate_does(monkeypatch):
+    """A dense output that is NaN strictly inside every step, and finite at
+    its ends: the lanes' root search drops each bracket at its first NaN
+    iterate, the scalar search refuses that iterate, and every point ends
+    with ``integrate``'s error, point by point."""
+    points = _resolved_points(_bench_grid(1))
+    interpolate = integrator_module._interpolate
+
+    def nan_inside(x, coeffs, y_old):
+        value = interpolate(x, coeffs, y_old)
+        inside = (x > 0.0) & (x < 1.0)
+        if isinstance(value, np.ndarray):
+            return np.where(inside, math.nan, value)
+        return math.nan if inside else value
+
+    monkeypatch.setattr(integrator_module, "_interpolate", nan_inside)
+    want = list(map(_scalar_outcome, points))
+    assert {kind for kind, _ in want} == {IntegrationError}
+    assert all("the dense output is not finite at t = " in text for _, text in want)
+    assert _column_outcomes(points) == want
+
+
 def test_resumed_failures_are_not_run_again(monkeypatch):
     """On the failure grid at alpha 1e76, reduced, every point fails: six at
     the overflow guard, before they become lanes; the rest at a step below
