@@ -583,7 +583,7 @@ def certify_nonuniqueness(cfg: ExperimentConfig) -> int:
             failures.append(f"time-reversal round trip: error {rev_err:.3e} > {REVERSAL_TOL:g}")
     else:
         collision = None
-        rev_err = math.nan
+        rev_err = None  # no reversed run; JSON has no NaN
         reversal_ok = False
         failures.append("no terminal event, certificate cannot be assembled")
 
@@ -615,7 +615,7 @@ def certify_nonuniqueness(cfg: ExperimentConfig) -> int:
         "passed": not failures,
         "failures": failures,
     }
-    _write_atomic(outdir / "report.json", json.dumps(report, indent=1) + "\n")
+    _write_atomic(outdir / "report.json", json.dumps(report, indent=1, allow_nan=False) + "\n")
     _write_manifest(outdir, cfg, _resolved_extra(run))
 
     if failures:

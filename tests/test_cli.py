@@ -71,6 +71,11 @@ def _run_captured(argv, seconds=5.0):
     return code, err.getvalue()
 
 
+def _reject_non_json_constant(name):
+    """``parse_constant`` for json.loads: NaN and +-Infinity are not JSON."""
+    raise ValueError(f"{name} is not JSON")
+
+
 def _read_csv(path):
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -301,8 +306,10 @@ class TestCertify:
         assert (code, err) == (1, "certificate FAILED: finite stopping time: run reached "
                                   "the horizon\n  also: no terminal event, certificate "
                                   "cannot be assembled\n")
-        report = json.loads((out / "report.json").read_text())
+        report = json.loads((out / "report.json").read_text(),
+                            parse_constant=_reject_non_json_constant)
         assert report["passed"] is False and report["event"] == "horizon"
+        assert report["reversal_error"] is None and report["reversal_ok"] is False
 
     def test_round_trip_failure_is_named(self, tmp_path, monkeypatch):
         """A reversed run that misses the initial state by 1e-3 fails the
@@ -1061,17 +1068,30 @@ class TestSweep:
 
 
 def test_import_loads_no_scipy(tmp_path):
-    """scipy is imported only where a quadrature or a special function is
-    used, so a bare import (and a sweep) never loads it, and neither does
-    a run at s = 1 alone, whose distances take the expm1 form."""
-    scipy = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
-    run = f"main(['run-case', '--case', 'case1', '--s', '1.0', '--out', {str(tmp_path)!r}])"
-    for code in (f"import sys, peakonlab; print({scipy})",
-                 f"import sys; from peakonlab.cli import main; {run}; print({scipy})"):
+    """No command and no H^s distance loads scipy: the special functions
+    are math's, numpy's and the module's own, so a bare import, a sweep,
+    run-case and certify at every index, and distances whose separations
+    reach omega >= 1 run without it.  Each case runs in a fresh process."""
+    cases = (
+        "import peakonlab",
+        "assert main(['run-case', '--case', 'case1', '--s', '1.0', '--out', OUT]) == 0",
+        "assert main(['run-case', '--case', 'case1', '--s', '0.5', '--s', '1.0', '--s', '1.4', "
+        "'--out', OUT]) == 0",
+        # exit 1: the 1e-3 threshold fails at s = 1 and 1.4; the report is complete
+        "assert main(['certify', '--case', 'case1', '--out', OUT]) == 1",
+        "assert main(['sweep', '--out', OUT]) == 0",
+        # separations on both sides of omega = 1, so K_nu is evaluated too
+        "assert hs_distances([[0.5, -0.3, 0.0, 0.2], [0.9, 0.4, -1.0, 2.5]], "
+        "CollisionFunction(0.6, 3.0), [0.5, -2.3]).all()",
+    )
+    scipy = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    for case in cases:
+        code = (f"import sys\nfrom peakonlab import CollisionFunction, hs_distances\n"
+                f"from peakonlab.cli import main\nOUT = {str(tmp_path)!r}\n{case}\n{scipy}")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
-        assert out.stdout.splitlines()[-1] == "[]", code
-    assert (tmp_path / "trajectory.csv").read_text().splitlines()[0].endswith(",dist_s1")
+                             env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert out.returncode == 0, (case, out.stderr)
+        assert out.stdout.splitlines()[-1] == "[]", case
 
 
 def test_python_m_runs_from_the_source_tree(tmp_path):

@@ -10,10 +10,14 @@ omega = 1).  The references it is checked against live in ``hs_oracle``:
 * the adaptive quadrature of the defining integrals that the package
   used before, which relies on no Bessel identity at all;
 * the direct scipy Bessel-K assembly, while distances are not small;
-* the closed form as it was with one pass per index, which the one pass
-  for every index must reproduce bit for bit, except at s = 1: there the
-  package uses pi (1 - e^{-omega}) (DLMF 10.39.2), pinned to the bits of
-  -pi expm1(-|omega|) and no farther from mpmath than that series.
+* the closed form as it was with scipy's special functions and one pass
+  per index: on the same seeded separations the package, which uses
+  none of them, must be no farther from mpmath than that form.  At s = 1
+  the package uses pi (1 - e^{-omega}) (DLMF 10.39.2), pinned to the bits
+  of -pi expm1(-|omega|) and no farther from mpmath than that series.
+
+The one pass for every index must reproduce the package's own one-index
+calls bit for bit.
 
 The physical-space anchor ||c e^{-|x|}||_{H^1}^2 = 2 c^2 comes from the
 hand integral of u^2 + u_x^2.
@@ -22,9 +26,11 @@ hand integral of u^2 + u_x^2.
 import math
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hs_oracle import (
+    _lgamma_slope as lgamma_slope_scipy,
     bessel_distance,
     divergence_probe,
     hs_distance_mp,
@@ -50,7 +56,7 @@ from peakonlab import (
     make_initial_profile,
 )
 from peakonlab.integrator import EventRecord
-from peakonlab.sobolev import _SERIES_TERMS, _SLOPE_TERMS, _lgamma_slope, _pair_integrals
+from peakonlab.sobolev import _lgamma_slopes, _pair_integrals
 
 from conftest import locate_collision
 
@@ -251,17 +257,30 @@ class TestPairIntegral:
     @pytest.mark.parametrize("s", [0.0, -10.0, 0.999999999])
     def test_paired_terms_vanish_where_their_powers_underflow(self, s):
         """Below omega of about 1e-308, y = (omega/2)^2 underflows to 0, so the
-        series' powers y^p are 0 while exprel(eps l) overflows where nu lies
-        near a half-integer.  Each such paired term is 0, not 0 * inf = NaN,
-        and no warning comes with it (the suite turns warnings into errors):
-        G stays within 1e-300 of mpmath, and a pair meeting the collision
-        profile is at distance 0."""
+        series' powers y^p are 0 while expm1(eps l) would overflow where nu lies
+        near a half-integer.  No paired term is 0 * inf = NaN, and no warning
+        comes with them (the suite turns warnings into errors): G stays
+        within 1e-300 of mpmath, and so does the distance of a pair meeting
+        the collision profile, which at s = 0.999999999 is about 1e-154
+        and is then within 1e-12 relative."""
         omegas = [1e-308, 1e-310, 1e-320]
         g, = _pair_integrals(np.array(omegas), [s])
         for omega, value in zip(omegas, g.tolist()):
             assert abs(value - pair_integral_mp(omega, s)) <= 1e-300, (omega, value)
-        state = [0.5, 0.5, 0.0, 1e-308]
-        assert hs_distances(state, CollisionFunction(1.0, 0.0), [s]).tolist() == [[0.0]]
+        state, coll = PeakonState(0.5, 0.5, 0.0, 1e-308), CollisionFunction(1.0, 0.0)
+        (value,), = hs_distances(state.as_array(), coll, [s])
+        ref = hs_distance_mp(state, coll, s)
+        assert abs(value - ref) <= 1e-12 * ref + 1e-300, (value, ref)
+
+    @pytest.mark.parametrize("s, omega", [(1.4, 1e-200), (1.2, 1e-250), (0.999999999, 1e-300)])
+    def test_leading_term_survives_where_y_underflows(self, s, omega):
+        """Below omega of about 3e-154, y = (omega/2)^2 underflows, while G,
+        about (omega/2)^(2 nu) for nu = 3/2 - s < 1, is a normal float
+        (1.1e-39, 4.3e-150 and 3.1e-300 here): it keeps the 1e-13 relative
+        bound against mpmath instead of reading 0."""
+        value = float(_pair_integrals(omega, [s])[0])
+        ref = pair_integral_mp(omega, s)
+        assert abs(value - ref) <= 1e-13 * ref, (value, ref)
 
     def test_half_index_elementary_form(self):
         """s = 1 (nu = 1/2): G = pi (1 - e^{-omega}) = -pi expm1(-|omega|),
@@ -298,15 +317,34 @@ class TestPairIntegral:
 
     @pytest.mark.parametrize("t", (0.0, -0.0))
     def test_integer_order_slope_is_psi(self, t):
-        """At t = 0 (nu an integer) the log-gamma slope is psi(a) as it
-        stands; the Taylor series, whose terms are all +-0 there, gives the
-        same bits."""
-        from scipy.special import psi, zeta
+        """At t = 0 (nu an integer) the log-gamma slope is psi(a): at
+        a = 1..25 within 2 ulp of mpmath's digamma, and +0.0 and -0.0 give
+        the same bits."""
+        a = np.arange(1.0, 26.0)
+        got = _lgamma_slopes(1, 25, t)
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.psi(0, v)) for v in a])
+        assert np.all(np.abs(got - ref) <= 2.0 * np.spacing(np.abs(ref))), got - ref
+        assert got.tobytes() == _lgamma_slopes(1, 25, 0.0).tobytes()
 
-        a = np.arange(1.0, 2.0 * _SERIES_TERMS + 2.0)
-        j = np.arange(2, _SLOPE_TERMS + 2, dtype=float)[:, None]
-        taylor = psi(a) - np.sum(zeta(j, a) * (-t) ** (j - 1) / j, axis=0)
-        assert _lgamma_slope(a, t).tobytes() == taylor.tobytes()
+    def test_log_gamma_slopes_against_mpmath(self):
+        """(ln Gamma(a + t) - ln Gamma(a)) / t at a = 1..25 is no farther from
+        mpmath than scipy's form (psi at t = 0, psi less a Hurwitz-zeta Taylor
+        series below |t| = 0.1, a gammaln difference above), over t in all
+        three of that form's branches.  One t alone need not be: at t = 0,
+        scipy's psi is within 1.5e-16 and the recurrence from Stirling's
+        series within 2.6e-16."""
+        a = np.arange(1.0, 26.0)
+        worst = {"package": 0.0, "scipy": 0.0}
+        for t in (0.0, 1e-12, -1e-6, 0.05, -0.0999, 0.1, -0.1, 0.3, -0.5, 0.5):
+            with mpmath.workdps(40):
+                ref = np.array([float(mpmath.psi(0, v)) if t == 0 else
+                                float((mpmath.loggamma(v + mpmath.mpf(t)) - mpmath.loggamma(v)) / t)
+                                for v in a])
+            for name, got in (("package", _lgamma_slopes(1, 25, t)),
+                              ("scipy", lgamma_slope_scipy(a, t))):
+                worst[name] = max(worst[name], float(np.max(np.abs(got - ref) / np.abs(ref))))
+        assert worst["package"] <= worst["scipy"], worst
 
     @pytest.mark.parametrize("s", (0.5, 1.0, 1.4, 1.45))
     def test_against_quadrature_oracle(self, s):
@@ -407,14 +445,6 @@ class TestBatchedDistances:
 MANY_INDICES = (0.5 + 1e-12, 0.5, 0.5 - 1e-12, -0.5, -3.0, 1.0, 1.49)
 
 
-def _pair_oracle(s):
-    """The reference for G at s: pi (1 - e^{-|omega|}) as -pi expm1(-|omega|)
-    at s = 1 (nu = 1/2), else the package's per-index pass as it was."""
-    if s == 1.0:
-        return lambda omega, s: -math.pi * np.expm1(-np.abs(omega))
-    return pair_integral_per_index
-
-
 def _separations(count: int, rng) -> list:
     """Separation vectors of ``count`` entries: one below and one above
     omega = 1 for a single entry, else entries on both sides of it (with a
@@ -428,46 +458,90 @@ def _separations(count: int, rng) -> list:
     return [omega]
 
 
+def _distance_states(n: int):
+    """``n`` seeded rows whose separations lie on both sides of omega = 1,
+    and the collision profile they are measured against."""
+    rng = np.random.default_rng(n)
+    q1 = rng.uniform(-1.0, 1.0, n)
+    gaps = 10.0 ** rng.uniform(-16.0, 0.7, n)
+    states = np.column_stack([rng.uniform(-3, 3, n), rng.uniform(-3, 3, n), q1, q1 + gaps])
+    return states, CollisionFunction(0.7, 2.2)
+
+
+SEPARATION_COUNTS = (1, 2, 3, 15, 1215)
+DISTANCE_ROWS = (1, 5, 405)  # 3, 15 and 1,215 separations
+#: of the largest seeded sets, every MP_STRIDE-th entry is checked against mpmath
+MP_STRIDE = 45
+
+
 class TestOnePassForEveryIndex:
     """``hs_distances`` over a sequence of indices shares the separations,
     masks, ln y and powers of y across them; each index's row must equal
-    that index's own pass, as the package made it before, bit for bit,
-    whichever the order of the indices.  At s = 1 the reference is the
-    closed form -pi expm1(-|omega|) instead."""
+    that index's own call bit for bit, whichever the order of the indices
+    (at s = 1, the closed form -pi expm1(-|omega|)).  On the same seeded
+    separations the package must be no farther from mpmath than the closed
+    form as it stood with scipy's special functions."""
 
-    @pytest.mark.parametrize("count", [1, 2, 3, 15, 1215])
+    @pytest.mark.parametrize("count", SEPARATION_COUNTS)
     def test_pair_integrals_equal_per_index_passes(self, count):
         rng = np.random.default_rng(count)
         for omega in _separations(count, rng):
-            wants = {s: _pair_oracle(s)(omega, s) for s in MANY_INDICES}
+            wants = {s: _pair_integrals(omega, [s])[0] for s in MANY_INDICES}
+            half = -math.pi * np.expm1(-np.abs(omega))
+            assert wants[1.0].tobytes() == half.tobytes()
             for indices in (MANY_INDICES, MANY_INDICES[::-1]):
                 rows = _pair_integrals(omega, indices)
                 assert len(rows) == len(indices)
                 for s, row in zip(indices, rows):
                     assert row.tobytes() == wants[s].tobytes(), (count, s)
-            for s, want in wants.items():
-                assert _pair_integrals(omega, [s])[0].tobytes() == want.tobytes(), (count, s)
 
-    @pytest.mark.parametrize("n", [1, 5, 405])  # 3, 15 and 1,215 separations
+    @pytest.mark.parametrize("n", DISTANCE_ROWS)
     def test_distance_rows_equal_per_index_and_scalar_calls(self, n):
-        rng = np.random.default_rng(n)
-        q1 = rng.uniform(-1.0, 1.0, n)
-        gaps = 10.0 ** rng.uniform(-16.0, 0.7, n)
-        states = np.column_stack([rng.uniform(-3, 3, n), rng.uniform(-3, 3, n), q1, q1 + gaps])
-        coll = CollisionFunction(0.7, 2.2)
+        states, coll = _distance_states(n)
+        q1, gaps = states[:, 2], states[:, 3] - states[:, 2]
         omega = np.abs(np.concatenate([gaps, 2.2 - q1, 2.2 - q1 - gaps]))
         assert (omega < 1.0).any() and (omega > 1.0).any()
-        wants = {s: hs_distances_per_index(states, coll, s, _pair_oracle(s))
-                 for s in MANY_INDICES}
+        wants = {s: hs_distances(states, coll, s) for s in MANY_INDICES}
         for indices in (MANY_INDICES, MANY_INDICES[::-1]):
             rows = hs_distances(states, coll, indices)
             assert rows.shape == (len(indices), n)
             for s, row in zip(indices, rows):
                 assert row.tobytes() == wants[s].tobytes(), s
         for s, want in wants.items():
-            assert hs_distances(states, coll, s).tobytes() == want.tobytes(), s
             scalar = [float(hs_distances(state, coll, s)[0]) for state in states]
             assert scalar == want.tolist(), s
+
+    def test_no_farther_from_mpmath_than_the_scipy_form(self):
+        """The largest relative error against mpmath, over the indices and
+        the separations (and rows) of the two tests above, every
+        MP_STRIDE-th of the largest sets, is no larger than that of the
+        closed form with scipy's special functions, for G and for the
+        distances.  For G the largest errors of both are those of the
+        series at s = 1/2 - 1e-12 (4.1e-15).  Index by index the two differ
+        by a few ulps either way: at s = -3 (nu = 9/2, where scipy's kv and
+        gamma are nearly exact) the package's G is up to 2e-15 off against
+        the scipy form's 9.4e-16, and its distances up to 1.6e-15 against
+        2.7e-15."""
+        omega = np.concatenate([w[::MP_STRIDE] for count in SEPARATION_COUNTS
+                                for w in _separations(count, np.random.default_rng(count))])
+        omega = omega[omega != 0.0]
+        worst = {"package": 0.0, "scipy": 0.0}
+        for s in MANY_INDICES:
+            ref = np.array([pair_integral_mp(w, s) for w in omega])
+            for name, got in (("package", _pair_integrals(omega, [s])[0]),
+                              ("scipy", pair_integral_per_index(omega, s))):
+                worst[name] = max(worst[name], float(np.max(np.abs(got - ref) / ref)))
+        assert worst["package"] <= worst["scipy"], ("G", worst)
+        worst = {"package": 0.0, "scipy": 0.0}
+        for n in DISTANCE_ROWS:
+            states, coll = _distance_states(n)
+            states = states[::MP_STRIDE]
+            for s in MANY_INDICES:
+                ref = np.array([hs_distance_mp(PeakonState(*row), coll, s) for row in states])
+                for name, got in (("package", hs_distances(states, coll, s)),
+                                  ("scipy", hs_distances_per_index(states, coll, s))):
+                    worst[name] = max(worst[name], float(np.max(np.abs(got - ref) / ref)))
+        assert worst["package"] <= worst["scipy"], ("distances", worst)
 
     def test_sequence_shapes(self):
         state = PeakonState(1.2, -0.3, 0.0, 0.7)
