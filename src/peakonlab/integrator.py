@@ -487,7 +487,8 @@ def _dense_coeffs(f: Callable, h, y, y_new, k) -> list:
 def _interpolate(x, coeffs, y_old):
     """The 7th-order dense output at x = (t - t_old) / h of one component:
     ``coeffs`` are its d1 .. d7.  Works on floats and numpy arrays alike, so
-    the event search and ``Trajectory.sample_array`` give the same bits."""
+    the event search, ``Trajectory.sample`` (on floats) and
+    ``Trajectory.sample_array`` (on arrays) give the same bits."""
     d1, d2, d3, d4, d5, d6, d7 = coeffs
     x1 = 1.0 - x
     return x * (d1 + x1 * (d2 + x * (d3 + x1 * (d4 + x * (d5 + x1 * (d6 + x * d7)))))) + y_old
@@ -945,14 +946,15 @@ class Trajectory:
     first time a sampled time falls in that step (three field evaluations,
     counted in ``nfev``; the event step's is built by the event search), and
     that ``sample`` keeps its last time and state.  ``sample`` evaluates
-    the dense output and is valid on [t0, t_end]; ``sample_array`` does the
-    same for a whole time vector (its rows equal ``sample``'s bit for bit,
-    whichever steps were built before); ``sample_derivative`` returns the
-    exact field at the sampled state, which for a genuine solution equals
-    the curve's time derivative.  ``sample`` again at its last time, and
-    ``sample_derivative`` or ``separation`` there, reuse the kept state
-    instead of interpolating again.  ``nfev``, ``steps`` and ``rejected``
-    count field evaluations and accepted and rejected steps.
+    the dense output of the one step that holds t, on floats, and is valid
+    on [t0, t_end]; ``sample_array`` does the same for a whole time vector
+    on arrays (its rows equal ``sample``'s bit for bit, whichever steps
+    were built before); ``sample_derivative`` returns the exact field at
+    the sampled state, which for a genuine solution equals the curve's time
+    derivative.  ``sample`` again at its last time, and ``sample_derivative``
+    or ``separation`` there, reuse the kept state instead of interpolating
+    again.  ``nfev``, ``steps`` and ``rejected`` count field evaluations and
+    accepted and rejected steps.
     """
 
     def __init__(
@@ -1015,31 +1017,44 @@ class Trajectory:
             built.add(i)
         return t_old[seg], h[seg], y_old[seg], coeffs[:, seg]
 
+    def _steps_at(self, ts):
+        """The step that holds each time of ``ts`` (a float or a 1-D array):
+        the number of interior step boundaries below it, which is the left
+        ``searchsorted`` on all step times minus one, clipped to the steps.
+        A time may lie a few ulps of the run's own time scale outside
+        [t0, t_end]; one farther out, or nan, raises ValueError."""
+        slack = 4.0 * math.ulp(max(abs(self.t0), abs(self.t_end)))
+        outside = np.logical_not((ts >= self.t0 - slack) & (ts <= self.t_end + slack))  # and nan
+        if outside.any():
+            raise ValueError(f"t = {np.extract(outside, ts)[0]} outside [{self.t0}, {self.t_end}]")
+        return np.searchsorted(self.times[1:-1], ts, side="left")
+
     def sample(self, t: float) -> PeakonState:
         key = (t, math.copysign(1.0, t))  # -0.0 kept apart from 0.0
         if self._last is None or self._last[0] != key:
-            self._last = key, PeakonState.from_array(self.sample_array([t])[0])
+            i = self._steps_at(t)
+            if self._stepper is None:  # the constant trajectory
+                y = self._raw[0]
+            else:  # step i's interpolant, one component at a time
+                t_old, h, y_old, _, _ = self._stepper.steps[i]
+                y = [_interpolate((t - t_old) / h, coeffs, y_j)
+                     for coeffs, y_j in zip(self._stepper.dense(i), y_old)]
+            self._last = key, _state(self._to_array, y)
         return self._last[1]
 
     def sample_array(self, ts) -> np.ndarray:
         """States at the given times as an (n, 4) array [p1, p2, q1, q2].
 
-        A time may lie a few ulps of the run's own time scale outside
-        [t0, t_end]; one farther out, or nan, raises ValueError, and so
-        do times that are neither a scalar nor 1-D.
+        Times are held to [t0, t_end] as ``sample`` holds them, and times
+        that are neither a scalar nor 1-D raise ValueError too.
         """
         ts = np.asarray(ts, dtype=float)
         if ts.ndim > 1:
             raise ValueError(f"times must be a scalar or 1-D, got shape {ts.shape}")
         ts = np.atleast_1d(ts)
-        slack = 4.0 * math.ulp(max(abs(self.t0), abs(self.t_end)))
-        outside = ~((ts >= self.t0 - slack) & (ts <= self.t_end + slack))  # and nan
-        if outside.any():
-            raise ValueError(f"t = {ts[outside][0]} outside [{self.t0}, {self.t_end}]")
+        seg = self._steps_at(ts)
         if self._stepper is None:
             return self._to_array(np.repeat(np.array(self._raw), len(ts), axis=0).T).T
-        last = len(self._stepper.steps) - 1
-        seg = np.clip(np.searchsorted(self.times, ts, side="left") - 1, 0, last)
         t_old, h, y_old, coeffs = self._segments(seg)
         x = ((ts - t_old) / h)[:, None]
         return self._to_array(_interpolate(x, coeffs, y_old).T).T

@@ -304,6 +304,45 @@ class TestTrajectoryApi:
             assert batch.shape == (len(ts), 4)
             assert np.array_equal(batch, stacked), name
 
+    @staticmethod
+    def _hex(row) -> list:
+        return [float(v).hex() for v in row]
+
+    @pytest.mark.parametrize("rep", [Representation.FULL, Representation.REDUCED])
+    @pytest.mark.parametrize("point", [*CASE_PRESETS, (-1e-3, 3.0)])
+    def test_sample_equals_one_row_of_sample_array_by_hex(self, rep, point):
+        """``sample`` interpolates one step on floats; each time's state is
+        ``sample_array([t])[0]`` to the last bit (-0.0 included), at the
+        step times, interior times and times inside the end slack, whether
+        ``sample`` or ``sample_array`` reads a step first."""
+        a, b = CASE_PRESETS.get(point, point)
+        _, _, initial, base = run_point(a, b)
+        config = IntegrationConfig(max_time=base.config.max_time, representation=rep)
+        traj, fresh = (integrate(initial, ABParams(a, b), config) for _ in range(2))
+        slack = 4.0 * np.spacing(max(abs(traj.t0), abs(traj.t_end)))
+        mids = 0.5 * (traj.times[1:] + traj.times[:-1])
+        ts = [*traj.times, *mids, *np.linspace(traj.t0, traj.t_end, 13),
+              traj.t0 - slack, -0.0, np.nextafter(traj.t_end, np.inf), traj.t_end + slack]
+        for t in map(float, ts):
+            assert self._hex(traj.sample(t).as_array()) == self._hex(
+                traj.sample_array([t])[0]), (point, t)
+            row = fresh.sample_array([t])[0]  # here sample_array builds the step
+            assert self._hex(fresh.sample(t).as_array()) == self._hex(row), (point, t)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-3, 1.0])
+    def test_sample_and_sample_array_refuse_alike(self, case_runs, bad):
+        """A time out of range, or nan, raises the same ValueError text from
+        both methods; so it does on a zero-duration run."""
+        zero = integrate_reversed(PeakonState(1.5, -1.0, 0.0, 0.1), ABParams(1 / 3, 3.0),
+                                  IntegrationConfig(), 0.0)
+        for traj in (case_runs["case1"][3], zero):
+            messages = []
+            for call in (traj.sample, lambda t: traj.sample_array([t])):
+                with pytest.raises(ValueError, match=r"t = .* outside \[") as info:
+                    call(bad)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]
+
     def test_sample_array_outside_range_rejected(self, case_runs):
         _, _, _, traj = case_runs["case1"]
         for bad in ([traj.t0, traj.t_end + 1.0], [traj.t0 - 1.0]):
@@ -355,6 +394,8 @@ class TestTrajectoryApi:
         rows = back.sample_array([0.0, 0.0])
         assert np.array_equal(rows, np.array([state.as_array()] * 2))
         assert back.sample(0.0) == state
+        for t in (0.0, -0.0):
+            assert self._hex(back.sample(t).as_array()) == self._hex(back.sample_array([t])[0])
 
     def test_state_array_matches_states(self, case_runs):
         for rep in Representation:

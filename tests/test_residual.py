@@ -29,7 +29,7 @@ from peakonlab import (
     residual_report,
 )
 from peakonlab.cli import PRESET_AB
-from peakonlab.integrator import Trajectory
+from peakonlab.integrator import _Dop853
 
 from conftest import CASE_PRESETS, run_point
 
@@ -350,11 +350,12 @@ class TestReportSamplesOnce:
 
     def test_one_interpolation_per_report(self, monkeypatch):
         """The report's ``sample`` and ``sample_derivative`` at one time share
-        one interpolation: the trajectory keeps its last sampled state."""
+        one interpolation: the trajectory keeps its last sampled state.  A
+        single-time interpolation reads its step's coefficients once."""
         calls = []
-        sample_array = Trajectory.sample_array
-        monkeypatch.setattr(Trajectory, "sample_array",
-                            lambda traj, ts: calls.append(ts) or sample_array(traj, ts))
+        dense = _Dop853.dense
+        monkeypatch.setattr(_Dop853, "dense",
+                            lambda stepper, i: calls.append(i) or dense(stepper, i))
         for a, b in CASE_PRESETS.values():
             params, _, _, traj = run_point(a, b)
             t = 0.5 * traj.t_end
