@@ -45,7 +45,8 @@ bracketing root finder (the Illinois variant of regula falsi), narrowed to
 roundoff; the earliest root wins.  The located event's residual |g(T)|
 must not exceed ``EVENT_TOL``.  The dense output of the other steps is
 built only when the trajectory is first sampled, so runs that only need
-their event (a sweep) never pay for it.
+their event (a sweep) never pay for it.  A ``Trajectory`` reads its times,
+states and interpolants from the accepted steps, the run's one record.
 
 Which field is integrated.  The full field contains |q1 - q2| and
 sgn(q2 - q1), which have a kink at the collision q1 = q2.  A run never
@@ -71,7 +72,7 @@ same on floats and on arrays over lanes.  One run calls it on floats, the
 lane stepper on arrays; the overflow guard (``_may_overflow``) is shared
 the same way.  Forward and time-reversed runs go through one solve path.
 Floating-point overflow in trial stages of an overflowing input is left to
-the step controller (the step is rejected, or the solve fails with
+the step controller (the step is rejected, or the stepper raises
 IntegrationError).
 
 The lane stepper.  A sweep integrates about a thousand short runs, and a
@@ -118,8 +119,8 @@ y, k1, step size, rejection flag, step floor, accepted steps and event
 values, the state between two attempts, and takes the attempts the run
 from 0 would take from there, bit for bit.  A lane whose next attempt
 would find its step below the spacing of t, or its step budget spent,
-resumes the same way; its scalar run raises there, and that error is the
-point's, at the time the run from 0 would report.  What the lanes cannot
+resumes the same way; its scalar stepper raises there, and that error is
+the point's, at the time the run from 0 would report.  What the lanes cannot
 decide goes through ``integrate`` itself, which raises the point's error:
 a point whose start the scalar code refuses (a reversed peak order in the
 reduced field, an initial field that may overflow, a starting step it
@@ -199,7 +200,8 @@ class EventRecord:
 
 
 class IntegrationError(RuntimeError):
-    """Solver failure; its message names the time of the last good state."""
+    """Solver failure, raised by the stepper and by ``integrate``'s checks of
+    the start and the event; its message names the time of the last good state."""
 
     def __init__(self, message: str, t: float):
         super().__init__(f"{message} (last good state at t = {t:.6g})")
@@ -318,14 +320,6 @@ ROOT_HANDOFF = 8
 _LANE_HANDOFF = 16
 ERROR_EXPONENT = -1.0 / 8.0  # -1 / (1 + order of the error estimate)
 _ROOT_TOL = 4.0 * sys.float_info.epsilon
-
-
-class _StepFailure(Exception):
-    """Raised by the stepper with the last accepted time t."""
-
-    def __init__(self, message: str, t: float):
-        super().__init__(message)
-        self.t = t
 
 
 # The step's arithmetic is elementwise: each state component may be a float
@@ -665,8 +659,9 @@ class _Dop853:
     """DOP853 for an autonomous field ``f(*y) -> sequence`` on float lists.
 
     ``solve`` integrates from 0 to the first event or ``t_end`` and keeps
-    the accepted steps; ``dense(i)`` builds the interpolant of step i
-    (three more field evaluations).
+    the accepted steps, the run's one record (each step's y_old is the
+    object the step before ended on); ``dense(i)`` builds the interpolant
+    of step i (three more field evaluations).
     """
 
     def __init__(self, f: Callable, rel_tol: float, abs_tol: float):
@@ -676,7 +671,9 @@ class _Dop853:
         self._dense = {}  # step index -> interpolant coefficients
 
     def solve(self, y, t_end: float, events: Sequence[Callable], lane: Optional[tuple] = None):
-        """Returns (times, states, index of the event that fired or None).
+        """Returns the run's end (t, y, index of the event that fired or
+        None); the times and states before it are the steps' t_old and
+        y_old.  Raises IntegrationError naming the last accepted time.
 
         A run starts at t = 0 with HNW's starting step.  With ``lane`` =
         (t, k1, h_abs, rejected, min_step, accepted steps, event values), it
@@ -693,12 +690,12 @@ class _Dop853:
                 min_step = 10.0 * math.nextafter(0.0, math.inf)
                 lane = (t, k1, max(h_abs, min_step), False, min_step, 0, [gi(y) for gi in events])
             t, k1, h_abs, rejected, min_step, done, g = lane
-            ts, ys, steps, budget = [t], [y], self.steps, MAX_STEPS - done
+            steps, budget = self.steps, MAX_STEPS - done
             while True:  # one attempt; t < t_end
                 if len(steps) == budget:
-                    raise _StepFailure(f"more than {MAX_STEPS} steps needed", t)
+                    raise IntegrationError(f"more than {MAX_STEPS} steps needed", t)
                 if not min_step <= h_abs < math.inf:
-                    raise _StepFailure(
+                    raise IntegrationError(
                         "Required step size is less than spacing between numbers.", t)
                 t_new = min(t + h_abs, t_end)
                 h = h_abs = t_new - t
@@ -727,20 +724,18 @@ class _Dop853:
                         t_event, index, y_event = _locate(events, g, g_new, t_old, t, h,
                                                           y_old, coeffs)
                     except ValueError as exc:
-                        raise _StepFailure(str(exc), t_old) from None
-                    return [*ts, t_event], [*ys, y_event], index
+                        raise IntegrationError(str(exc), t_old) from None
+                    return t_event, y_event, index
                 g = g_new
-                ts.append(t)
-                ys.append(y)
                 if not t < t_end:
-                    return ts, ys, None
+                    return t, y, None
                 # the next step: not right after a rejection, and at least
                 # ten spacings of t
                 rejected = False
                 min_step = 10.0 * (math.nextafter(t, math.inf) - t)
                 h_abs = max(h_abs, min_step)
         except (OverflowError, ZeroDivisionError) as exc:
-            raise _StepFailure(f"floating-point failure: {exc}", t) from None
+            raise IntegrationError(f"floating-point failure: {exc}", t) from None
 
     def dense(self, i: int) -> list:
         """Per component, the coefficients d1 .. d7 of step i's interpolant
@@ -788,7 +783,7 @@ def _lane_runs(fields: "_FieldDescription", args, y0, t_end, rtol: float,
     that fired (-1 at the horizon), the end state (component, lane), and the
     accepted and rejected steps; ok is False where the lane has no end, and
     the other values are meaningless there.  ``failed`` holds (lane,
-    ``_StepFailure``) for the lanes whose scalar run raised; the other lanes
+    IntegrationError) for the lanes whose scalar run raised; the other lanes
     without an end are for ``integrate`` to decide.  The rejected steps are
     counted for the tests, which compare both counts with the scalar run's.
     """
@@ -819,12 +814,12 @@ def _lane_runs(fields: "_FieldDescription", args, y0, t_end, rtol: float,
             on = [e for e, armed_e in enumerate(on) if armed_e]
             stepper = _Dop853(partial(func, *args), rtol, atol)
             try:
-                ts, ys, hit = stepper.solve(y, t_end, [events[e][1] for e in on], (
+                t_b, y_b, hit = stepper.solve(y, t_end, [events[e][1] for e in on], (
                     t, k1, h_abs, rejected, min_step, steps, [g[e] for e in on]))
-            except _StepFailure as exc:
-                failed.append((lane, exc))
+            except IntegrationError as exc:
+                failed.append((lane, exc.with_traceback(None)))  # keeps no frame alive
                 continue
-            finish(lane, ts[-1], -1 if hit is None else on[hit], ys[-1],
+            finish(lane, t_b, -1 if hit is None else on[hit], y_b,
                    steps + len(stepper.steps), rejections + stepper.rejected)
 
     with np.errstate(all="ignore"):
@@ -940,56 +935,48 @@ def _state(to_array: Callable, y) -> PeakonState:
 
 
 class Trajectory:
-    """Accepted steps, the terminal event record and a dense interpolant.
+    """A run read from its one record, the stepper's accepted steps, and its
+    end y_end at the terminal event record's time T.
 
-    Immutable once produced, except that a step's interpolant is built the
-    first time a sampled time falls in that step (three field evaluations,
-    counted in ``nfev``; the event step's is built by the event search), and
-    that ``sample`` keeps its last time and state.  ``sample`` evaluates
-    the dense output of the one step that holds t, on floats, and is valid
-    on [t0, t_end]; ``sample_array`` does the same for a whole time vector
-    on arrays (its rows equal ``sample``'s bit for bit, whichever steps
-    were built before); ``sample_derivative`` returns the exact field at
-    the sampled state, which for a genuine solution equals the curve's time
-    derivative.  ``sample`` again at its last time, and ``sample_derivative``
-    or ``separation`` there, reuse the kept state instead of interpolating
-    again.  ``nfev``, ``steps`` and ``rejected`` count field evaluations and
-    accepted and rejected steps.
+    ``times`` are the steps' t_old and T, ``state_array`` their y_old and
+    y_end; a zero-duration run's stepper has no steps.  Step i's
+    interpolant is the stepper's ``dense(i)``, built the first time a
+    sampled time falls in that step (three field evaluations, counted in
+    ``nfev``; the event step's is built by the event search), and
+    ``sample`` keeps its last time and state; nothing else changes.
+    ``sample`` evaluates the dense output of the one step that holds t, on
+    floats, and is valid on [t0, t_end]; ``sample_array`` does the same for
+    a whole time vector on arrays (its rows equal ``sample``'s bit for
+    bit); ``sample_derivative`` returns the exact field at the sampled
+    state, which for a genuine solution equals the curve's time derivative.
+    ``sample`` again at its last time, and ``sample_derivative`` or
+    ``separation`` there, reuse the kept state.  ``nfev``, ``steps`` and
+    ``rejected`` count field evaluations and accepted and rejected steps.
     """
 
-    def __init__(
-        self,
-        params: ABParams,
-        config: IntegrationConfig,
-        times: Sequence[float],
-        raw_states: Sequence,
-        terminal_event: EventRecord,
-        stepper: Optional[_Dop853],
-        to_array: Callable,
-        time_sign: float = 1.0,
-    ):
+    def __init__(self, params: ABParams, config: IntegrationConfig, terminal_event: EventRecord,
+                 stepper: _Dop853, y_end: Sequence, to_array: Callable, time_sign: float = 1.0):
         self.params = params
         self.config = config
-        self.times = np.array(times)
-        self._raw = raw_states
         self.terminal_event = terminal_event  # the located event, or HORIZON
-        self._stepper = stepper  # None for a zero-duration run
+        self._stepper = stepper
+        self._y_end = y_end  # the solver state at T
         self._to_array = to_array  # raw solver states -> [p1, p2, q1, q2]
         self._time_sign = time_sign
-        self._tables = None  # per step t_old, h, y_old, coefficients; the steps built
+        self.times = np.array([step[0] for step in stepper.steps] + [terminal_event.time])
         self._last = None  # ((t, sign of t), state) of the last ``sample``
 
     @property
     def nfev(self) -> int:
-        return self._stepper.nfev if self._stepper else 0
+        return self._stepper.nfev
 
     @property
     def steps(self) -> int:
-        return len(self._stepper.steps) if self._stepper else 0
+        return len(self._stepper.steps)
 
     @property
     def rejected(self) -> int:
-        return self._stepper.rejected if self._stepper else 0
+        return self._stepper.rejected
 
     @property
     def t0(self) -> float:
@@ -1001,21 +988,18 @@ class Trajectory:
 
     @property
     def state_array(self) -> np.ndarray:
-        """States at the accepted step times as an (n, 4) array [p1, p2, q1, q2]."""
-        return self._to_array(np.array(self._raw).T).T.copy()
+        """States at ``times`` as an (n, 4) array [p1, p2, q1, q2]."""
+        raw = [step[2] for step in self._stepper.steps] + [self._y_end]
+        return self._to_array(np.array(raw).T).T.copy()
 
     def _segments(self, seg: np.ndarray) -> tuple:
         """t_old, h, y_old and the coefficients (d1 .. d7 first) of the steps
-        ``seg``, building the interpolant of each of them not yet built."""
-        if self._tables is None:
-            t_old, h, y_old, _, _ = zip(*self._stepper.steps)
-            coeffs = np.empty((7, len(h), len(y_old[0])))
-            self._tables = np.array(t_old), np.array(h), np.array(y_old), coeffs, set()
-        t_old, h, y_old, coeffs, built = self._tables
-        for i in set(seg.tolist()) - built:
-            coeffs[:, i] = np.array(self._stepper.dense(i)).T
-            built.add(i)
-        return t_old[seg], h[seg], y_old[seg], coeffs[:, seg]
+        ``seg``, read from the stepper's steps and ``dense``."""
+        steps, dense = self._stepper.steps, self._stepper.dense
+        used, where = np.unique(seg, return_inverse=True)
+        t_old, h, y_old, _, _ = zip(*(steps[i] for i in used.tolist()))
+        coeffs = np.array([dense(i) for i in used.tolist()]).transpose(2, 0, 1)
+        return np.array(t_old)[where], np.array(h)[where], np.array(y_old)[where], coeffs[:, where]
 
     def _steps_at(self, ts):
         """The step that holds each time of ``ts`` (a float or a 1-D array):
@@ -1033,8 +1017,8 @@ class Trajectory:
         key = (t, math.copysign(1.0, t))  # -0.0 kept apart from 0.0
         if self._last is None or self._last[0] != key:
             i = self._steps_at(t)
-            if self._stepper is None:  # the constant trajectory
-                y = self._raw[0]
+            if not self._stepper.steps:  # the constant trajectory
+                y = self._y_end
             else:  # step i's interpolant, one component at a time
                 t_old, h, y_old, _, _ = self._stepper.steps[i]
                 y = [_interpolate((t - t_old) / h, coeffs, y_j)
@@ -1053,8 +1037,8 @@ class Trajectory:
             raise ValueError(f"times must be a scalar or 1-D, got shape {ts.shape}")
         ts = np.atleast_1d(ts)
         seg = self._steps_at(ts)
-        if self._stepper is None:
-            return self._to_array(np.repeat(np.array(self._raw), len(ts), axis=0).T).T
+        if not (self._stepper.steps and ts.size):  # the constant trajectory, or no times
+            return self._to_array(np.repeat(np.array([self._y_end]), len(ts), axis=0).T).T
         t_old, h, y_old, coeffs = self._segments(seg)
         x = ((ts - t_old) / h)[:, None]
         return self._to_array(_interpolate(x, coeffs, y_old).T).T
@@ -1145,31 +1129,28 @@ def _solve(rhs: Callable, y0: list, to_array: Callable, events: Sequence, params
     """Integrate ``rhs`` from y0 on [0, t_end] until the first of ``events``.
 
     The trajectory ends exactly at the located event time, or at t_end with
-    a HORIZON record.  Step-size failure, a non-finite dense output at an
-    event, or an event residual |g(T)| above ``EVENT_TOL`` raises
+    a HORIZON record.  The stepper's failures, an initial field that may
+    overflow and an event residual |g(T)| above ``EVENT_TOL`` raise
     IntegrationError naming the time of the last good state, and a
     non-finite end state ValueError.
     """
     initial = _state(to_array, y0)
+    stepper = _Dop853(rhs, config.rel_tol, config.abs_tol)
     if t_end == 0.0:  # nothing to integrate: the constant trajectory
         rec = EventRecord(EventKind.HORIZON, 0.0, initial)
-        return Trajectory(params, config, [0.0], [y0], rec, None, to_array, time_sign)
+        return Trajectory(params, config, rec, stepper, y0, to_array, time_sign)
     if _may_overflow(params.a, params.b, initial.p1, initial.p2):
         raise IntegrationError("the field may overflow at the initial state", 0.0)
 
-    stepper = _Dop853(rhs, config.rel_tol, config.abs_tol)
-    try:
-        ts, ys, hit = stepper.solve(y0, t_end, [g for _, g in events])
-    except _StepFailure as exc:
-        raise IntegrationError(str(exc), exc.t) from None
+    t, y, hit = stepper.solve(y0, t_end, [g for _, g in events])
     kind, g = events[hit] if hit is not None else (EventKind.HORIZON, None)
-    residual = abs(g(ys[-1])) if g else 0.0
+    residual = abs(g(y)) if g else 0.0
     if not residual <= EVENT_TOL:
         raise IntegrationError(
             f"{kind.value} event located only to |g| = {residual:.3g} > {EVENT_TOL:g}",
-            ts[-2])
-    record = EventRecord(kind, ts[-1] if g else t_end, _state(to_array, ys[-1]))
-    return Trajectory(params, config, ts, ys, record, stepper, to_array, time_sign)
+            stepper.steps[-1][0])
+    record = EventRecord(kind, t, _state(to_array, y))
+    return Trajectory(params, config, record, stepper, y, to_array, time_sign)
 
 
 def integrate(
@@ -1245,7 +1226,7 @@ def terminal_events(a, b, p1, p2, q1, q2, horizon, config: IntegrationConfig) ->
     names = np.array([kind for kind, _ in fields.events] + [EventKind.HORIZON], dtype=object)
     times[index[ok]], kinds[index[ok]] = t[ok], names[event[ok]]
     for j, exc in failed:  # the error of the point's scalar run, at the same time
-        kinds[index[j]] = IntegrationError(str(exc), exc.t)
+        kinds[index[j]] = exc
     for i in np.flatnonzero(np.equal(kinds, None)).tolist():  # the points no lane finished
         a_i, b_i, *state, t_end_i = (float(c[i]) for c in columns)
         try:

@@ -23,8 +23,9 @@ import numpy as np
 
 from .dynamics import PeakonState
 
-#: separation used when the mu formula does not apply (a = 1/3 and the
-#: 0 < a < 1/3 range, where any small positive separation works)
+#: separation used when the mu formula does not apply: a = 1/3; 0 < a < 1/3,
+#: where any small positive separation works; and a > 1/3 where the scanned
+#: c designs mu > 1, since L_a >= a on [0, 0.1] there
 DEFAULT_SMALL_MU = 0.1
 
 #: default magnitude scale and asymmetry for canned experiments
@@ -69,7 +70,8 @@ class CaseSpec:
     """Initial-data recipe for one collision case.
 
     ``c`` is None when the separation was not produced by the L_a(mu) = c*a
-    design equation (the a = 1/3 branch and its 0 < a < 1/3 fallback).
+    design equation (the a = 1/3 branch and the small-separation fallback
+    for a > 0).
     """
 
     case_id: CaseID
@@ -123,11 +125,14 @@ def _log_argument(a: float, c: float) -> float:
 def _admissible_c(a: float) -> Optional[float]:
     """First admissible design constant for a != 0, 1/3, or None: tries
     ``DEFAULT_C``, then walks the open interval (1, 2) in ``C_SCAN_STEP``
-    increments.  For 0 < a < 1/3 no c is admissible."""
+    increments.  For 0 < a < 1/3 no c is admissible.  None too where the
+    first admissible c designs mu > 1, which ``CaseSpec`` refuses: only at
+    some a > 1/3 (for a < 0 the log argument exceeds (c + 1)/3 > 2/3)."""
     n = int(round((2.0 - 1.0) / C_SCAN_STEP))
     for c in [DEFAULT_C] + [1.0 + k * C_SCAN_STEP for k in range(1, n)]:
-        if 0 < _log_argument(a, c) < 1:
-            return c
+        arg = _log_argument(a, c)
+        if 0 < arg < 1:
+            return c if -0.5 * math.log(arg) <= 1 else None
     return None
 
 
@@ -144,7 +149,12 @@ def case_spec_for(
     works there); other a use the L_a(mu) = c*a design with c = 1.5 or the
     first admissible value from a 0.05-step scan of (1, 2).  For
     0 < a < 1/3 no c is admissible and the small fixed separation is used,
-    which still bounds L_a below by 2a > a on the swept interval.
+    which still bounds L_a below by 2a > a on the swept interval.  For
+    a > 1/3 the same separation is used where the scan finds no c, or where
+    its first admissible c designs mu > 1.  There L_a falls from 2a, and
+    L_a(q) >= a iff e^{-2q} >= (2a - 1)/(3a - 1); that ratio is below 2/3,
+    so L_a >= a on [0, ln(3/2)/2], about [0, 0.203], which holds mu = 0.1,
+    and the case 1-2 rate epsilon = a(2 alpha delta + delta^2) applies.
     Explicit ``mu`` overrides are validated against the design equation
     when a < 0, where the collision-rate bound relies on it; a given ``mu``
     determines c, and a ``c`` given with it is not used (the command line
@@ -177,8 +187,9 @@ def case_spec_for(
             raise ValueError(f"a = {a:g}: the separation design's log argument "
                              "((c+1)a - 1)/(3a - 1) overflows or rounds out of (0, 1) "
                              "for every c scanned")
-        # 0 < a < 1/3, where no c is admissible, or a just above 1/3, where
-        # the scan stops short of the c it needs; cases 1-2 need no c
+        # 0 < a < 1/3, where no c is admissible, or a > 1/3, where the scan
+        # stops short of the c it needs or its c designs mu > 1; cases 1-2
+        # need no c, and L_a >= a on [0, DEFAULT_SMALL_MU] (see above)
         return CaseSpec(case, alpha, delta, DEFAULT_SMALL_MU, None)
     arg = _log_argument(a, c_use)
     if not 0 < arg < 1:

@@ -942,16 +942,33 @@ class TestSweep:
 
     def test_failed_point_status_is_one_csv_field(self, tmp_path):
         """A failed point's status contains a comma; the CSV quotes it, so
-        every row reads back as 9 fields.  a = 0.395 lies in the band where
-        every design constant gives mu > 1."""
+        every row reads back as 9 fields.  At a = 0.395 the explicit c = 1.55
+        designs mu > 1; a given c is never replaced by the small fallback
+        separation, so both points fail and the sweep exits 1."""
         out = tmp_path / "band"
-        assert _run("sweep", "--a-grid=0.395,-1", "--b-grid=3", "--out", str(out)) == 0
+        assert _run("sweep", "--c", "1.55", "--a-grid=0.395", "--b-grid=1,3",
+                    "--out", str(out)) == 1
         with open(out / "sweep.csv", newline="") as fh:
             header, *rows = list(csv.reader(fh))
         assert len(header) == 9 and len(rows) == 2
         assert all(len(row) == 9 for row in rows)
-        assert rows[0][8].startswith("error: mu must lie in (0, 1], got ")
-        assert rows[1][8] == "ok"
+        assert [row[8] for row in rows] == [
+            "error: mu must lie in (0, 1], got 1.6196771781058723"] * 2
+
+    def test_every_point_above_a_third_resolves(self, tmp_path):
+        """The band of a just above 1/3 where the scanned c designs mu > 1
+        (0.3397 <= a <= 0.4111 among these nodes), and larger a, on both
+        sides of b = 2: every point gets initial data, collides, and within
+        its bound mu/epsilon."""
+        a_grid = [*np.linspace(0.3334, 0.4573, 60).tolist(), 0.5, 0.7, 1.0, 1.5, 2.0, 2.9]
+        out = tmp_path / "band"
+        assert _run("sweep", "--a-grid", ",".join(map(repr, a_grid)),
+                    "--b-grid=0.5,1.5,3,5", "--out", str(out)) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 264
+        assert {(row["T_within_bound"], row["event"], row["status"]) for row in rows} == {
+            ("yes", "collision", "ok")}
 
     def test_manifest_with_workers_key_still_loads(self, tmp_path):
         """Manifests written when sweep had a thread pool carry "workers";
@@ -1041,11 +1058,11 @@ class TestSweep:
         pytest.param("reduced", {}, "json", id="reduced-json"),
     ])
     def test_bytes_equal_the_per_point_oracle(self, tmp_path, rep, design, fmt):
-        """A 56-point grid, with points without a design (a = 0.395),
-        points whose integration fails at once (b = 1e300), a small-|a|
-        column that needs many more steps than its neighbours, a repeated a
-        and b = -0: the table equals, byte for byte, the one the
-        point-by-point sweep writes, whose cells
+        """A 56-point grid, with points designed by the small-separation
+        fallback (a = 0.395), points whose integration fails at once
+        (b = 1e300), a small-|a| column that needs many more steps than its
+        neighbours, a repeated a and b = -0: the table equals, byte for
+        byte, the one the point-by-point sweep writes, whose cells
         ``_write_table`` formats from floats; also where --mu or --c
         overrides the design that the sweep finds once per a and case."""
         a_grid = "0.3,-1,0.395,1e-9,-0.2,0.7,-1.6,-1"

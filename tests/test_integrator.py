@@ -421,3 +421,45 @@ class TestTrajectoryApi:
             IntegrationConfig(rel_tol=-1e-10)
         with pytest.raises(ValueError):
             IntegrationConfig(max_time=0.0)
+
+
+class TestOneRecord:
+    """A trajectory's times and states are its stepper's accepted steps (each
+    step's start time and state) followed by the end, read from one record."""
+
+    @staticmethod
+    def _hex(array) -> list:
+        return [[float(v).hex() for v in row] for row in array]
+
+    @staticmethod
+    def _step_times(traj) -> list:
+        return [t_old for t_old, *_ in traj._stepper.steps]
+
+    @pytest.mark.parametrize("rep", [Representation.FULL, Representation.REDUCED])
+    @pytest.mark.parametrize("case", list(CASE_PRESETS))
+    def test_states_are_the_dense_output_at_the_times(self, case, rep):
+        """At an event run's step times and at T, ``state_array`` is what the
+        dense output gives there, to the last bit."""
+        params, _, initial, base = run_point(*CASE_PRESETS[case])
+        traj = integrate(initial, params, replace(base.config, representation=rep))
+        assert traj.times.tolist() == [*self._step_times(traj), traj.terminal_event.time]
+        assert self._hex(traj.state_array) == self._hex(traj.sample_array(traj.times))
+
+    def test_horizon_run_ends_on_the_last_step_state(self, case_runs):
+        """A run stopped by its horizon ends at the last step's own state,
+        which the interpolant at that step's end need not give to the bit."""
+        params, _, initial, base = case_runs["case1"]
+        horizon = 0.5 * base.terminal_event.time
+        traj = integrate(initial, params, replace(base.config, max_time=horizon))
+        assert traj.terminal_event.kind is EventKind.HORIZON
+        assert traj.times.tolist() == [*self._step_times(traj), horizon]
+        states = traj.state_array
+        assert self._hex(states[:-1]) == self._hex(traj.sample_array(traj.times[:-1]))
+        assert self._hex(states[-1:]) == self._hex([traj.terminal_event.state.as_array()])
+
+    def test_zero_duration_run_is_its_start(self):
+        state = PeakonState(1.5, -1.0, 0.0, 0.1)
+        back = integrate_reversed(state, ABParams(1 / 3, 3.0), IntegrationConfig(), 0.0)
+        assert back.times.tolist() == [0.0]
+        assert self._hex(back.state_array) == self._hex([state.as_array()])
+        assert (back.steps, back.nfev, back.rejected) == (0, 0, 0)

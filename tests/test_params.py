@@ -21,7 +21,7 @@ from peakonlab import (
     l_a,
     make_initial_profile,
 )
-from peakonlab.params import CaseSpec
+from peakonlab.params import DEFAULT_SMALL_MU, CaseSpec
 
 MU_A1_C15 = 0.14384103622589045  # -0.5*ln(1.5/2)
 MU_AM1_C15 = 0.06676569631226131  # -0.5*ln(0.875)
@@ -145,6 +145,27 @@ class TestCaseSpecPolicy:
         the small fixed separation, which cases 1-2 can use."""
         spec = case_spec_for(ABParams(0.335, 3.0))
         assert (spec.mu, spec.c) == (0.1, None)
+
+    def test_scanned_c_designing_mu_above_one_takes_small_separation(self):
+        """a = 0.395: the first admissible scanned c, 1.55, designs
+        mu = 1.6197 > 1, which ``CaseSpec`` refuses; cases 1-2 take the small
+        fixed separation instead.  A given c or mu is never replaced."""
+        for b in (3.0, 1.0):
+            spec = case_spec_for(ABParams(0.395, b))
+            assert (spec.mu, spec.c) == (DEFAULT_SMALL_MU, None)
+        for override in ({"c": 1.55}, {"mu": 1.5}):
+            with pytest.raises(ValueError, match=r"mu must lie in \(0, 1\]"):
+                case_spec_for(ABParams(0.395, 3.0), **override)
+
+    def test_small_separation_keeps_the_rate_bound_above_third(self):
+        """For a > 1/3, L_a falls from 2a, and L_a(q) >= a where
+        e^{-2q} >= (2a - 1)/(3a - 1), a ratio below 2/3: so L_a >= a on
+        [0, DEFAULT_SMALL_MU], and epsilon = a(2 alpha delta + delta^2) bounds
+        the collision rate there."""
+        a = np.concatenate([np.geomspace(np.nextafter(1 / 3, 1.0), 1e6, 20001),
+                            np.linspace(1 / 3, 3.0, 20001)[1:]])
+        assert np.all(l_a(a, DEFAULT_SMALL_MU) >= a)
+        assert np.all(l_a(a, 0.5 * math.log(1.5)) >= a)
 
     @pytest.mark.parametrize("a", [-1e308, -6.5e307, -1e-300])
     def test_negative_a_whose_design_fails_in_floats_raises(self, a):

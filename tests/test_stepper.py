@@ -750,8 +750,9 @@ def _bench_grid(seed: int):
     return [(a, b) for a in a_vals for b in b_vals]
 
 
-#: the command line's failure grid: no design at a = 0.395, a field that may
-#: overflow or a step that fails at b = 1e300, and a slow column at a = 1e-9
+#: the command line's failure grid: the small fallback separation at a = 0.395
+#: (its scanned c designs mu > 1), a field that may overflow or a step that
+#: fails at b = 1e300, and a slow column at a = 1e-9
 FAILURE_GRID = [(a, b) for a in (0.3, -1.0, 0.395, 1e-9, -0.2, 0.7, -1.6)
                 for b in (3.0, -1.0, 0.0, 1e300, 4.5, 1.2)]
 
@@ -776,10 +777,10 @@ def _resolved_points(grid, **settings):
     pytest.param(_bench_grid(1), {}, 0, id="bench-seed-1"),
     pytest.param(_bench_grid(7), {}, 0, id="bench-seed-7"),
     pytest.param(_bench_grid(29), {}, 0, id="bench-seed-29"),
-    pytest.param(FAILURE_GRID, {"alpha": 1e76}, 7, id="alpha-1e76-full"),
-    pytest.param(FAILURE_GRID, {"alpha": 1e76, "representation": "reduced"}, 36,
+    pytest.param(FAILURE_GRID, {"alpha": 1e76}, 8, id="alpha-1e76-full"),
+    pytest.param(FAILURE_GRID, {"alpha": 1e76, "representation": "reduced"}, 42,
                  id="alpha-1e76-reduced"),
-    pytest.param(FAILURE_GRID, {}, 6, id="b-1e300"),
+    pytest.param(FAILURE_GRID, {}, 7, id="b-1e300"),
     pytest.param([(-1.6, 1e300)], {}, 1, id="a--1.6-b-1e300-alone"),
 ])
 def test_column_call_equals_integrate_point_by_point(grid, settings, failures):
@@ -815,24 +816,36 @@ def test_nan_inside_the_event_step_fails_as_integrate_does(monkeypatch):
 
 
 def test_resumed_failures_are_not_run_again(monkeypatch):
-    """On the failure grid at alpha 1e76, reduced, every point fails: six at
-    the overflow guard, before they become lanes; the rest at a step below
+    """On the failure grid at alpha 1e76, reduced, every point fails: seven
+    at the overflow guard, before they become lanes; the rest at a step below
     the spacing of t, two of them after creeping for about 1,000 and 7,000
     steps.  The
     lanes end on the scalar stepper from their own state with their scalar
-    runs' errors, so ``integrate`` runs only the six points that were never
-    lanes."""
+    runs' errors, so ``integrate`` runs only the seven points that were
+    never lanes."""
     points = _resolved_points(FAILURE_GRID, alpha=1e76, representation="reduced")
     want = list(map(_scalar_outcome, points))
     assert all(isinstance(kind, type) for kind, _ in want)
     lanes = integrator_module._lane_points(integrator_module._REDUCED, *_columns(points))[0]
-    assert lanes.size == len(points) - 6
+    assert lanes.size == len(points) - 7
     calls = []
     scalar_integrate = integrator_module.integrate
     monkeypatch.setattr(integrator_module, "integrate",
                         lambda *p: calls.append(p) or scalar_integrate(*p))
     assert _column_outcomes(points) == want
-    assert len(calls) == 6
+    assert len(calls) == 7
+
+
+@pytest.mark.parametrize("settings", [{"alpha": 1e76, "representation": "reduced"}, {}],
+                         ids=["alpha-1e76-reduced", "b-1e300"])
+def test_returned_errors_keep_no_frame(settings):
+    """The errors ``terminal_events`` returns, from lanes that failed on the
+    scalar stepper (alpha 1e76, reduced) or from the ``integrate`` fallback
+    (b = 1e300), carry no traceback, so they hold no frame alive."""
+    points = _resolved_points(FAILURE_GRID, **settings)
+    _, kinds = terminal_events(*_columns(points), points[0][2])
+    errors = [kind for kind in kinds if isinstance(kind, Exception)]
+    assert errors and all(exc.__traceback__ is None for exc in errors)
 
 
 def test_lanes_cover_every_ending():
